@@ -34,32 +34,43 @@ data subjects (problem, assignments, plan, trace, checkpoint dir)
 positionally and *every* tunable keyword-only — positional tunables are
 rejected by the signatures themselves (enforced by a test over
 ``api.__all__``).
+
+The control-loop tunables are spelled out in exactly two places: the
+signatures of :func:`run_control_loop` / :func:`replay_trace` below and
+the fields of :class:`~repro.core.config.LoopSpec`.  A loop run builds
+one ``LoopSpec`` (in :func:`run_control_loop`, which :func:`replay_trace`
+calls) and hands it to
+:func:`~repro.cluster.cronjob.build_controller`; the service's tenant
+payload and the durable checkpoint's ``run`` payload are that same record
+(DESIGN §12 has the field table).  Runtime objects — a custom
+``collector``, a ready ``FaultInjector``, ``stream``, ``shutdown``, the
+telemetry arguments — are arguments of the call, not fields of the spec.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
 from repro.cluster.collector import DataCollector
-from repro.cluster.cronjob import CronJobController, CycleReport, facade_construction
+from repro.cluster.cronjob import CycleReport, build_controller
+from repro.cluster.replay import EventStreamCursor, EventTrace
 from repro.cluster.state import ClusterState
-from repro.core.config import DegradationPolicy, RASAConfig, RetryPolicy
+from repro.core.config import DegradationPolicy, LoopSpec, RASAConfig, RetryPolicy
 from repro.core.problem import RASAProblem
 from repro.core.rasa import RASAResult, RASAScheduler
 from repro.core.solution import Assignment
+from repro.durability.checkpoint import CheckpointStore
+from repro.durability.loop import DurableControlLoop, prepare_resume
 from repro.faults import FaultInjector, FaultPlan, coerce_injector
 from repro.migration.executor import ExecutionTrace, MigrationExecutor
 from repro.migration.path import MigrationPathBuilder
 from repro.migration.plan import MigrationPlan
 from repro.obs import JsonlStreamWriter, TelemetryHub, TelemetryServer
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cluster.replay import EventStreamCursor, EventTrace
-    from repro.service.app import OptimizerService
-    from repro.service.client import ServiceClient  # noqa: F401 - re-export
+from repro.service.app import OptimizerService, ServiceConfig
+from repro.service.client import ServiceClient
 
 __all__ = [
     "ServiceClient",
@@ -73,17 +84,6 @@ __all__ = [
 ]
 
 
-def __getattr__(name: str):
-    # ServiceClient is re-exported lazily: repro.service imports this
-    # module for the shared controller wiring, so a top-level import here
-    # would be circular.
-    if name == "ServiceClient":
-        from repro.service.client import ServiceClient
-
-        return ServiceClient
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def _coerce_assignment(
     problem: RASAProblem, assignment: "Assignment | np.ndarray"
 ) -> Assignment:
@@ -93,61 +93,39 @@ def _coerce_assignment(
     return Assignment(problem, np.asarray(assignment))
 
 
-def _build_loop_controller(
-    state: "ClusterState | RASAProblem",
-    *,
-    collector: DataCollector | None = None,
-    stream: "EventStreamCursor | None" = None,
-    config: RASAConfig | None = None,
-    faults: "FaultPlan | FaultInjector | dict | None" = None,
-    time_limit: float | None = 10.0,
-    interval_seconds: float = 1800.0,
-    sla_floor: float = 0.75,
-    rollback_imbalance: float | None = None,
-    degradation: DegradationPolicy | None = None,
-    retry: RetryPolicy | None = None,
-    traffic_jitter_sigma: float = 0.0,
-    seed: int = 0,
-    telemetry: TelemetryHub | None = None,
-) -> CronJobController:
-    """Shared controller wiring for every supported control-loop entry.
+def _run_observed(
+    build: "Callable[[TelemetryHub | None], Callable[[], list[CycleReport]]]",
+    telemetry_port: int | None,
+    telemetry_host: str,
+    cycle_stream: "str | None",
+    on_telemetry_start: "Callable[[TelemetryServer], None] | None",
+) -> list[CycleReport]:
+    """Run a loop under the optional cycle stream and telemetry server.
 
-    :func:`run_control_loop` and the multi-tenant service's per-tenant
-    loops both build their controller here, which is what makes a
-    tenant's cycle reports bit-identical to the equivalent single-tenant
-    run — same collector defaults, same policy defaults, same injector
-    coercion, in the same order.
+    ``build`` receives the hub the loop should publish to (None when
+    neither output was requested) and returns the loop's ``run`` callable;
+    the server is started once the loop is built and both outputs are
+    closed when ``run`` returns or raises.
     """
-    if isinstance(state, RASAProblem):
-        state = ClusterState(state)
-    if collector is None:
-        if stream is not None:
-            collector = DataCollector(
-                stream=stream,
-                traffic_jitter_sigma=traffic_jitter_sigma,
-                seed=seed,
-            )
-        else:
-            collector = DataCollector(
-                dict(state.problem.affinity.items()),
-                traffic_jitter_sigma=traffic_jitter_sigma,
-                seed=seed,
-            )
-    with facade_construction():
-        return CronJobController(
-            state=state,
-            collector=collector,
-            rasa=RASAScheduler(config=config),
-            time_limit=time_limit,
-            interval_seconds=interval_seconds,
-            sla_floor=sla_floor,
-            rollback_imbalance=rollback_imbalance,
-            faults=coerce_injector(faults),
-            degradation=degradation or DegradationPolicy(),
-            retry=retry or RetryPolicy(),
-            telemetry=telemetry,
-            stream=stream,
+    hub = None
+    server = None
+    if cycle_stream is not None or telemetry_port is not None:
+        hub = TelemetryHub(
+            stream=JsonlStreamWriter(cycle_stream) if cycle_stream else None
         )
+    run = build(hub)
+    try:
+        if telemetry_port is not None:
+            server = TelemetryServer(hub, port=telemetry_port, host=telemetry_host)
+            server.start()
+            if on_telemetry_start is not None:
+                on_telemetry_start(server)
+        return run()
+    finally:
+        if server is not None:
+            server.stop()
+        elif hub is not None and hub.stream is not None:
+            hub.stream.close()
 
 
 def optimize(
@@ -238,7 +216,7 @@ def run_control_loop(
     faults: "FaultPlan | FaultInjector | dict | None" = None,
     collector: DataCollector | None = None,
     time_limit: float | None = 10.0,
-    interval_seconds: float = 1800.0,
+    interval_seconds: float | None = 1800.0,
     sla_floor: float = 0.75,
     rollback_imbalance: float | None = None,
     degradation: DegradationPolicy | None = None,
@@ -265,7 +243,8 @@ def run_control_loop(
         collector: Custom data collector; None builds one from the
             problem's affinity weights as ground-truth traffic.
         time_limit: Per-cycle solver budget (seconds); None is unlimited.
-        interval_seconds: Simulated time between cycles.
+        interval_seconds: Simulated time between cycles; None uses the
+            replayed ``stream``'s recorded cadence.
         sla_floor: Alive-fraction floor enforced during migrations.
         rollback_imbalance: Utilization-skew rollback threshold; None
             disables the guard.
@@ -312,43 +291,37 @@ def run_control_loop(
             "checkpoint, which only records the default collector's "
             "configuration (traffic_jitter_sigma and seed)"
         )
-    hub = None
-    server = None
-    writer = None
-    if cycle_stream is not None or telemetry_port is not None:
-        writer = JsonlStreamWriter(cycle_stream) if cycle_stream else None
-        hub = TelemetryHub(stream=writer)
-    controller = _build_loop_controller(
-        state,
-        collector=collector,
-        stream=stream,
+    injector = coerce_injector(faults)
+    spec = LoopSpec(
         config=config,
-        faults=faults,
+        faults=None if injector is None else injector.plan,
+        degradation=degradation,
+        retry=retry,
         time_limit=time_limit,
         interval_seconds=interval_seconds,
         sla_floor=sla_floor,
         rollback_imbalance=rollback_imbalance,
-        degradation=degradation,
-        retry=retry,
         traffic_jitter_sigma=traffic_jitter_sigma,
         seed=seed,
-        telemetry=hub,
+        checkpoint_every=checkpoint_every,
     )
-    if checkpoint_dir is not None:
-        from repro.durability.loop import build_durable_loop
 
-        durable = build_durable_loop(
-            controller,
-            checkpoint_dir=checkpoint_dir,
-            total_cycles=cycles,
-            mode="replay" if stream is not None else "cron",
-            seed=seed,
-            traffic_jitter_sigma=traffic_jitter_sigma,
-            checkpoint_every=checkpoint_every,
-            shutdown=shutdown,
+    def build(hub):
+        controller = build_controller(
+            spec,
+            stream if stream is not None else state,
+            collector=collector,
+            injector=injector,
+            telemetry=hub,
         )
-        run = durable.run
-    else:
+        if checkpoint_dir is not None:
+            return DurableControlLoop(
+                controller=controller,
+                store=CheckpointStore(checkpoint_dir),
+                spec=spec,
+                total_cycles=cycles,
+                shutdown=shutdown,
+            ).run
 
         def run() -> list[CycleReport]:
             should_stop = (
@@ -362,20 +335,12 @@ def run_control_loop(
             ):
                 shutdown.interrupted = True
             return reports
-    if telemetry_port is None:
-        try:
-            return run()
-        finally:
-            if writer is not None:
-                writer.close()
-    server = TelemetryServer(hub, port=telemetry_port, host=telemetry_host)
-    try:
-        server.start()
-        if on_telemetry_start is not None:
-            on_telemetry_start(server)
-        return run()
-    finally:
-        server.stop()
+
+        return run
+
+    return _run_observed(
+        build, telemetry_port, telemetry_host, cycle_stream, on_telemetry_start
+    )
 
 
 def replay_trace(
@@ -425,16 +390,10 @@ def replay_trace(
         One :class:`CycleReport` per cycle; ``report.events`` records the
         trace events applied before each cycle.
     """
-    from repro.cluster.replay import EventTrace
-
     if not isinstance(trace, EventTrace):
         trace = EventTrace.load(trace)
-    interval = (
-        interval_seconds if interval_seconds is not None
-        else trace.interval_seconds
-    )
     if cycles is None:
-        cycles = trace.num_cycles(interval)
+        cycles = trace.num_cycles(interval_seconds)
     cursor = trace.cursor()
     return run_control_loop(
         cursor.state,
@@ -442,7 +401,7 @@ def replay_trace(
         config=config,
         faults=faults,
         time_limit=time_limit,
-        interval_seconds=interval,
+        interval_seconds=interval_seconds,
         sla_floor=sla_floor,
         rollback_imbalance=rollback_imbalance,
         degradation=degradation,
@@ -505,35 +464,20 @@ def resume_control_loop(
     Returns:
         The full report history, restored cycles included.
     """
-    from repro.durability.loop import prepare_resume
-
-    hub = None
-    writer = None
-    if cycle_stream is not None or telemetry_port is not None:
-        writer = JsonlStreamWriter(cycle_stream) if cycle_stream else None
-        hub = TelemetryHub(stream=writer)
-    durable = prepare_resume(
-        checkpoint_dir,
-        cycles=cycles,
-        allow_cold_start=allow_cold_start,
-        checkpoint_every=checkpoint_every,
-        shutdown=shutdown,
-        telemetry=hub,
+    return _run_observed(
+        lambda hub: prepare_resume(
+            checkpoint_dir,
+            cycles=cycles,
+            allow_cold_start=allow_cold_start,
+            checkpoint_every=checkpoint_every,
+            shutdown=shutdown,
+            telemetry=hub,
+        ).run,
+        telemetry_port,
+        telemetry_host,
+        cycle_stream,
+        on_telemetry_start,
     )
-    if telemetry_port is None:
-        try:
-            return durable.run()
-        finally:
-            if writer is not None:
-                writer.close()
-    server = TelemetryServer(hub, port=telemetry_port, host=telemetry_host)
-    try:
-        server.start()
-        if on_telemetry_start is not None:
-            on_telemetry_start(server)
-        return durable.run()
-    finally:
-        server.stop()
 
 
 def start_service(
@@ -580,8 +524,6 @@ def start_service(
         ``service.stop()`` (or use it as a context manager) to shut it
         down with final per-tenant checkpoints.
     """
-    from repro.service.app import OptimizerService, ServiceConfig
-
     service = OptimizerService(
         ServiceConfig(
             host=host,

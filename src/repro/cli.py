@@ -43,6 +43,7 @@ Installed as the ``rasa`` console script via pyproject.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -132,9 +133,10 @@ def _add_durability(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--checkpoint-every",
         type=int,
-        default=16,
+        default=None,
         metavar="N",
-        help="cycles between WAL compactions into a snapshot (default: 16)",
+        help="cycles between WAL compactions into a snapshot (default: 16; "
+             "on resume, the default keeps the recorded cadence)",
     )
     parser.add_argument(
         "--allow-cold-start",
@@ -268,76 +270,42 @@ def _add_inspect(subparsers) -> None:
     _add_common(parser)
 
 
-def _add_cron(subparsers) -> None:
+def _add_loop_command(subparsers, name: str) -> None:
+    """``rasa cron`` / ``rasa replay``: one flag set, two kinds of source."""
+    replay = name == "replay"
     parser = subparsers.add_parser(
-        "cron", help="run the CronJob control loop on a trace"
+        name,
+        help=(
+            "replay a recorded v2 event trace through the control loop"
+            if replay else "run the CronJob control loop on a trace"
+        ),
     )
-    parser.add_argument("trace", help="JSON trace file (needs a current assignment)")
+    parser.add_argument(
+        "trace",
+        help=(
+            "v2 event-trace file (gzip JSONL)"
+            if replay else "JSON trace file (needs a current assignment)"
+        ),
+    )
     parser.add_argument(
         "--cycles", type=int, default=None,
-        help="total cycles to run (default: 5; on resume, the default "
-             "keeps the interrupted run's recorded target)",
-    )
-    parser.add_argument("--time-limit", type=float, default=10.0,
-                        help="per-cycle solver budget in seconds")
-    parser.add_argument("--sla-floor", type=float, default=0.75,
-                        help="alive-fraction floor enforced during migrations")
-    parser.add_argument(
-        "--fault-plan",
-        metavar="PATH",
-        help="JSON FaultPlan file enabling seeded chaos injection",
+        help="total cycles to run (default: 5 for cron, the whole stream for "
+             "replay; on resume, the interrupted run's recorded target)",
     )
     parser.add_argument(
-        "--degradation-policy",
-        default="retry,greedy,skip",
-        metavar="LADDER",
-        help="comma ladder of rungs for faulted cycles: retry[:N], greedy, skip "
-             "(default: retry,greedy,skip)",
-    )
-    parser.add_argument(
-        "--report-out",
-        help="write the per-cycle reports as machine-readable JSON",
-    )
-    parser.add_argument(
-        "--telemetry-port",
-        type=int,
-        metavar="PORT",
-        help="serve live telemetry on this port for the duration of the "
-             "loop: /metrics (Prometheus), /healthz, /cycles, /trace",
-    )
-    parser.add_argument(
-        "--cycle-stream",
-        metavar="PATH",
-        help="append each finished cycle's report as one JSON line to PATH",
-    )
-    _add_durability(parser)
-    _add_parallel(parser)
-    _add_profile(parser)
-    _add_common(parser)
-
-
-def _add_replay(subparsers) -> None:
-    parser = subparsers.add_parser(
-        "replay", help="replay a recorded v2 event trace through the control loop"
-    )
-    parser.add_argument("trace", help="v2 event-trace file (gzip JSONL)")
-    parser.add_argument(
-        "--cycles", type=int, default=None,
-        help="cycles to run (default: the whole stream)",
-    )
-    parser.add_argument(
-        "--time-limit", type=float, default=None,
-        help="per-cycle solver budget in seconds (default: unlimited, "
-             "which keeps the replay bit-deterministic)",
+        "--time-limit", type=float, default=None if replay else 10.0,
+        help="per-cycle solver budget in seconds (default: 10 for cron; "
+             "unlimited for replay, which keeps it bit-deterministic)",
     )
     parser.add_argument("--sla-floor", type=float, default=0.75,
                         help="alive-fraction floor enforced during migrations")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="collector jitter-stream seed")
-    parser.add_argument(
-        "--jitter", type=float, default=0.0, metavar="SIGMA",
-        help="lognormal sigma of traffic-measurement drift (default: 0)",
-    )
+    if replay:
+        parser.add_argument("--seed", type=int, default=0,
+                            help="collector jitter-stream seed")
+        parser.add_argument(
+            "--jitter", type=float, default=0.0, metavar="SIGMA",
+            help="lognormal sigma of traffic-measurement drift (default: 0)",
+        )
     parser.add_argument(
         "--fault-plan",
         metavar="PATH",
@@ -530,8 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_optimize(subparsers)
     _add_compare(subparsers)
     _add_inspect(subparsers)
-    _add_cron(subparsers)
-    _add_replay(subparsers)
+    _add_loop_command(subparsers, "cron")
+    _add_loop_command(subparsers, "replay")
     _add_serve(subparsers)
     _add_tenant(subparsers)
     _add_alerts(subparsers)
@@ -697,37 +665,41 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     return 0
 
 
-def _has_checkpoint(args: argparse.Namespace) -> bool:
-    """Whether --checkpoint-dir already holds a resumable snapshot."""
-    directory = getattr(args, "checkpoint_dir", None)
-    if not directory:
-        return False
-    return CheckpointStore(directory).snapshot_path.exists()
-
-
-def _write_report(args: argparse.Namespace, reports, out) -> int:
-    """Write --report-out atomically; returns 0 on success, 1 on failure."""
-    try:
-        atomic_write_json(
-            args.report_out, [r.to_dict() for r in reports], indent=1
-        )
-        out(f"wrote report to {args.report_out}")
-    except OSError as exc:
-        print(f"error: could not write report: {exc}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def cmd_cron(args: argparse.Namespace) -> int:
+def _cmd_loop(args: argparse.Namespace, *, replay: bool) -> int:
+    """``rasa cron`` (a problem snapshot) / ``rasa replay`` (an event trace)."""
     out = _make_output(args)
-    resume = _has_checkpoint(args)
-    problem = None
+    # A --checkpoint-dir that already holds a snapshot means "resume it".
+    resume = bool(
+        args.checkpoint_dir
+        and CheckpointStore(args.checkpoint_dir).snapshot_path.exists()
+    )
     faults = None
     if not resume:
-        problem = load_trace(args.trace)
-        if problem.current_assignment is None:
-            out("trace has no current assignment; cannot run the control loop")
-            return 1
+        if replay:
+            try:
+                source = load_event_trace(args.trace)
+            except (OSError, ProblemValidationError) as exc:
+                print(f"error: could not load event trace: {exc}", file=sys.stderr)
+                return 1
+            cycles = args.cycles if args.cycles is not None else source.num_cycles()
+            out(
+                f"trace {source.name!r}: {len(source.events)} events, "
+                f"{source.base.num_services} services / "
+                f"{source.base.num_machines} machines, replaying {cycles} cycles"
+            )
+            run_fresh = functools.partial(
+                api.replay_trace, source, cycles=args.cycles,
+                traffic_jitter_sigma=args.jitter, seed=args.seed,
+            )
+        else:
+            source = load_trace(args.trace)
+            if source.current_assignment is None:
+                out("trace has no current assignment; cannot run the control loop")
+                return 1
+            run_fresh = functools.partial(
+                api.run_control_loop, source,
+                cycles=args.cycles if args.cycles is not None else 5,
+            )
         if args.fault_plan:
             try:
                 faults = FaultPlan.load(args.fault_plan)
@@ -753,128 +725,12 @@ def cmd_cron(args: argparse.Namespace) -> int:
         out(f"telemetry: {server.url} (/metrics /healthz /cycles /trace)")
 
     shutdown = GracefulShutdown()
-    try:
-        with shutdown:
-            if resume:
-                out(f"resuming from checkpoint {args.checkpoint_dir}")
-                reports = api.resume_control_loop(
-                    args.checkpoint_dir,
-                    cycles=args.cycles,
-                    allow_cold_start=args.allow_cold_start,
-                    checkpoint_every=args.checkpoint_every,
-                    telemetry_port=args.telemetry_port,
-                    cycle_stream=args.cycle_stream,
-                    on_telemetry_start=(
-                        announce if args.telemetry_port is not None else None
-                    ),
-                    shutdown=shutdown,
-                )
-            else:
-                reports = api.run_control_loop(
-                    problem,
-                    cycles=args.cycles if args.cycles is not None else 5,
-                    config=_scheduler_config(args),
-                    faults=faults,
-                    time_limit=args.time_limit,
-                    sla_floor=args.sla_floor,
-                    degradation=degradation,
-                    telemetry_port=args.telemetry_port,
-                    cycle_stream=args.cycle_stream,
-                    on_telemetry_start=(
-                        announce if args.telemetry_port is not None else None
-                    ),
-                    checkpoint_dir=args.checkpoint_dir,
-                    checkpoint_every=args.checkpoint_every,
-                    shutdown=shutdown,
-                )
-    except CheckpointDivergenceError as exc:
-        print(
-            f"error: {exc}\n(pass --allow-cold-start to discard the "
-            f"checkpoint and restart from cycle 0)",
-            file=sys.stderr,
-        )
-        return 1
-    except DurabilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    finally:
-        if tracer is not None:
-            set_tracer(previous)
-
-    out(f"{'cycle':>5s} {'action':16s} {'gained':>8s} {'moved':>6s} "
-        f"{'skipped':>8s} {'failed':>7s} {'sla':>4s}")
-    for report in reports:
-        out(
-            f"{report.cycle:>5d} {report.action:16s} "
-            f"{report.gained_after:>8.3f} {report.moved_containers:>6d} "
-            f"{report.skipped_commands:>8d} {report.failed_commands:>7d} "
-            f"{'ok' if report.sla_ok else 'VIOL':>4s}"
-        )
-    degraded = [r for r in reports if r.rungs]
-    out(
-        f"cycles: {len(reports)} "
-        f"({sum(1 for r in reports if r.action == 'executed')} executed, "
-        f"{sum(1 for r in reports if r.action == 'dry_run')} dry-run, "
-        f"{len(degraded)} degraded)"
+    observers = dict(
+        telemetry_port=args.telemetry_port,
+        cycle_stream=args.cycle_stream,
+        on_telemetry_start=announce if args.telemetry_port is not None else None,
+        shutdown=shutdown,
     )
-
-    exit_code = 0 if all(r.sla_ok for r in reports) else 1
-    if exit_code:
-        out("SLA floor violated in at least one cycle")
-    if args.report_out:
-        exit_code = _write_report(args, reports, out) or exit_code
-    if shutdown.interrupted:
-        if args.checkpoint_dir:
-            out(
-                f"interrupted by {shutdown.signal_name}; final checkpoint "
-                f"written, resume with the same --checkpoint-dir"
-            )
-        else:
-            out(f"interrupted by {shutdown.signal_name}")
-        return EXIT_INTERRUPTED
-    return exit_code
-
-
-def cmd_replay(args: argparse.Namespace) -> int:
-    out = _make_output(args)
-    resume = _has_checkpoint(args)
-    trace = None
-    faults = None
-    if not resume:
-        try:
-            trace = load_event_trace(args.trace)
-        except (OSError, ProblemValidationError) as exc:
-            print(f"error: could not load event trace: {exc}", file=sys.stderr)
-            return 1
-        cycles = args.cycles if args.cycles is not None else trace.num_cycles()
-        out(
-            f"trace {trace.name!r}: {len(trace.events)} events, "
-            f"{trace.base.num_services} services / {trace.base.num_machines} "
-            f"machines, replaying {cycles} cycles"
-        )
-        if args.fault_plan:
-            try:
-                faults = FaultPlan.load(args.fault_plan)
-            except (OSError, ValueError, ProblemValidationError) as exc:
-                print(f"error: could not load fault plan: {exc}", file=sys.stderr)
-                return 1
-            out(f"fault plan: {faults.to_dict()}")
-    try:
-        degradation = DegradationPolicy.parse(args.degradation_policy)
-    except (ValueError, ProblemValidationError) as exc:
-        print(f"error: invalid --degradation-policy: {exc}", file=sys.stderr)
-        return 1
-
-    if args.telemetry_port is not None and args.telemetry_port < 0:
-        print("error: --telemetry-port must be >= 0", file=sys.stderr)
-        return 1
-    tracer = Tracer() if (args.profile or args.telemetry_port is not None) else None
-    previous = set_tracer(tracer) if tracer is not None else None
-
-    def announce(server) -> None:
-        out(f"telemetry: {server.url} (/metrics /healthz /cycles /trace)")
-
-    shutdown = GracefulShutdown()
     try:
         with shutdown:
             if resume:
@@ -884,32 +740,18 @@ def cmd_replay(args: argparse.Namespace) -> int:
                     cycles=args.cycles,
                     allow_cold_start=args.allow_cold_start,
                     checkpoint_every=args.checkpoint_every,
-                    telemetry_port=args.telemetry_port,
-                    cycle_stream=args.cycle_stream,
-                    on_telemetry_start=(
-                        announce if args.telemetry_port is not None else None
-                    ),
-                    shutdown=shutdown,
+                    **observers,
                 )
             else:
-                reports = api.replay_trace(
-                    trace,
-                    cycles=args.cycles,
+                reports = run_fresh(
                     config=_scheduler_config(args),
                     faults=faults,
                     time_limit=args.time_limit,
                     sla_floor=args.sla_floor,
                     degradation=degradation,
-                    traffic_jitter_sigma=args.jitter,
-                    seed=args.seed,
-                    telemetry_port=args.telemetry_port,
-                    cycle_stream=args.cycle_stream,
-                    on_telemetry_start=(
-                        announce if args.telemetry_port is not None else None
-                    ),
                     checkpoint_dir=args.checkpoint_dir,
-                    checkpoint_every=args.checkpoint_every,
-                    shutdown=shutdown,
+                    checkpoint_every=args.checkpoint_every or 16,
+                    **observers,
                 )
     except CheckpointDivergenceError as exc:
         print(
@@ -926,18 +768,20 @@ def cmd_replay(args: argparse.Namespace) -> int:
             set_tracer(previous)
 
     out(f"{'cycle':>5s} {'action':16s} {'gained':>8s} {'moved':>6s} "
-        f"{'events':>7s} {'sla':>4s}")
+        f"{'events':>7s} {'skipped':>8s} {'failed':>7s} {'sla':>4s}")
     for report in reports:
         out(
             f"{report.cycle:>5d} {report.action:16s} "
             f"{report.gained_after:>8.3f} {report.moved_containers:>6d} "
             f"{len(report.events):>7d} "
+            f"{report.skipped_commands:>8d} {report.failed_commands:>7d} "
             f"{'ok' if report.sla_ok else 'VIOL':>4s}"
         )
     out(
         f"cycles: {len(reports)} "
         f"({sum(1 for r in reports if r.action == 'executed')} executed, "
         f"{sum(1 for r in reports if r.action == 'dry_run')} dry-run, "
+        f"{sum(1 for r in reports if r.rungs)} degraded, "
         f"{sum(len(r.events) for r in reports)} events applied)"
     )
 
@@ -945,7 +789,14 @@ def cmd_replay(args: argparse.Namespace) -> int:
     if exit_code:
         out("SLA floor violated in at least one cycle")
     if args.report_out:
-        exit_code = _write_report(args, reports, out) or exit_code
+        try:
+            atomic_write_json(
+                args.report_out, [r.to_dict() for r in reports], indent=1
+            )
+            out(f"wrote report to {args.report_out}")
+        except OSError as exc:
+            print(f"error: could not write report: {exc}", file=sys.stderr)
+            exit_code = 1
     if shutdown.interrupted:
         if args.checkpoint_dir:
             out(
@@ -1011,15 +862,7 @@ def _tenant_register_payload(args: argparse.Namespace) -> dict:
         "interval_seconds": args.interval,
     }
     if args.event_trace:
-        trace = load_event_trace(args.trace)
-        spec["trace"] = {
-            "name": trace.name,
-            "seed": int(trace.seed),
-            "interval_seconds": float(trace.interval_seconds),
-            "description": trace.description,
-            "base": problem_to_dict(trace.base),
-            "events": [event.to_dict() for event in trace.events],
-        }
+        spec["trace"] = load_event_trace(args.trace).to_dict()
     else:
         spec["problem"] = problem_to_dict(load_trace(args.trace))
     if args.fault_plan:
@@ -1156,8 +999,8 @@ COMMANDS = {
     "optimize": cmd_optimize,
     "compare": cmd_compare,
     "inspect": cmd_inspect,
-    "cron": cmd_cron,
-    "replay": cmd_replay,
+    "cron": functools.partial(_cmd_loop, replay=False),
+    "replay": functools.partial(_cmd_loop, replay=True),
     "serve": cmd_serve,
     "tenant": cmd_tenant,
     "alerts": cmd_alerts,

@@ -24,31 +24,30 @@ recorded on the :class:`CycleReport` and in spans/metrics.
 
 from __future__ import annotations
 
-import contextvars
 import time
-import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.cluster.collector import DataCollector
+from repro.cluster.replay import EventStreamCursor, EventTrace
 from repro.cluster.scheduler import DefaultScheduler
 from repro.cluster.state import ClusterState
-from repro.core.config import DegradationPolicy, RetryPolicy
+from repro.core.config import DegradationPolicy, LoopSpec, RetryPolicy
+from repro.core.problem import RASAProblem
 from repro.core.rasa import RASAScheduler
 from repro.core.solution import Assignment
 from repro.exceptions import ClusterStateError
-from repro.faults import FaultInjector, attempt_with_retry
+from repro.faults import FaultInjector, attempt_with_retry, coerce_injector
 from repro.migration.path import MigrationPathBuilder
 from repro.obs import get_logger, get_metrics, get_tracer, kv
 from repro.obs.context import current_trace_id
 from repro.obs.server import TelemetryHub
 from repro.schemas import check_schema, tag_schema
+from repro.workloads.trace_io import problem_from_dict
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cluster.replay import EventStreamCursor
     from repro.migration.plan import MigrationPlan
 
 #: The paper's churn gate: execute only on > 3 % gained-affinity improvement.
@@ -56,58 +55,6 @@ IMPROVEMENT_GATE = 0.03
 
 #: Three days, in seconds — the unschedulable tag duration after a rollback.
 UNSCHEDULABLE_SECONDS = 3 * 24 * 3600.0
-
-
-# ----------------------------------------------------------------------
-# Deprecation shim for direct controller construction
-# ----------------------------------------------------------------------
-#: True while a supported entry point (the ``repro.api`` facade, the
-#: durability resume path, or the multi-tenant service) is constructing a
-#: controller — suppresses the direct-construction DeprecationWarning.
-_FACADE_CONSTRUCTION: contextvars.ContextVar[bool] = contextvars.ContextVar(
-    "repro_facade_construction", default=False
-)
-
-#: Process-wide once-latch for the direct-construction warning.
-_DIRECT_CONSTRUCTION_WARNED = False
-
-
-@contextmanager
-def facade_construction():
-    """Mark controller construction as coming from a supported entry point.
-
-    The :mod:`repro.api` facade, :mod:`repro.durability` resume, and
-    :mod:`repro.service` tenants wrap their ``CronJobController(...)``
-    calls in this context, so only *direct* ad-hoc construction (the path
-    the service replaced) draws the :class:`DeprecationWarning`.
-    """
-    token = _FACADE_CONSTRUCTION.set(True)
-    try:
-        yield
-    finally:
-        _FACADE_CONSTRUCTION.reset(token)
-
-
-def _reset_direct_construction_warning() -> None:
-    """Re-arm the once-per-process warning (test hook)."""
-    global _DIRECT_CONSTRUCTION_WARNED
-    _DIRECT_CONSTRUCTION_WARNED = False
-
-
-def _warn_direct_construction() -> None:
-    global _DIRECT_CONSTRUCTION_WARNED
-    if _FACADE_CONSTRUCTION.get() or _DIRECT_CONSTRUCTION_WARNED:
-        return
-    _DIRECT_CONSTRUCTION_WARNED = True
-    warnings.warn(
-        "constructing CronJobController directly is deprecated for "
-        "application code: use repro.api.run_control_loop / "
-        "repro.api.replay_trace (or the multi-tenant service, "
-        "repro.api.start_service) so keyword-only entry points can keep "
-        "the constructor free to evolve",
-        DeprecationWarning,
-        stacklevel=4,
-    )
 
 
 @dataclass
@@ -294,7 +241,6 @@ class CronJobController:
     last_plan: "MigrationPlan | None" = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        _warn_direct_construction()
         if self.workers is not None:
             self.rasa.config.workers = self.workers
         if self.parallel is not None:
@@ -726,3 +672,80 @@ class CronJobController:
         count = max(1, int(len(util) * top_fraction))
         worst = np.argsort(-util)[:count]
         return [self.state.problem.machines[m].name for m in worst]
+
+
+def build_controller(
+    spec: LoopSpec,
+    world: "ClusterState | RASAProblem | EventStreamCursor | dict",
+    *,
+    collector: DataCollector | None = None,
+    injector: FaultInjector | None = None,
+    telemetry: "TelemetryHub | None" = None,
+    history: "list[CycleReport] | None" = None,
+) -> CronJobController:
+    """Wire a control loop from its :class:`~repro.core.config.LoopSpec`.
+
+    Every supported entry point — the :mod:`repro.api` facade, a service
+    tenant, checkpoint resume, the churn simulation — builds its
+    controller here, which is what makes their cycle reports bit-identical
+    for the same spec and world: same collector defaults, same policy
+    defaults, same injector coercion, in the same order.
+
+    Args:
+        spec: The loop's tunables.
+        world: What the loop optimizes — a live :class:`ClusterState`, a
+            :class:`RASAProblem` to wrap in one, a replay cursor (whose
+            state and event stream the loop then drives), or a checkpoint
+            ``source`` payload (``{"problem": ...}`` / ``{"trace": ...}``)
+            to rebuild either from.
+        collector: Custom data collector; None builds the default one
+            (ground-truth traffic from the problem's affinity weights, or
+            the cursor's live traffic map, jittered per ``spec``).
+        injector: A ready fault injector to use instead of a fresh one
+            over ``spec.faults``.
+        telemetry: Hub every finished cycle is published to.
+        history: Already-completed cycles (checkpoint resume).
+    """
+    if isinstance(world, dict):
+        if world.get("trace") is not None:
+            world = EventTrace.from_dict(world["trace"]).cursor()
+        else:
+            world = problem_from_dict(world["problem"])
+    stream = world if isinstance(world, EventStreamCursor) else None
+    if stream is not None:
+        world = stream.state
+    state = world if isinstance(world, ClusterState) else ClusterState(world)
+    if collector is None:
+        collector = DataCollector(
+            None if stream is not None else dict(state.problem.affinity.items()),
+            traffic_jitter_sigma=spec.traffic_jitter_sigma,
+            seed=spec.seed,
+            stream=stream,
+        )
+    interval = spec.interval_seconds
+    if interval is None:
+        # A replay keeps its trace's recorded cadence; otherwise the
+        # controller's own default, the paper's half hour.
+        interval = (
+            stream.trace.interval_seconds
+            if stream is not None
+            else CronJobController.interval_seconds
+        )
+    return CronJobController(
+        state=state,
+        collector=collector,
+        rasa=RASAScheduler(config=spec.typed("config")),
+        interval_seconds=float(interval),
+        time_limit=spec.time_limit,
+        rollback_imbalance=spec.rollback_imbalance,
+        sla_floor=spec.sla_floor,
+        faults=(
+            injector if injector is not None
+            else coerce_injector(spec.typed("faults"))
+        ),
+        degradation=spec.typed("degradation"),
+        retry=spec.typed("retry"),
+        telemetry=telemetry,
+        stream=stream,
+        history=[] if history is None else history,
+    )

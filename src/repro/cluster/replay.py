@@ -49,6 +49,7 @@ from repro.core.affinity import AffinityGraph
 from repro.core.problem import AntiAffinityRule, Machine, RASAProblem, Service
 from repro.exceptions import ClusterStateError, ProblemValidationError
 from repro.obs import get_metrics
+from repro.workloads.trace_io import problem_from_dict, problem_to_dict
 
 
 def _pair(u: str, v: str) -> tuple[str, str]:
@@ -626,6 +627,47 @@ class EventTrace:
         return EventStreamCursor(self)
 
     # ------------------------------------------------------------------
+    def to_dict(self) -> dict:
+        """The trace payload: metadata, ``base`` problem, and ``events``.
+
+        The one wire form of a trace — v2 trace files, checkpoint
+        ``source`` payloads, and replay-tenant registrations all carry it.
+        """
+        return {
+            "name": self.name,
+            "seed": int(self.seed),
+            "interval_seconds": float(self.interval_seconds),
+            "description": self.description,
+            "base": problem_to_dict(self.base),
+            "events": [event.to_dict() for event in self.events],
+        }
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "EventTrace":
+        """Deserialize a payload written by :meth:`to_dict`.
+
+        Raises:
+            ProblemValidationError: On a missing ``base``, a malformed
+                event, or wrong-typed metadata.
+        """
+        if not isinstance(payload, dict) or "base" not in payload:
+            raise ProblemValidationError(
+                "event-trace payload must be an object with a 'base' problem"
+            )
+        try:
+            return cls(
+                base=problem_from_dict(payload["base"]),
+                events=[event_from_dict(e) for e in payload.get("events", [])],
+                name=str(payload.get("name", "trace")),
+                seed=int(payload.get("seed", 0)),
+                interval_seconds=float(payload.get("interval_seconds", 1800.0)),
+                description=str(payload.get("description", "")),
+            )
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ProblemValidationError(
+                f"malformed event-trace payload: {exc}"
+            ) from exc
+
     def save(self, path) -> None:
         """Write the trace as a (gzip-compressed) v2 JSONL file."""
         from repro.workloads.trace_io import save_event_trace

@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.cluster.collector import DataCollector
-from repro.cluster.cronjob import CronJobController
+from repro.cluster.cronjob import build_controller
 from repro.cluster.events import DynamicCluster, EventSchedule
 from repro.cluster.state import ClusterState
-from repro.core.rasa import RASAScheduler
+from repro.core.config import LoopSpec
 
 
 @dataclass
@@ -57,14 +57,12 @@ class DynamicSimulation:
         optimize: bool = True,
         interval_seconds: float = 1800.0,
         time_limit: float = 6.0,
-        rasa: RASAScheduler | None = None,
     ) -> None:
         self.world = world
         self.schedule = schedule
         self.optimize = optimize
         self.interval_seconds = interval_seconds
         self.time_limit = time_limit
-        self.rasa = rasa or RASAScheduler()
         self.ticks: list[SimulationTick] = []
 
     def run(self, intervals: int) -> list[SimulationTick]:
@@ -80,11 +78,10 @@ class DynamicSimulation:
             action = "disabled"
             moved = 0
             if self.optimize:
-                controller = CronJobController(
-                    state=self.world.state,
+                controller = build_controller(
+                    LoopSpec(time_limit=self.time_limit),
+                    self.world.state,
                     collector=DataCollector(self.world.qps, traffic_jitter_sigma=0.0),
-                    rasa=self.rasa,
-                    time_limit=self.time_limit,
                 )
                 report = controller.run_once()
                 action = report.action

@@ -3,14 +3,19 @@
 :class:`RASAConfig` parameterizes the three-phase optimization pipeline;
 :class:`RetryPolicy` and :class:`DegradationPolicy` parameterize the
 fault-tolerant control plane (per-command retry with exponential backoff,
-and the cycle-level degradation ladder).
+and the cycle-level degradation ladder); :class:`LoopSpec` gathers every
+tunable of one control loop into the single record the facade, the
+service's tenant payload, and the durable checkpoint all share.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass, fields, is_dataclass
+from numbers import Integral, Real
 
 from repro.exceptions import ProblemValidationError
+from repro.faults.plan import FaultPlan
 
 
 @dataclass
@@ -181,3 +186,148 @@ class DegradationPolicy:
         if self.skip_and_tag:
             rungs.append("skip")
         return ",".join(rungs) or "none"
+
+
+#: The scalar :class:`LoopSpec` fields: type, lowest value, whether the
+#: lowest value itself is allowed, highest value, whether None is allowed.
+_SCALARS = {
+    "time_limit": (Real, 0.0, False, math.inf, True),
+    "interval_seconds": (Real, 0.0, False, math.inf, True),
+    "sla_floor": (Real, 0.0, False, 1.0, False),
+    "rollback_imbalance": (Real, 0.0, True, math.inf, True),
+    "traffic_jitter_sigma": (Real, 0.0, True, math.inf, False),
+    "seed": (Integral, 0, True, math.inf, False),
+    "checkpoint_every": (Integral, 1, True, math.inf, False),
+}
+
+#: The typed object behind each structured :class:`LoopSpec` field.
+_STRUCTURED = {
+    "config": RASAConfig,
+    "faults": FaultPlan,
+    "degradation": DegradationPolicy,
+    "retry": RetryPolicy,
+}
+
+
+@dataclass(frozen=True, kw_only=True)
+class LoopSpec:
+    """Every tunable of one control loop, as strictly validated plain data.
+
+    This is *the* representation of the loop's configuration: the
+    :mod:`repro.api` facade builds one from its keyword arguments, a
+    :class:`~repro.service.tenant.TenantSpec` is one plus the tenant's
+    identity and world, a durable checkpoint's ``run`` payload is
+    :meth:`to_dict` plus ``mode``/``cycles``, and
+    :func:`repro.cluster.cronjob.build_controller` turns one into a live
+    controller.  Fields hold JSON-compatible values exactly as given, so
+    :meth:`to_dict` round-trips byte for byte; the four structured fields
+    also accept their typed object (e.g. a :class:`RASAConfig`), which is
+    stored as its plain-data form.
+
+    Attributes:
+        config: :class:`RASAConfig` fields for the per-cycle RASA solve;
+            None uses the defaults.
+        faults: :class:`~repro.faults.FaultPlan` fields enabling seeded
+            chaos; None runs the exact fault-free path.
+        degradation: :class:`DegradationPolicy` fields — the ladder walked
+            by faulted cycles; None uses the defaults (retry once, then
+            greedy residual, then skip-and-tag).
+        retry: :class:`RetryPolicy` fields — backoff for faulted migration
+            commands; None uses the defaults.
+        time_limit: Per-cycle solver budget (seconds).  None — unlimited —
+            is what keeps report sequences machine-independent.
+        interval_seconds: Simulated time between cycles; None uses the
+            replayed trace's recorded cadence, or the paper's half hour.
+        sla_floor: Alive-fraction floor enforced during migrations, in
+            (0, 1].
+        rollback_imbalance: Utilization-skew rollback threshold; None
+            disables the guard.
+        traffic_jitter_sigma: Lognormal measurement drift of the default
+            collector; 0 disables jitter.
+        seed: Seed of the default collector's jitter stream.
+        checkpoint_every: Cycles between WAL compactions into a snapshot
+            (durable loops only).
+    """
+
+    config: dict | None = None
+    faults: dict | None = None
+    degradation: dict | None = None
+    retry: dict | None = None
+    time_limit: float | None = None
+    interval_seconds: float | None = None
+    sla_floor: float = 0.75
+    rollback_imbalance: float | None = None
+    traffic_jitter_sigma: float = 0.0
+    seed: int = 0
+    checkpoint_every: int = 16
+
+    def __post_init__(self) -> None:
+        for name in _STRUCTURED:
+            value = getattr(self, name)
+            if is_dataclass(value):
+                object.__setattr__(self, name, asdict(value))
+            self.typed(name)
+        for name, (kind, low, low_ok, high, optional) in _SCALARS.items():
+            value = getattr(self, name)
+            if value is None and optional:
+                continue
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, kind)
+                or not (low <= value if low_ok else low < value)
+                or not value <= high
+            ):
+                raise ProblemValidationError(
+                    f"LoopSpec.{name} must be "
+                    f"{'an integer' if kind is Integral else 'a number'} in "
+                    f"{'[' if low_ok else '('}{low}, {high}]"
+                    f"{' or null' if optional else ''}, got {value!r}"
+                )
+
+    def typed(self, name: str):
+        """The typed object behind a structured field, built from its plain data.
+
+        ``typed("config")`` is a :class:`RASAConfig`, ``"degradation"`` a
+        :class:`DegradationPolicy`, ``"retry"`` a :class:`RetryPolicy` —
+        the defaults where the field is None — and ``"faults"`` a
+        :class:`~repro.faults.FaultPlan`, or None for the fault-free path.
+        """
+        cls, payload = _STRUCTURED[name], getattr(self, name)
+        if payload is None:
+            return None if cls is FaultPlan else cls()
+        if not isinstance(payload, dict):
+            raise ProblemValidationError(
+                f"LoopSpec.{name} must be an object, got {type(payload).__name__}"
+            )
+        try:
+            if cls is FaultPlan:
+                return FaultPlan.from_dict(payload)  # strict about keys itself
+            unknown = set(payload) - {f.name for f in fields(cls)}
+            if unknown:
+                raise ProblemValidationError(
+                    f"unknown LoopSpec.{name} fields: {sorted(unknown)}"
+                )
+            return cls(**payload)
+        except (TypeError, ValueError) as exc:
+            raise ProblemValidationError(f"invalid LoopSpec.{name}: {exc}") from exc
+
+    # ------------------------------------------------------------------
+    def to_dict(self) -> dict:
+        """The loop tunables as plain data (also of a subclass instance)."""
+        return {f.name: getattr(self, f.name) for f in fields(LoopSpec)}
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "LoopSpec":
+        """Deserialize a payload written by :meth:`to_dict` (or a client).
+
+        Raises:
+            ProblemValidationError: On unknown keys, wrong types, or
+                out-of-range values — naming the offending field, so a
+                typoed tunable cannot silently fall back to a default.
+        """
+        unknown = set(payload) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ProblemValidationError(
+                f"unknown {cls.__name__} fields: {sorted(unknown)}"
+            )
+        return cls(**payload)

@@ -22,10 +22,8 @@ __all__ = [
     "CheckpointState",
     "CHECKPOINT_FORMAT_VERSION",
     "DurableControlLoop",
-    "build_durable_loop",
     "prepare_resume",
     "capture_live",
-    "DEFAULT_CHECKPOINT_EVERY",
     "GracefulShutdown",
     "Supervisor",
     "SupervisorPolicy",
@@ -40,10 +38,8 @@ _LAZY = {
     "CheckpointState": "repro.durability.checkpoint",
     "CHECKPOINT_FORMAT_VERSION": "repro.durability.checkpoint",
     "DurableControlLoop": "repro.durability.loop",
-    "build_durable_loop": "repro.durability.loop",
     "prepare_resume": "repro.durability.loop",
     "capture_live": "repro.durability.loop",
-    "DEFAULT_CHECKPOINT_EVERY": "repro.durability.loop",
     "GracefulShutdown": "repro.durability.supervisor",
     "Supervisor": "repro.durability.supervisor",
     "SupervisorPolicy": "repro.durability.supervisor",

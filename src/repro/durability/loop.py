@@ -23,32 +23,17 @@ and the cycle index implied by the restored history length.
 
 from __future__ import annotations
 
-from dataclasses import asdict
 from typing import TYPE_CHECKING
 
-from repro.cluster.collector import DataCollector
-from repro.cluster.cronjob import (
-    IMPROVEMENT_GATE,
-    CronJobController,
-    CycleReport,
-    facade_construction,
-)
-from repro.cluster.state import ClusterState
-from repro.core.config import DegradationPolicy, RASAConfig, RetryPolicy
-from repro.core.rasa import RASAScheduler
+from repro.cluster.cronjob import CronJobController, CycleReport, build_controller
+from repro.core.config import LoopSpec
 from repro.durability.checkpoint import CheckpointStore
 from repro.exceptions import CheckpointDivergenceError, ClusterStateError, DurabilityError
-from repro.faults import coerce_injector
 from repro.obs import get_logger, get_metrics, kv
-from repro.workloads.trace_io import problem_from_dict, problem_to_dict
+from repro.workloads.trace_io import problem_to_dict
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cluster.replay import EventStreamCursor
     from repro.obs.server import TelemetryHub
-
-#: Default cycles between WAL compactions into a fresh snapshot.
-DEFAULT_CHECKPOINT_EVERY = 16
-
 
 # ----------------------------------------------------------------------
 # Live-state capture / restore
@@ -111,115 +96,13 @@ def _restore_live(controller: CronJobController, live: dict) -> None:
 
 
 # ----------------------------------------------------------------------
-# Run / source payloads (what makes a snapshot self-contained)
+# Source payload (what makes a snapshot self-contained)
 # ----------------------------------------------------------------------
-def _build_run_payload(
-    controller: CronJobController,
-    *,
-    mode: str,
-    total_cycles: int,
-    seed: int,
-    traffic_jitter_sigma: float,
-    checkpoint_every: int,
-) -> dict:
-    return {
-        "mode": mode,
-        "cycles": int(total_cycles),
-        "interval_seconds": float(controller.interval_seconds),
-        "time_limit": controller.time_limit,
-        "improvement_gate": float(controller.improvement_gate),
-        "sla_floor": float(controller.sla_floor),
-        "rollback_imbalance": controller.rollback_imbalance,
-        "seed": int(seed),
-        "traffic_jitter_sigma": float(traffic_jitter_sigma),
-        "degradation": asdict(controller.degradation),
-        "retry": asdict(controller.retry),
-        "fault_plan": (
-            controller.faults.plan.to_dict()
-            if controller.faults is not None
-            else None
-        ),
-        "config": asdict(controller.rasa.config),
-        "checkpoint_every": int(checkpoint_every),
-    }
-
-
-def _build_source_payload(controller: CronJobController) -> dict:
+def _source_payload(controller: CronJobController) -> dict:
+    """The world a resume rebuilds: the replayed trace, or the problem."""
     if controller.stream is not None:
-        trace = controller.stream.trace
-        return {
-            "trace": {
-                "name": trace.name,
-                "seed": int(trace.seed),
-                "interval_seconds": float(trace.interval_seconds),
-                "description": trace.description,
-                "base": problem_to_dict(trace.base),
-                "events": [event.to_dict() for event in trace.events],
-            }
-        }
+        return {"trace": controller.stream.trace.to_dict()}
     return {"problem": problem_to_dict(controller.state.problem)}
-
-
-def _rebuild_world(
-    run: dict, source: dict
-) -> tuple[ClusterState, DataCollector, "EventStreamCursor | None"]:
-    """Reconstruct a fresh world from a snapshot's run + source payloads."""
-    if run["mode"] == "replay":
-        from repro.cluster.replay import EventTrace, event_from_dict
-
-        payload = source["trace"]
-        trace = EventTrace(
-            base=problem_from_dict(payload["base"]),
-            events=[event_from_dict(e) for e in payload.get("events", [])],
-            name=str(payload.get("name", "trace")),
-            seed=int(payload.get("seed", 0)),
-            interval_seconds=float(payload.get("interval_seconds", 1800.0)),
-            description=str(payload.get("description", "")),
-        )
-        cursor = trace.cursor()
-        collector = DataCollector(
-            stream=cursor,
-            traffic_jitter_sigma=run["traffic_jitter_sigma"],
-            seed=run["seed"],
-        )
-        return cursor.state, collector, cursor
-    problem = problem_from_dict(source["problem"])
-    state = ClusterState(problem)
-    collector = DataCollector(
-        dict(problem.affinity.items()),
-        traffic_jitter_sigma=run["traffic_jitter_sigma"],
-        seed=run["seed"],
-    )
-    return state, collector, None
-
-
-def _build_controller(
-    run: dict,
-    state: ClusterState,
-    collector: DataCollector,
-    cursor: "EventStreamCursor | None",
-    telemetry: "TelemetryHub | None",
-    history: list[CycleReport],
-) -> CronJobController:
-    with facade_construction():
-        return CronJobController(
-            state=state,
-            collector=collector,
-            rasa=RASAScheduler(config=RASAConfig(**run["config"])),
-            interval_seconds=float(run["interval_seconds"]),
-            time_limit=run["time_limit"],
-            improvement_gate=float(
-                run.get("improvement_gate", IMPROVEMENT_GATE)
-            ),
-            rollback_imbalance=run.get("rollback_imbalance"),
-            sla_floor=float(run["sla_floor"]),
-            faults=coerce_injector(run.get("fault_plan")),
-            degradation=DegradationPolicy(**run["degradation"]),
-            retry=RetryPolicy(**run["retry"]),
-            telemetry=telemetry,
-            stream=cursor,
-            history=history,
-        )
 
 
 # ----------------------------------------------------------------------
@@ -228,7 +111,7 @@ def _build_controller(
 class DurableControlLoop:
     """Drives a controller to a target cycle count with WAL + checkpoints.
 
-    Built by :func:`build_durable_loop` (fresh runs) or
+    Built directly around a fresh controller, or by
     :func:`prepare_resume` (recovery); :meth:`run` then journals each
     committed cycle, compacts every ``checkpoint_every`` cycles, and
     honors a :class:`~repro.durability.supervisor.GracefulShutdown` by
@@ -240,18 +123,18 @@ class DurableControlLoop:
         *,
         controller: CronJobController,
         store: CheckpointStore,
-        run_payload: dict,
-        source_payload: dict,
+        spec: LoopSpec,
         total_cycles: int,
-        checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
+        source_payload: dict | None = None,
         shutdown=None,
     ) -> None:
         self.controller = controller
         self.store = store
-        self.run_payload = run_payload
-        self.source_payload = source_payload
+        #: The tunables the controller was built from (the ``run`` payload).
+        self.spec = spec
+        #: The world a resume rebuilds (a resume hands its own back).
+        self.source_payload = source_payload or _source_payload(controller)
         self.total_cycles = int(total_cycles)
-        self.checkpoint_every = max(1, int(checkpoint_every))
         self.shutdown = shutdown
         #: True when a shutdown request stopped the loop before the target.
         self.interrupted = False
@@ -277,7 +160,11 @@ class DurableControlLoop:
     # ------------------------------------------------------------------
     def _snapshot_payload(self) -> dict:
         payload = {
-            "run": self.run_payload,
+            "run": {
+                "mode": "replay" if self.controller.stream is not None else "cron",
+                "cycles": self.total_cycles,
+                **LoopSpec.to_dict(self.spec),
+            },
             "source": self.source_payload,
             "cycles_completed": len(self.controller.history),
             "reports": [r.to_dict() for r in self.controller.history],
@@ -305,7 +192,7 @@ class DurableControlLoop:
         }
         self.store.append_cycle(record)
         self._since_snapshot += 1
-        if self._since_snapshot >= self.checkpoint_every:
+        if self._since_snapshot >= self.spec.checkpoint_every:
             self.checkpoint()
 
     def _should_stop(self) -> bool:
@@ -336,39 +223,6 @@ class DurableControlLoop:
         if self._since_snapshot:
             self.checkpoint()
         return list(self.controller.history)
-
-
-def build_durable_loop(
-    controller: CronJobController,
-    *,
-    checkpoint_dir,
-    total_cycles: int,
-    mode: str,
-    seed: int = 0,
-    traffic_jitter_sigma: float = 0.0,
-    checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
-    shutdown=None,
-) -> DurableControlLoop:
-    """Wrap a freshly built controller with WAL + checkpoint persistence."""
-    store = CheckpointStore(checkpoint_dir)
-    run_payload = _build_run_payload(
-        controller,
-        mode=mode,
-        total_cycles=total_cycles,
-        seed=seed,
-        traffic_jitter_sigma=traffic_jitter_sigma,
-        checkpoint_every=checkpoint_every,
-    )
-    source_payload = _build_source_payload(controller)
-    return DurableControlLoop(
-        controller=controller,
-        store=store,
-        run_payload=run_payload,
-        source_payload=source_payload,
-        total_cycles=total_cycles,
-        checkpoint_every=checkpoint_every,
-        shutdown=shutdown,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -418,10 +272,21 @@ def prepare_resume(
         )
     run = dict(checkpoint.snapshot["run"])
     source = checkpoint.snapshot["source"]
-    total = int(cycles) if cycles is not None else int(run["cycles"])
-    run["cycles"] = total
+    extra = dict(checkpoint.snapshot.get("extra") or {})
+    del run["mode"]  # implied by the source
+    recorded_total = run.pop("cycles")
+    total = int(cycles if cycles is not None else recorded_total)
+    # Checkpoints written before LoopSpec: the 3 % gate was recorded (it is
+    # the paper's constant), ``faults`` was ``fault_plan``, and a tenant's
+    # spec rode inside ``run`` instead of ``extra``.
+    run.pop("improvement_gate", None)
+    if "fault_plan" in run:
+        run["faults"] = run.pop("fault_plan")
+    if "tenant_spec" in run:
+        extra["tenant_spec"] = run.pop("tenant_spec")
     if checkpoint_every is not None:
         run["checkpoint_every"] = int(checkpoint_every)
+    spec = LoopSpec.from_dict(run)
 
     report_payloads = list(checkpoint.snapshot.get("reports", []))
     report_payloads += [record["report"] for record in checkpoint.wal_records]
@@ -432,9 +297,8 @@ def prepare_resume(
     )
 
     history = [CycleReport.from_dict(p) for p in report_payloads]
-    state, collector, cursor = _rebuild_world(run, source)
-    controller = _build_controller(
-        run, state, collector, cursor, telemetry, history
+    controller = build_controller(
+        spec, source, telemetry=telemetry, history=history
     )
     cold = False
     try:
@@ -449,10 +313,7 @@ def prepare_resume(
         )
         metrics.counter("durability.resume.cold_starts").inc()
         cold = True
-        state, collector, cursor = _rebuild_world(run, source)
-        controller = _build_controller(
-            run, state, collector, cursor, telemetry, []
-        )
+        controller = build_controller(spec, source, telemetry=telemetry)
 
     resumed = len(controller.history)
     metrics.counter("durability.resume.count").inc()
@@ -495,17 +356,14 @@ def prepare_resume(
     loop = DurableControlLoop(
         controller=controller,
         store=store,
-        run_payload=run,
-        source_payload=source,
+        spec=spec,
         total_cycles=total,
-        checkpoint_every=int(
-            run.get("checkpoint_every", DEFAULT_CHECKPOINT_EVERY)
-        ),
+        source_payload=source,
         shutdown=shutdown,
     )
     loop.resumed_cycles = resumed
     loop.cold_start = cold
     loop.truncated_records = checkpoint.truncated_records
     if not cold:
-        loop.extra_payload = dict(checkpoint.snapshot.get("extra") or {})
+        loop.extra_payload = extra
     return loop

@@ -38,7 +38,7 @@ class GracefulShutdown:
     Usage::
 
         with GracefulShutdown() as shutdown:
-            loop = build_durable_loop(..., shutdown=shutdown)
+            loop = DurableControlLoop(..., shutdown=shutdown)
             loop.run()          # stops between cycles once requested
             if loop.interrupted:
                 return EXIT_INTERRUPTED

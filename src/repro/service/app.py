@@ -70,7 +70,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from repro.durability.checkpoint import SNAPSHOT_FILE, WAL_FILE
-from repro.exceptions import ProblemValidationError
+from repro.exceptions import ProblemValidationError, ReproError
 from repro.obs import get_logger, get_metrics, kv
 from repro.obs.context import (
     TraceIdFactory,
@@ -94,6 +94,10 @@ _JOB_PATH = re.compile(r"^/v1/jobs/(job-\d+)$")
 #: Largest request body the control plane accepts (problems and traces
 #: are compact JSON; anything bigger is a client bug, not a workload).
 MAX_BODY_BYTES = 64 * 1024 * 1024
+
+
+class TenantExistsError(ReproError):
+    """A tenant is already registered under the requested name."""
 
 
 @dataclass(frozen=True)
@@ -283,19 +287,31 @@ class OptimizerService:
     # Tenant registry
     # ------------------------------------------------------------------
     def register(self, spec: TenantSpec) -> Tenant:
-        """Register a tenant from its spec (409 at the HTTP layer if taken)."""
+        """Register a tenant from its spec.
+
+        Raises:
+            TenantExistsError: When the name is taken (409 over HTTP).
+            ProblemValidationError: When the spec's world cannot be built.
+        """
         checkpoint_dir = None
         if self.config.checkpoint_root is not None:
             checkpoint_dir = self.config.checkpoint_root / spec.name
         with self._lock:
             if spec.name in self._tenants:
-                raise KeyError(spec.name)
+                raise TenantExistsError(spec.name)
         # World building happens outside the lock (it can be seconds for
         # a big trace); the insert re-checks for a racing duplicate.
-        tenant = Tenant(spec, checkpoint_dir=checkpoint_dir)
+        try:
+            tenant = Tenant(spec, checkpoint_dir=checkpoint_dir)
+        except KeyError as exc:
+            # A KeyError here is a hole in the payload, never a missing
+            # tenant — keep it away from the 404 mapping of lookups.
+            raise ProblemValidationError(
+                f"malformed tenant payload: missing {exc}"
+            ) from exc
         with self._lock:
             if spec.name in self._tenants:
-                raise KeyError(spec.name)
+                raise TenantExistsError(spec.name)
             self._tenants[spec.name] = tenant
             self._arm_schedule(tenant)
         get_metrics().counter("service.tenants.registered").inc()
@@ -358,8 +374,6 @@ class OptimizerService:
         """Set or clear a tenant's wall-clock cron cadence."""
         tenant = self.tenant(name)
         tenant.spec = replace(tenant.spec, schedule_seconds=schedule_seconds)
-        if tenant.durable is not None:
-            tenant.durable.run_payload["tenant_spec"] = tenant.spec.to_dict()
         with self._lock:
             self._arm_schedule(tenant)
         return tenant
@@ -644,7 +658,7 @@ class _ServiceRequestHandler(JsonRequestHandler):
                 spec = TenantSpec.from_dict(payload)
                 try:
                     tenant = svc.register(spec)
-                except KeyError:
+                except TenantExistsError:
                     self.respond_json(
                         409,
                         tag_schema(

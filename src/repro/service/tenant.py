@@ -5,10 +5,10 @@ A :class:`TenantSpec` is the versioned wire payload a client registers
 event trace), the scheduler/chaos/degradation configuration, and an
 optional wall-clock cron cadence.  A :class:`Tenant` is that spec made
 live — a :class:`~repro.cluster.cronjob.CronJobController` built through
-:func:`repro.api._build_loop_controller`, i.e. **exactly** the wiring
-:func:`repro.api.run_control_loop` uses, so a tenant's cycle reports are
-bit-identical (modulo the process-local ``metrics`` field) to the
-equivalent single-tenant run.
+:func:`repro.cluster.cronjob.build_controller`, i.e. **exactly** the
+wiring :func:`repro.api.run_control_loop` uses, so a tenant's cycle
+reports are bit-identical (modulo the process-local ``metrics`` field) to
+the equivalent single-tenant run.
 
 Isolation is structural, not policed:
 
@@ -27,13 +27,15 @@ from __future__ import annotations
 
 import re
 import threading
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.cluster.collector import DataCollector
-from repro.cluster.cronjob import CycleReport
-from repro.core.config import DegradationPolicy, RASAConfig, RetryPolicy
+from repro.cluster.cronjob import CycleReport, build_controller
+from repro.core.config import LoopSpec
+from repro.durability.checkpoint import CheckpointStore
+from repro.durability.loop import DurableControlLoop, prepare_resume
 from repro.exceptions import ProblemValidationError
 from repro.obs import TelemetryHub
 from repro.obs.context import current_trace_id
@@ -41,54 +43,42 @@ from repro.obs.events import DEFAULT_CAPACITY, EventLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import SLOEngine, SLOSpec
 from repro.schemas import check_schema, strip_schema, tag_schema
-from repro.workloads.trace_io import problem_from_dict
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.cronjob import CronJobController
-    from repro.durability.loop import DurableControlLoop
     from repro.migration.plan import MigrationPlan
 
 #: Tenant names appear in URLs and checkpoint paths, so keep them tame.
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 
 
-@dataclass(frozen=True)
-class TenantSpec:
+@dataclass(frozen=True, kw_only=True)
+class TenantSpec(LoopSpec):
     """Versioned registration payload for one tenant.
+
+    A tenant spec *is* a :class:`~repro.core.config.LoopSpec` — the loop
+    tunables are inherited, under the same flat wire keys (DESIGN §12 has
+    the field table; the service default ``time_limit`` of None keeps
+    report sequences machine-independent) — plus the tenant's identity,
+    its world, and its service-side settings.
 
     Exactly one of ``problem`` / ``trace`` must be set:
 
     * ``problem`` — a format-v1 problem snapshot
       (:func:`repro.workloads.trace_io.problem_to_dict`); the tenant runs
       CronJob cycles against a static world.
-    * ``trace`` — a v2 event-trace payload (``base`` problem plus
-      ``events``, as in trace files and checkpoint source payloads); the
-      tenant replays the stream, applying due events before each cycle.
+    * ``trace`` — a v2 event-trace payload
+      (:meth:`repro.cluster.replay.EventTrace.to_dict`, as in trace files
+      and checkpoint source payloads); the tenant replays the stream,
+      applying due events before each cycle.
 
     Attributes:
         name: URL-safe tenant name (also the checkpoint subdirectory).
         problem: Problem snapshot payload, or None.
         trace: Event-trace payload, or None.
-        config: :class:`~repro.core.config.RASAConfig` field overrides.
-        faults: :class:`~repro.faults.FaultPlan` payload; None runs the
-            exact fault-free path.
-        degradation: :class:`DegradationPolicy` field overrides.
-        retry: :class:`RetryPolicy` field overrides.
-        time_limit: Per-cycle solver budget (seconds).  The service
-            default is None — unlimited — because that is what keeps
-            report sequences machine-independent; set a finite budget
-            explicitly when pacing matters more than reproducibility.
-        interval_seconds: Simulated cycle period; None uses the trace's
-            recorded cadence (replay) or the half-hourly default (cron).
-        sla_floor: Alive-fraction floor enforced during migrations.
-        rollback_imbalance: Utilization-skew rollback threshold.
-        traffic_jitter_sigma: Collector measurement drift.
-        seed: Seed of the tenant's collector jitter stream.
         schedule_seconds: Wall-clock cron cadence; when set, the service
             ticker triggers one cycle this often.  None means cycles run
             only when triggered explicitly.
-        checkpoint_every: Cycles between WAL compactions (durable
-            tenants only).
         slo: :class:`~repro.obs.slo.SLOSpec` field overrides; None uses
             the default objectives (SLA-ok ratio only).
         event_log_size: Capacity of the tenant's audit/event ring buffer.
@@ -97,23 +87,13 @@ class TenantSpec:
     name: str
     problem: dict | None = None
     trace: dict | None = None
-    config: dict | None = None
-    faults: dict | None = None
-    degradation: dict | None = None
-    retry: dict | None = None
-    time_limit: float | None = None
-    interval_seconds: float | None = None
-    sla_floor: float = 0.75
-    rollback_imbalance: float | None = None
-    traffic_jitter_sigma: float = 0.0
-    seed: int = 0
     schedule_seconds: float | None = None
-    checkpoint_every: int = 16
     slo: dict | None = None
     event_log_size: int = DEFAULT_CAPACITY
 
     def __post_init__(self) -> None:
-        if not _NAME_RE.match(self.name):
+        super().__post_init__()
+        if not isinstance(self.name, str) or not _NAME_RE.match(self.name):
             raise ProblemValidationError(
                 "tenant name must match [A-Za-z0-9][A-Za-z0-9._-]{0,63}, "
                 f"got {self.name!r}"
@@ -151,10 +131,41 @@ class TenantSpec:
         """``"replay"`` for trace tenants, ``"cron"`` for problem tenants."""
         return "replay" if self.trace is not None else "cron"
 
+    @property
+    def source(self) -> dict:
+        """The tenant's world in checkpoint ``source`` payload shape."""
+        if self.trace is not None:
+            return {"trace": self.trace}
+        return {"problem": self.problem}
+
+    def service_dict(self) -> dict:
+        """What a durable tenant persists beside its ``run`` and ``source``."""
+        return {
+            "name": self.name,
+            "schedule_seconds": self.schedule_seconds,
+            "slo": self.slo,
+            "event_log_size": self.event_log_size,
+        }
+
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
         """Serialize to plain data (JSON-compatible, ``schema_version``-tagged)."""
-        return tag_schema({f.name: getattr(self, f.name) for f in fields(self)})
+        loop = LoopSpec.to_dict(self)
+        # The wire order predates LoopSpec: checkpoint_every follows
+        # schedule_seconds.
+        checkpoint_every = loop.pop("checkpoint_every")
+        return tag_schema(
+            {
+                "name": self.name,
+                "problem": self.problem,
+                "trace": self.trace,
+                **loop,
+                "schedule_seconds": self.schedule_seconds,
+                "checkpoint_every": checkpoint_every,
+                "slo": self.slo,
+                "event_log_size": self.event_log_size,
+            }
+        )
 
     @classmethod
     def from_dict(cls, payload: dict) -> "TenantSpec":
@@ -164,16 +175,9 @@ class TenantSpec:
         to a default.
         """
         check_schema(payload, "TenantSpec")
-        payload = strip_schema(payload)
-        known = {f.name for f in fields(cls)}
-        unknown = set(payload) - known
-        if unknown:
-            raise ProblemValidationError(
-                f"unknown TenantSpec fields: {sorted(unknown)}"
-            )
         if "name" not in payload:
             raise ProblemValidationError("TenantSpec payload needs a 'name'")
-        return cls(**payload)
+        return super().from_dict(strip_schema(payload))
 
 
 class Tenant:
@@ -191,11 +195,9 @@ class Tenant:
         spec: TenantSpec,
         *,
         checkpoint_dir: "str | Path | None" = None,
+        resumed: "DurableControlLoop | None" = None,
     ) -> None:
-        from repro.api import _build_loop_controller
-
         self.spec = spec
-        self.hub = TelemetryHub()
         self.registry = MetricsRegistry()
         self.events = EventLog(spec.event_log_size, tenant=spec.name)
         self.slo = SLOEngine(spec.slo_spec(), tenant=spec.name)
@@ -204,71 +206,36 @@ class Tenant:
         )
         self._lock = threading.Lock()
         self._folded = 0
-
-        if spec.trace is not None:
-            from repro.cluster.replay import EventTrace, event_from_dict
-
-            payload = spec.trace
-            trace = EventTrace(
-                base=problem_from_dict(payload["base"]),
-                events=[event_from_dict(e) for e in payload.get("events", [])],
-                name=str(payload.get("name", spec.name)),
-                seed=int(payload.get("seed", 0)),
-                interval_seconds=float(payload.get("interval_seconds", 1800.0)),
-                description=str(payload.get("description", "")),
-            )
-            stream = trace.cursor()
-            state = stream.state
-            interval = (
-                spec.interval_seconds
-                if spec.interval_seconds is not None
-                else trace.interval_seconds
-            )
+        self.durable = resumed
+        if resumed is not None:
+            self.controller: "CronJobController" = resumed.controller
+            self.hub: TelemetryHub = self.controller.telemetry
+            saved_events = resumed.extra_payload.get("events")
+            if saved_events:
+                self.events.restore_state(saved_events)
         else:
-            stream = None
-            state = problem_from_dict(spec.problem)
-            interval = (
-                spec.interval_seconds
-                if spec.interval_seconds is not None
-                else 1800.0
+            self.hub = TelemetryHub()
+            self.controller = build_controller(
+                spec, spec.source, telemetry=self.hub
             )
-
-        self.controller: "CronJobController" = _build_loop_controller(
-            state,
-            stream=stream,
-            config=RASAConfig(**spec.config) if spec.config else None,
-            faults=spec.faults,
-            time_limit=spec.time_limit,
-            interval_seconds=float(interval),
-            sla_floor=spec.sla_floor,
-            rollback_imbalance=spec.rollback_imbalance,
-            degradation=(
-                DegradationPolicy(**spec.degradation) if spec.degradation else None
-            ),
-            retry=RetryPolicy(**spec.retry) if spec.retry else None,
-            traffic_jitter_sigma=spec.traffic_jitter_sigma,
-            seed=spec.seed,
-            telemetry=self.hub,
-        )
-
-        self.durable: "DurableControlLoop | None" = None
-        if self.checkpoint_dir is not None:
-            from repro.durability.loop import build_durable_loop
-
-            self.durable = build_durable_loop(
-                self.controller,
-                checkpoint_dir=self.checkpoint_dir,
-                total_cycles=len(self.controller.history),
-                mode=spec.mode,
-                seed=spec.seed,
-                traffic_jitter_sigma=spec.traffic_jitter_sigma,
-                checkpoint_every=spec.checkpoint_every,
-            )
-            # Stash the spec inside the run payload so a service restart
-            # can resurrect the tenant (schedule included) from disk alone.
-            self.durable.run_payload["tenant_spec"] = spec.to_dict()
-            self._arm_durable_hooks()
-            self.durable.checkpoint()
+            if self.checkpoint_dir is not None:
+                self.durable = DurableControlLoop(
+                    controller=self.controller,
+                    store=CheckpointStore(self.checkpoint_dir),
+                    spec=spec,
+                    total_cycles=0,
+                )
+        if self.durable is not None:
+            # Persist the audit log and the tenant's own settings through
+            # the checkpoint's ``extra`` payload.
+            self.durable.extra_state = lambda: {
+                "events": self.events.state_payload(),
+                "tenant_spec": self.spec.service_dict(),
+            }
+            self.durable.on_checkpoint = self._on_checkpoint
+            if resumed is None:
+                self.durable.checkpoint()
+        self._fold_new_reports()
 
     # ------------------------------------------------------------------
     @classmethod
@@ -279,34 +246,19 @@ class Tenant:
         and folded into its metrics registry, so ``/healthz`` and
         ``/metrics`` pick up where the previous process stopped.
         """
-        from repro.durability.loop import prepare_resume
-
-        tenant = cls.__new__(cls)
-        tenant.hub = TelemetryHub()
-        tenant.registry = MetricsRegistry()
-        tenant.checkpoint_dir = Path(checkpoint_dir)
-        tenant._lock = threading.Lock()
-        tenant._folded = 0
-        durable = prepare_resume(checkpoint_dir, telemetry=tenant.hub)
-        spec_payload = durable.run_payload.get("tenant_spec")
-        if spec_payload is None:
+        durable = prepare_resume(checkpoint_dir, telemetry=TelemetryHub())
+        saved = durable.extra_payload.get("tenant_spec")
+        if saved is None:
             raise ProblemValidationError(
                 f"checkpoint at {checkpoint_dir} was not written by the "
-                "multi-tenant service (no tenant_spec in its run payload)"
+                "multi-tenant service (it carries no tenant_spec)"
             )
-        tenant.spec = TenantSpec.from_dict(spec_payload)
-        tenant.controller = durable.controller
-        tenant.durable = durable
-        tenant.events = EventLog(
-            tenant.spec.event_log_size, tenant=tenant.spec.name
+        # ``run`` holds the loop tunables and ``source`` the world; the
+        # tenant's own record only adds what neither has.
+        spec = TenantSpec.from_dict(
+            {**durable.spec.to_dict(), **durable.source_payload, **saved}
         )
-        saved_events = durable.extra_payload.get("events")
-        if saved_events:
-            tenant.events.restore_state(saved_events)
-        tenant.slo = SLOEngine(tenant.spec.slo_spec(), tenant=tenant.spec.name)
-        tenant._arm_durable_hooks()
-        tenant._fold_new_reports()
-        return tenant
+        return cls(spec, checkpoint_dir=checkpoint_dir, resumed=durable)
 
     # ------------------------------------------------------------------
     @property
@@ -348,7 +300,6 @@ class Tenant:
         if self.durable is not None:
             target = len(self.controller.history) + cycles
             self.durable.total_cycles = target
-            self.durable.run_payload["cycles"] = target
             history = self.durable.run()
             new = history[-cycles:]
         else:
@@ -442,14 +393,6 @@ class Tenant:
             self.durable.checkpoint()
 
     # ------------------------------------------------------------------
-    def _arm_durable_hooks(self) -> None:
-        """Persist the event log through the durable checkpoint payload."""
-        durable = self.durable
-        if durable is None:
-            return
-        durable.extra_state = lambda: {"events": self.events.state_payload()}
-        durable.on_checkpoint = self._on_checkpoint
-
     def _on_checkpoint(self) -> None:
         self.events.append(
             "checkpoint.written",

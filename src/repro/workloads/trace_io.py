@@ -188,17 +188,14 @@ def save_event_trace(trace: "EventTrace", path: str | Path) -> None:
     Paths ending in ``.gz`` are gzip-compressed with zeroed metadata
     (mtime, filename) so identical traces produce identical bytes.
     """
+    payload = trace.to_dict()
+    events = payload.pop("events")
     header = {
         "format_version": EVENT_TRACE_FORMAT_VERSION,
         "kind": "event_trace",
-        "name": trace.name,
-        "seed": int(trace.seed),
-        "interval_seconds": float(trace.interval_seconds),
-        "description": trace.description,
-        "base": problem_to_dict(trace.base),
+        **payload,
     }
-    lines = [_dumps(header)]
-    lines.extend(_dumps(event.to_dict()) for event in trace.events)
+    lines = [_dumps(header), *(_dumps(event) for event in events)]
     data = ("\n".join(lines) + "\n").encode("utf-8")
     path = Path(path)
     if path.suffix == ".gz":
@@ -218,7 +215,7 @@ def load_event_trace(path: str | Path) -> "EventTrace":
             confusion (a v1 snapshot fed to the v2 loader), or malformed
             header/event lines.
     """
-    from repro.cluster.replay import EventTrace, event_from_dict
+    from repro.cluster.replay import EventTrace
 
     raw = Path(path).read_bytes()
     if raw[:2] == _GZIP_MAGIC:
@@ -272,30 +269,12 @@ def load_event_trace(path: str | Path) -> "EventTrace":
             f"unexpected trace kind {header.get('kind')!r} "
             f"(expected 'event_trace')"
         )
-    try:
-        base = problem_from_dict(header["base"])
-        name = str(header.get("name", "trace"))
-        seed = int(header.get("seed", 0))
-        interval = float(header.get("interval_seconds", 1800.0))
-        description = str(header.get("description", ""))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ProblemValidationError(
-            f"malformed event-trace header: {exc}"
-        ) from exc
     events = []
     for lineno, line in enumerate(lines[1:], start=2):
         try:
-            payload = json.loads(line)
+            events.append(json.loads(line))
         except json.JSONDecodeError as exc:
             raise ProblemValidationError(
                 f"event trace line {lineno} is not valid JSON: {exc}"
             ) from exc
-        events.append(event_from_dict(payload))
-    return EventTrace(
-        base=base,
-        events=events,
-        name=name,
-        seed=seed,
-        interval_seconds=interval,
-        description=description,
-    )
+    return EventTrace.from_dict({**header, "events": events})

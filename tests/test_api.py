@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 import repro
 from repro import api
@@ -205,42 +204,51 @@ def test_facade_functions_take_tunables_keyword_only():
                 )
 
 
-def test_direct_controller_construction_warns_once(small_cluster):
-    import warnings
+def test_loop_tunables_have_one_spelling(small_cluster, tmp_path):
+    """``LoopSpec`` is the single encoding of the loop tunables: the
+    facade's keyword arguments, the tenant wire keys and the durable
+    ``run`` payload are all exactly its fields, and one call site under
+    ``src/repro`` turns a spec into a controller."""
+    import ast
+    import inspect
+    import json
+    from dataclasses import fields
+    from pathlib import Path
 
-    from repro.cluster.cronjob import _reset_direct_construction_warning
+    from repro.core.config import LoopSpec
+    from repro.service.tenant import TenantSpec
+    from repro.workloads.trace_io import problem_to_dict
+
+    tunables = {f.name for f in fields(LoopSpec)}
+    runtime = {
+        "cycles", "collector", "stream", "shutdown", "checkpoint_dir",
+        "telemetry_port", "telemetry_host", "cycle_stream",
+        "on_telemetry_start",
+    }
+    for entry in (api.run_control_loop, api.replay_trace):
+        keyword_only = {
+            p.name for p in inspect.signature(entry).parameters.values()
+            if p.kind is inspect.Parameter.KEYWORD_ONLY
+        }
+        assert keyword_only - runtime == tunables, entry.__name__
 
     problem = small_cluster.problem
-    _reset_direct_construction_warning()
-    try:
-        with pytest.warns(DeprecationWarning, match="run_control_loop"):
-            CronJobController(
-                state=ClusterState(problem),
-                collector=DataCollector(small_cluster.qps),
-            )
-        # The warning is a once-per-process nudge, not a nag: a second
-        # direct construction stays silent even under -W error.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            CronJobController(
-                state=ClusterState(problem),
-                collector=DataCollector(small_cluster.qps),
-            )
-    finally:
-        _reset_direct_construction_warning()
+    wire = set(TenantSpec(name="t", problem=problem_to_dict(problem)).to_dict())
+    assert wire - {
+        "schema_version", "name", "problem", "trace", "schedule_seconds",
+        "slo", "event_log_size",
+    } == tunables
 
+    api.run_control_loop(problem, cycles=0, checkpoint_dir=tmp_path)
+    run = json.loads((tmp_path / "snapshot.json").read_text())["run"]
+    assert set(run) - {"mode", "cycles"} == tunables
 
-def test_facade_construction_does_not_warn(small_cluster):
-    import warnings
-
-    from repro.cluster.cronjob import _reset_direct_construction_warning
-
-    _reset_direct_construction_warning()
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            api.run_control_loop(
-                small_cluster.problem, cycles=1, time_limit=2.0
-            )
-    finally:
-        _reset_direct_construction_warning()
+    constructions = [
+        f"{path.name}:{node.lineno}"
+        for path in Path(api.__file__).parent.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None))
+        == "CronJobController"
+    ]
+    assert len(constructions) == 1, constructions

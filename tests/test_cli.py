@@ -228,7 +228,7 @@ def test_replay_checkpoint_and_resume(event_trace_path, tmp_path, capsys):
     ]) == 0
     assert main([
         "replay", str(event_trace_path), "--cycles", "2",
-        "--checkpoint-dir", str(ck),
+        "--checkpoint-dir", str(ck), "--checkpoint-every", "4",
     ]) == 0
     assert (ck / "snapshot.json").exists()
     capsys.readouterr()
@@ -240,6 +240,11 @@ def test_replay_checkpoint_and_resume(event_trace_path, tmp_path, capsys):
     ]) == 0
     assert "resuming from checkpoint" in capsys.readouterr().out
     assert _load_stripped(resumed_out) == _load_stripped(ref_out)
+    # Resuming without --checkpoint-every keeps the recorded cadence.
+    import json
+
+    snapshot = json.loads((ck / "snapshot.json").read_text())
+    assert snapshot["run"]["checkpoint_every"] == 4
 
 
 def test_cron_checkpoint_and_resume(trace_path, tmp_path, capsys):

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import json
 import os
+import runpy
+import shutil
 import signal
 import subprocess
 import sys
@@ -323,6 +325,58 @@ def test_resume_cron_mode_is_bit_identical(tmp_path):
     )
     resumed = api.resume_control_loop(ck, cycles=4)
     assert _stripped(resumed) == _stripped(ref)
+
+
+PARENT_FIXTURES = Path(__file__).parent / "data" / "checkpoint_parent"
+
+
+def test_resume_of_parent_commit_cron_checkpoint(tmp_path):
+    """A ``rasa cron`` checkpoint written before LoopSpec (``fault_plan``,
+    ``improvement_gate`` in its run payload; killed 3 cycles into 5 with a
+    WAL tail) resumes into the uninterrupted run's report sequence."""
+    from repro.core.config import DegradationPolicy
+    from repro.workloads.trace_io import load_trace
+
+    ck = tmp_path / "cron"
+    shutil.copytree(PARENT_FIXTURES / "cron", ck)
+    ref = api.run_control_loop(
+        load_trace(PARENT_FIXTURES / "cluster.json"), cycles=5,
+        faults=FaultPlan.load(PARENT_FIXTURES / "chaos.json"),
+        degradation=DegradationPolicy.parse("retry:2,greedy"),
+        sla_floor=0.5, time_limit=10.0,
+    )
+    resumed = api.resume_control_loop(ck)
+    assert [r.cycle for r in resumed] == list(range(5))
+    assert _stripped(resumed) == _stripped(ref)
+
+
+def test_resume_of_parent_commit_tenant_checkpoint(tmp_path):
+    """A durable tenant checkpointed before LoopSpec (its whole spec inside
+    ``run``) resumes bit-identically, and its next snapshot is slim."""
+    from repro.service.tenant import Tenant, TenantSpec
+
+    namespace = runpy.run_path(str(PARENT_FIXTURES / "make_fixtures.py"))
+    spec = TenantSpec.from_dict({
+        **namespace["TENANT_SPEC"],
+        "problem": json.loads((PARENT_FIXTURES / "cluster.json").read_text()),
+    })
+    ck = tmp_path / "tenant"
+    shutil.copytree(PARENT_FIXTURES / "tenant", ck)
+    ref = Tenant(spec)
+    ref.run_cycles(5)
+    resumed = Tenant.resume(ck)
+    assert resumed.spec == spec
+    assert resumed.cycles_completed == 3
+    resumed.run_cycles(2)
+    assert _stripped(resumed.controller.history) == _stripped(
+        ref.controller.history
+    )
+    snapshot = json.loads((ck / "snapshot.json").read_text())
+    assert "tenant_spec" not in snapshot["run"]
+    assert snapshot["extra"]["tenant_spec"] == {
+        "name": "fixture", "schedule_seconds": 3600.0,
+        "slo": {"sla_ok_target": 0.9}, "event_log_size": 64,
+    }
 
 
 def test_resume_from_empty_history_checkpoint(demo_trace, tmp_path):

@@ -127,6 +127,65 @@ def test_tenant_spec_round_trip_is_tagged(small_cluster):
         TenantSpec.from_dict({**payload, SCHEMA_KEY: SCHEMA_VERSION + 1})
 
 
+def test_loop_spec_round_trip_and_strictness():
+    from repro.core.config import DegradationPolicy, LoopSpec, RASAConfig
+
+    spec = LoopSpec(
+        config=RASAConfig(max_subproblem_services=12),
+        faults=FaultPlan(seed=1, command_failure_rate=0.1),
+        degradation=DegradationPolicy.parse("retry:2,greedy"),
+        retry={"max_attempts": 2},
+        time_limit=2.5,
+        rollback_imbalance=0.4,
+        seed=4,
+        checkpoint_every=3,
+    )
+    assert LoopSpec.from_dict(spec.to_dict()) == spec
+    assert LoopSpec.from_dict({}) == LoopSpec()
+    # Typed objects are stored as the plain data they round-trip through.
+    assert spec.typed("config") == RASAConfig(max_subproblem_services=12)
+    assert spec.typed("faults") == FaultPlan(seed=1, command_failure_rate=0.1)
+    assert spec.typed("retry").max_attempts == 2
+    for bad, field in [
+        ({"time_limt": 1.0}, "time_limt"),
+        ({"time_limit": "fast"}, "time_limit"),
+        ({"sla_floor": 7}, "sla_floor"),
+        ({"seed": True}, "seed"),
+        ({"checkpoint_every": 0}, "checkpoint_every"),
+        ({"config": {"wrkers": 2}}, "config"),
+        ({"degradation": {"cycle_retries": "x"}}, "degradation"),
+        ({"retry": {"max_attemps": 2}}, "retry"),
+        ({"faults": {"command_failure_rate": "x"}}, "faults"),
+    ]:
+        with pytest.raises(ProblemValidationError, match=field):
+            LoopSpec.from_dict(bad)
+
+
+def test_event_trace_round_trip(small_cluster):
+    from repro.cluster.replay import EventTrace, TrafficShift
+
+    u, v = next(iter(small_cluster.qps))
+    trace = EventTrace(
+        base=small_cluster.problem,
+        events=[
+            TrafficShift(at_seconds=1800.0, u=u, v=v, factor=2.0),
+            TrafficShift(at_seconds=900.0, u=u, v=v, factor=0.5),
+        ],
+        name="rt", seed=3, interval_seconds=900.0, description="round trip",
+    )
+    payload = trace.to_dict()
+    restored = EventTrace.from_dict(payload)
+    assert restored.to_dict() == payload
+    assert restored.events == trace.events
+    assert (restored.name, restored.seed, restored.interval_seconds) == (
+        "rt", 3, 900.0
+    )
+    with pytest.raises(ProblemValidationError, match="base"):
+        EventTrace.from_dict({"events": []})
+    with pytest.raises(ProblemValidationError, match="unknown replay event"):
+        EventTrace.from_dict({**payload, "events": [{"kind": "nope"}]})
+
+
 def test_tenant_spec_needs_exactly_one_source(small_cluster):
     payload = problem_to_dict(small_cluster.problem)
     with pytest.raises(ProblemValidationError):

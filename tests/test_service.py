@@ -219,6 +219,27 @@ def test_service_error_paths(client):
         client.plan("dup")  # no cycle has run, so no plan yet
     assert excinfo.value.status == 404
 
+    # A malformed spec is the client's error, named by field — never a
+    # 500, a 201 that fails on its first cycle, or a bogus 409/404.
+    problem = payload["problem"]
+    for bad, field in [
+        ({"problem": problem, "config": {"wrkers": 2}}, "config"),
+        ({"problem": problem, "degradation": {"cycle_retrys": 2}}, "degradation"),
+        ({"problem": problem, "retry": {"max_attemps": 2}}, "retry"),
+        ({"problem": problem, "time_limit": "fast"}, "time_limit"),
+        ({"problem": problem, "sla_floor": 7}, "sla_floor"),
+        ({"problem": problem, "sla_floor": 0}, "sla_floor"),
+        ({"trace": {"events": []}}, "base"),
+        ({"trace": {"base": problem, "events": [{"kind": "deploy"}]}}, "event"),
+    ]:
+        with pytest.raises(ServiceError) as excinfo:
+            client.register_tenant({"name": "c", **bad})
+        assert excinfo.value.status == 400, bad
+        assert field in excinfo.value.payload["error"], excinfo.value.payload
+    with pytest.raises(ServiceError) as excinfo:
+        client.tenant("c")
+    assert excinfo.value.status == 404
+
 
 def test_async_trigger_and_job_polling(client):
     client.register_tenant(
