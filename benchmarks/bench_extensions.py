@@ -6,25 +6,19 @@ core pipeline:
 * **Variable-aggregated MIP** (RAS-style, Section VI related work): same
   objective over machine groups, 10–50x fewer variables.  Measured: model
   size reduction, runtime, and quality vs. the flat MIP.
-* **Continuous optimization under churn** (Section III motivation): a
-  dynamic cluster with scale/drain/traffic events, comparing the CronJob
-  closed loop against optimize-once.  The paper's rationale for the
-  half-hourly loop is exactly that churn decays a one-shot optimum.
+* **Continuous optimization under churn** (Section III motivation): an
+  :class:`~repro.cluster.replay.EventTrace` of scale/drain/traffic events,
+  replayed through the CronJob closed loop against optimize-once.  The
+  paper's rationale for the half-hourly loop is exactly that churn decays
+  a one-shot optimum.
 """
 
 from __future__ import annotations
 
 from conftest import TIME_LIMIT, record_result
 
-from repro.cluster import (
-    DynamicSimulation,
-    EventSchedule,
-    MachineDrainEvent,
-    ScaleEvent,
-    TrafficShiftEvent,
-    make_world,
-)
-from repro.core import RASAScheduler
+from repro import api
+from repro.cluster import EventTrace, MachineDrain, ServiceScale, TrafficShift
 from repro.solvers import MIPAlgorithm
 from repro.solvers.aggregated_mip import AggregatedMIPAlgorithm, build_aggregated_model
 from repro.solvers.mip import build_rasa_model
@@ -81,33 +75,35 @@ def test_extension_dynamic_churn(benchmark, datasets):
     loads = problem.current_assignment.sum(axis=0)
     busy_machine = problem.machines[int(loads.argmax())].name
 
-    def make_schedule() -> EventSchedule:
-        return EventSchedule(
-            [
-                ScaleEvent(at_seconds=1800 * 2, service=busiest,
-                           new_demand=busiest_demand + 6),
-                TrafficShiftEvent(at_seconds=1800 * 3, pair=pairs[1], factor=4.0),
-                MachineDrainEvent(at_seconds=1800 * 4, machine=busy_machine),
-                TrafficShiftEvent(at_seconds=1800 * 5, pair=pairs[0], factor=0.25),
-            ]
-        )
+    trace = EventTrace(
+        base=problem,
+        events=[
+            ServiceScale(1800.0 * 2, busiest, busiest_demand + 6),
+            TrafficShift(1800.0 * 3, *pairs[1], 4.0),
+            MachineDrain(1800.0 * 4, busy_machine),
+            TrafficShift(1800.0 * 5, *pairs[0], 0.25),
+        ],
+        name="ext-2-churn",
+    )
 
     def run():
-        series = {}
-        for label, continuous in (("continuous", True), ("optimize_once", False)):
-            world = make_world(problem, cluster.qps)
-            if not continuous:
-                # One up-front optimization, then hands off.
-                once = DynamicSimulation(
-                    world, EventSchedule(), optimize=True, time_limit=TIME_LIMIT
-                )
-                once.run(1)
-            sim = DynamicSimulation(
-                world, make_schedule(), optimize=continuous, time_limit=TIME_LIMIT
+        continuous = api.replay_trace(trace, cycles=7, time_limit=TIME_LIMIT)
+        # Optimize once: one control-loop cycle, then the events alone.
+        cursor = trace.cursor()
+        once = [
+            report.gained_after
+            for report in api.run_control_loop(
+                cursor.state, cycles=1, time_limit=TIME_LIMIT, stream=cursor
             )
-            ticks = sim.run(7)
-            series[label] = [round(t.gained_affinity, 4) for t in ticks]
-        return series
+        ]
+        for _ in range(6):
+            cursor.advance_to(cursor.state.clock)
+            once.append(cursor.state.assignment().gained_affinity(normalized=True))
+            cursor.state.advance(trace.interval_seconds)
+        return {
+            "continuous": [round(r.gained_after, 4) for r in continuous],
+            "optimize_once": [round(g, 4) for g in once],
+        }
 
     series = benchmark.pedantic(run, rounds=1, iterations=1)
     print("\nExtension — gained affinity under churn (7 half-hour ticks)")

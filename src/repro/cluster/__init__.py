@@ -3,13 +3,6 @@ and the IPC-vs-RPC network performance model."""
 
 from repro.cluster.collector import DataCollector
 from repro.cluster.cronjob import CronJobController, CycleReport
-from repro.cluster.events import (
-    DynamicCluster,
-    EventSchedule,
-    MachineDrainEvent,
-    ScaleEvent,
-    TrafficShiftEvent,
-)
 from repro.cluster.replay import (
     EventStreamCursor,
     EventTrace,
@@ -24,7 +17,6 @@ from repro.cluster.replay import (
     event_from_dict,
     synthesize_trace,
 )
-from repro.cluster.simulation import DynamicSimulation, SimulationTick, make_world
 from repro.cluster.network import (
     NetworkParameters,
     NetworkSimulator,
@@ -49,25 +41,17 @@ __all__ = [
     "CycleReport",
     "DataCollector",
     "DefaultScheduler",
-    "DynamicCluster",
-    "DynamicSimulation",
-    "EventSchedule",
     "EventStreamCursor",
     "EventTrace",
     "MachineAdd",
     "MachineDrain",
-    "MachineDrainEvent",
     "ReplayWorld",
-    "ScaleEvent",
     "ServiceDeploy",
     "ServiceScale",
     "ServiceTeardown",
-    "SimulationTick",
     "SpotReclaim",
     "TrafficShift",
-    "TrafficShiftEvent",
     "event_from_dict",
-    "make_world",
     "synthesize_trace",
     "NetworkParameters",
     "NetworkSimulator",

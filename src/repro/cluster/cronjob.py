@@ -686,10 +686,10 @@ def build_controller(
     """Wire a control loop from its :class:`~repro.core.config.LoopSpec`.
 
     Every supported entry point — the :mod:`repro.api` facade, a service
-    tenant, checkpoint resume, the churn simulation — builds its
-    controller here, which is what makes their cycle reports bit-identical
-    for the same spec and world: same collector defaults, same policy
-    defaults, same injector coercion, in the same order.
+    tenant, checkpoint resume — builds its controller here, which is what
+    makes their cycle reports bit-identical for the same spec and world:
+    same collector defaults, same policy defaults, same injector coercion,
+    in the same order.
 
     Args:
         spec: The loop's tunables.

@@ -9,12 +9,12 @@ recorded-trace plane:
 * **Events** — seven serializable churn records
   (:class:`ServiceDeploy`, :class:`ServiceTeardown`, :class:`ServiceScale`,
   :class:`TrafficShift`, :class:`MachineAdd`, :class:`MachineDrain`,
-  :class:`SpotReclaim`), each a frozen dataclass with a stable
-  ``to_dict``/``from_dict`` payload keyed by ``kind``.
-* :class:`ReplayWorld` — a mutable cluster the events apply to.  Unlike
-  :class:`~repro.cluster.events.DynamicCluster` it supports *structural*
-  churn: services and machines enter and leave, and the placement matrix
-  is carried across rebuilds by name.  The wrapped
+  :class:`SpotReclaim`), each a frozen dataclass sharing one
+  ``to_dict``/``from_dict`` codec (:class:`ReplayEvent`) whose payload is
+  keyed by ``kind``.
+* :class:`ReplayWorld` — a mutable cluster the events apply to, including
+  *structural* churn: services and machines enter and leave, and the
+  placement matrix is carried across rebuilds by name.  The wrapped
   :class:`~repro.cluster.state.ClusterState` keeps its identity via
   :meth:`~repro.cluster.state.ClusterState.rebind`, so a CronJob
   controller holding the state sees every change in place.
@@ -37,12 +37,12 @@ recorded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import ClassVar, Mapping, Sequence, Union
+import math
+from dataclasses import MISSING, dataclass, field, fields
+from typing import ClassVar, Mapping
 
 import numpy as np
 
-from repro.cluster.events import least_affine_host
 from repro.cluster.scheduler import DefaultScheduler
 from repro.cluster.state import ClusterState
 from repro.core.affinity import AffinityGraph
@@ -60,8 +60,119 @@ def _pair(u: str, v: str) -> tuple[str, str]:
 # ----------------------------------------------------------------------
 # Event records
 # ----------------------------------------------------------------------
+#: Annotation aliases: declared as a field's type they select the stricter
+#: wire check (``> 0``) in :data:`_FIELD_CODECS`.
+PositiveInt = int
+PositiveFloat = float
+
+
+def _finite(value) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"must be finite, got {number}")
+    return number
+
+
+def _positive_float(value) -> float:
+    number = float(value)
+    if not 0.0 < number < math.inf:
+        raise ValueError(f"must be positive and finite, got {number}")
+    return number
+
+
+def _positive_int(value) -> int:
+    number = int(value)
+    if number <= 0:
+        raise ValueError(f"must be positive, got {number}")
+    return number
+
+
+#: Declared field type -> ``(encode, decode)``.  The encoders fix the wire
+#: form; the decoders are the one place a number from outside the program
+#: (a trace file, a checkpoint, an HTTP body, an event built in code) is
+#: checked, and they raise ``ValueError`` on a value the world cannot use.
+_FIELD_CODECS: dict[str, tuple] = {
+    "str": (str, str),
+    "float": (float, _finite),
+    "PositiveFloat": (float, _positive_float),
+    "PositiveInt": (int, _positive_int),
+    "Mapping[str, float]": (
+        lambda amounts: {str(k): float(v) for k, v in amounts.items()},
+        lambda amounts: {str(k): _finite(v) for k, v in amounts.items()},
+    ),
+    "tuple[tuple[str, float], ...]": (
+        lambda edges: [[peer, float(w)] for peer, w in edges],
+        lambda edges: tuple((str(peer), _positive_float(w)) for peer, w in edges),
+    ),
+}
+
+#: What a decoder raises on a value of the wrong shape or range.
+_DECODE_ERRORS = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
+
+
+class ReplayEvent:
+    """Base of the seven churn records: one wire codec for all of them.
+
+    Each subclass is a frozen dataclass whose declared fields *are* its
+    wire keys, in order, after the ``kind`` tag; :data:`EVENT_TYPES` turns
+    them into the per-kind ``(key, encode, decode, default)`` table that
+    drives :meth:`to_dict`, :meth:`from_dict`, and :meth:`check`.
+    """
+
+    #: Serialized tag selecting the event class.
+    kind: ClassVar[str]
+    _wire: ClassVar[tuple]
+
+    def to_dict(self) -> dict:
+        """The event's JSON payload: ``kind`` plus one key per field."""
+        payload = {"kind": self.kind}
+        for key, encode, _, _ in self._wire:
+            payload[key] = encode(getattr(self, key))
+        return payload
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "ReplayEvent":
+        """Deserialize a payload written by :meth:`to_dict`.
+
+        Raises:
+            ProblemValidationError: Naming the kind and the field, on a
+                missing key, a wrong-typed value, a non-finite number, or
+                a non-positive demand or factor.
+        """
+        # Filling ``__dict__`` directly skips the frozen dataclass's
+        # per-field ``object.__setattr__``, which is over half of what
+        # constructing an event costs; a trace load decodes hundreds.
+        event = object.__new__(cls)
+        values = event.__dict__
+        try:
+            for key, _, decode, default in cls._wire:
+                values[key] = decode(
+                    payload[key] if default is MISSING else payload.get(key, default)
+                )
+        except _DECODE_ERRORS as exc:
+            reason = "is missing" if isinstance(exc, KeyError) else exc
+            raise ProblemValidationError(
+                f"malformed {cls.kind!r} event payload: {key} {reason}"
+            ) from exc
+        return event
+
+    def check(self) -> None:
+        """Validate an event built in code with the wire decoders.
+
+        Raises:
+            ClusterStateError: Naming the kind and the offending field.
+        """
+        for key, _, decode, _ in self._wire:
+            try:
+                decode(getattr(self, key))
+            except _DECODE_ERRORS as exc:
+                raise ClusterStateError(
+                    f"{self.kind} event: {key} {exc}"
+                ) from exc
+
+
 @dataclass(frozen=True)
-class ServiceDeploy:
+class ServiceDeploy(ReplayEvent):
     """A new service enters the cluster with traffic to existing peers.
 
     Attributes:
@@ -76,121 +187,48 @@ class ServiceDeploy:
     kind: ClassVar[str] = "service_deploy"
     at_seconds: float
     service: str
-    demand: int
+    demand: PositiveInt
     requests: Mapping[str, float]
     priority: float = 1.0
     edges: tuple[tuple[str, float], ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "at_seconds": float(self.at_seconds),
-            "service": self.service,
-            "demand": int(self.demand),
-            "requests": {str(k): float(v) for k, v in self.requests.items()},
-            "priority": float(self.priority),
-            "edges": [[peer, float(w)] for peer, w in self.edges],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ServiceDeploy":
-        return cls(
-            at_seconds=float(payload["at_seconds"]),
-            service=str(payload["service"]),
-            demand=int(payload["demand"]),
-            requests={str(k): float(v) for k, v in payload["requests"].items()},
-            priority=float(payload.get("priority", 1.0)),
-            edges=tuple(
-                (str(peer), float(w)) for peer, w in payload.get("edges", [])
-            ),
-        )
-
 
 @dataclass(frozen=True)
-class ServiceTeardown:
+class ServiceTeardown(ReplayEvent):
     """A service is decommissioned; its containers and traffic vanish."""
 
     kind: ClassVar[str] = "service_teardown"
     at_seconds: float
     service: str
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "at_seconds": float(self.at_seconds),
-            "service": self.service,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ServiceTeardown":
-        return cls(
-            at_seconds=float(payload["at_seconds"]),
-            service=str(payload["service"]),
-        )
-
 
 @dataclass(frozen=True)
-class ServiceScale:
+class ServiceScale(ReplayEvent):
     """A service's demand changes (autoscaling, rollout).
 
     Scale-ups land via the default scheduler; scale-downs remove the
-    least-affine replicas first, mirroring
-    :class:`~repro.cluster.events.ScaleEvent`.
+    least-affine replicas first (:func:`least_affine_host`).
     """
 
     kind: ClassVar[str] = "service_scale"
     at_seconds: float
     service: str
-    new_demand: int
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "at_seconds": float(self.at_seconds),
-            "service": self.service,
-            "new_demand": int(self.new_demand),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ServiceScale":
-        return cls(
-            at_seconds=float(payload["at_seconds"]),
-            service=str(payload["service"]),
-            new_demand=int(payload["new_demand"]),
-        )
+    new_demand: PositiveInt
 
 
 @dataclass(frozen=True)
-class TrafficShift:
+class TrafficShift(ReplayEvent):
     """Traffic between one service pair is multiplied by ``factor``."""
 
     kind: ClassVar[str] = "traffic_shift"
     at_seconds: float
     u: str
     v: str
-    factor: float
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "at_seconds": float(self.at_seconds),
-            "u": self.u,
-            "v": self.v,
-            "factor": float(self.factor),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "TrafficShift":
-        return cls(
-            at_seconds=float(payload["at_seconds"]),
-            u=str(payload["u"]),
-            v=str(payload["v"]),
-            factor=float(payload["factor"]),
-        )
+    factor: PositiveFloat
 
 
 @dataclass(frozen=True)
-class MachineAdd:
+class MachineAdd(ReplayEvent):
     """A machine joins the cluster (capacity expansion, spot replacement)."""
 
     kind: ClassVar[str] = "machine_add"
@@ -199,27 +237,9 @@ class MachineAdd:
     capacity: Mapping[str, float]
     spec: str = "default"
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "at_seconds": float(self.at_seconds),
-            "machine": self.machine,
-            "capacity": {str(k): float(v) for k, v in self.capacity.items()},
-            "spec": self.spec,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "MachineAdd":
-        return cls(
-            at_seconds=float(payload["at_seconds"]),
-            machine=str(payload["machine"]),
-            capacity={str(k): float(v) for k, v in payload["capacity"].items()},
-            spec=str(payload.get("spec", "default")),
-        )
-
 
 @dataclass(frozen=True)
-class MachineDrain:
+class MachineDrain(ReplayEvent):
     """Graceful drain: containers are evicted and re-placed, the machine
     stays in the cluster at zero capacity (maintenance)."""
 
@@ -227,23 +247,9 @@ class MachineDrain:
     at_seconds: float
     machine: str
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "at_seconds": float(self.at_seconds),
-            "machine": self.machine,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "MachineDrain":
-        return cls(
-            at_seconds=float(payload["at_seconds"]),
-            machine=str(payload["machine"]),
-        )
-
 
 @dataclass(frozen=True)
-class SpotReclaim:
+class SpotReclaim(ReplayEvent):
     """Abrupt reclaim: the machine leaves the cluster and its containers
     are lost; the default scheduler re-places the shortfall elsewhere."""
 
@@ -251,33 +257,9 @@ class SpotReclaim:
     at_seconds: float
     machine: str
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "at_seconds": float(self.at_seconds),
-            "machine": self.machine,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SpotReclaim":
-        return cls(
-            at_seconds=float(payload["at_seconds"]),
-            machine=str(payload["machine"]),
-        )
-
-
-ReplayEvent = Union[
-    ServiceDeploy,
-    ServiceTeardown,
-    ServiceScale,
-    TrafficShift,
-    MachineAdd,
-    MachineDrain,
-    SpotReclaim,
-]
 
 #: Registry mapping the serialized ``kind`` tag to its event class.
-EVENT_TYPES: dict[str, type] = {
+EVENT_TYPES: dict[str, type[ReplayEvent]] = {
     cls.kind: cls
     for cls in (
         ServiceDeploy,
@@ -289,6 +271,10 @@ EVENT_TYPES: dict[str, type] = {
         SpotReclaim,
     )
 }
+for _cls in EVENT_TYPES.values():
+    _cls._wire = tuple(
+        (f.name, *_FIELD_CODECS[f.type], f.default) for f in fields(_cls)
+    )
 
 
 def event_from_dict(payload: dict) -> ReplayEvent:
@@ -309,12 +295,7 @@ def event_from_dict(payload: dict) -> ReplayEvent:
             f"unknown replay event kind {kind!r} "
             f"(known: {sorted(EVENT_TYPES)})"
         )
-    try:
-        return cls.from_dict(payload)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise ProblemValidationError(
-            f"malformed {kind!r} event payload: {exc}"
-        ) from exc
+    return cls.from_dict(payload)
 
 
 # ----------------------------------------------------------------------
@@ -368,12 +349,15 @@ class ReplayWorld:
         """Apply one event; returns a human-readable description.
 
         Raises:
-            ClusterStateError: When the event is inconsistent with the
-                current world (unknown service, duplicate machine, ...).
+            ClusterStateError: When the event carries a number the world
+                cannot use (non-finite, or a non-positive demand, factor,
+                or edge weight) or is inconsistent with the current world
+                (unknown service, duplicate machine, ...).
         """
         handler = self._HANDLERS.get(event.kind)
         if handler is None:
             raise ClusterStateError(f"no handler for event kind {event.kind!r}")
+        event.check()
         description = handler(self, event)
         get_metrics().counter(f"replay.events.{event.kind}").inc()
         return description
@@ -457,11 +441,6 @@ class ReplayWorld:
                 raise ClusterStateError(
                     f"deploy of {ev.service!r} references unknown peer {peer!r}"
                 )
-            if weight <= 0:
-                raise ClusterStateError(
-                    f"deploy of {ev.service!r}: edge weight to {peer!r} "
-                    f"must be positive"
-                )
         svc = Service(
             name=ev.service,
             demand=int(ev.demand),
@@ -498,10 +477,6 @@ class ReplayWorld:
     def _apply_scale(self, ev: ServiceScale) -> str:
         if ev.service not in self._services:
             raise ClusterStateError(f"unknown service {ev.service!r}")
-        if ev.new_demand <= 0:
-            raise ClusterStateError(
-                f"scale target for {ev.service!r} must be positive"
-            )
         old_demand = self._demands[ev.service]
         self._demands[ev.service] = int(ev.new_demand)
         problem = self._rebuild()
@@ -521,8 +496,6 @@ class ReplayWorld:
         return f"scaled {ev.service} {old_demand} -> {ev.new_demand}"
 
     def _apply_traffic(self, ev: TrafficShift) -> str:
-        if ev.factor <= 0:
-            raise ClusterStateError("traffic factor must be positive")
         key = _pair(ev.u, ev.v)
         if key not in self.qps or key[0] not in self._services \
                 or key[1] not in self._services:
@@ -582,6 +555,31 @@ class ReplayWorld:
         MachineDrain.kind: _apply_drain,
         SpotReclaim.kind: _apply_reclaim,
     }
+
+
+def least_affine_host(state: ClusterState, service: int) -> str | None:
+    """Host machine whose replica of ``service`` contributes the least
+    gained affinity (the natural scale-down victim)."""
+    problem = state.problem
+    hosts = np.nonzero(state.placement[service])[0]
+    if hosts.size == 0:
+        return None
+    name = problem.services[service].name
+    neighbors = problem.affinity.neighbors(name)
+    demands = problem.demands.astype(float)
+    x = state.placement
+
+    def contribution(m: int) -> float:
+        total = 0.0
+        for other, w in neighbors.items():
+            t = problem.service_index(other)
+            before = min(x[service, m] / demands[service], x[t, m] / demands[t])
+            after = min((x[service, m] - 1) / demands[service], x[t, m] / demands[t])
+            total += w * (before - after)
+        return total
+
+    worst = min(hosts, key=lambda m: contribution(int(m)))
+    return problem.machines[int(worst)].name
 
 
 # ----------------------------------------------------------------------
@@ -732,9 +730,10 @@ class EventStreamCursor:
         applied: list[str] = []
         events = self.trace.events
         while self._pos < len(events) and events[self._pos].at_seconds <= now_seconds:
-            event = events[self._pos]
+            # Step only past an event that applied: a raising one must
+            # fail the same way on retry and on checkpoint resume.
+            applied.append(self.world.apply(events[self._pos]))
             self._pos += 1
-            applied.append(self.world.apply(event))
         return applied
 
     def seek(self, position: int) -> int:
@@ -764,9 +763,8 @@ class EventStreamCursor:
             )
         applied = 0
         while self._pos < position:
-            event = events[self._pos]
+            self.world.apply(events[self._pos])
             self._pos += 1
-            self.world.apply(event)
             applied += 1
         return applied
 

@@ -7,8 +7,10 @@ set by command set, verifying after *every* set that
 * no machine exceeds its resource capacity, and
 * every service keeps at least the plan's SLA floor of containers alive.
 
-It is used by the cluster simulator's CronJob loop and by the test suite to
-prove Algorithm 2's invariants (and the naive plan's violation of them).
+It backs :func:`repro.api.execute_plan` and the test suite's proofs of
+Algorithm 2's invariants (and of the naive plan's violation of them); the
+CronJob loop applies its plans against the live cluster state itself, in
+``CronJobController._apply``.
 
 When a :class:`~repro.faults.FaultInjector` is supplied, commands can fail
 or time out; each faulted command is retried under a

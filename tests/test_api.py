@@ -252,3 +252,61 @@ def test_loop_tunables_have_one_spelling(small_cluster, tmp_path):
         == "CronJobController"
     ]
     assert len(constructions) == 1, constructions
+
+
+#: Modules only the paper-figure benchmarks (``benchmarks/bench_*.py``) and
+#: their tests import; everything else must be reachable from the facade.
+BENCHMARK_ONLY_MODULES = {
+    "repro.analysis.lemma1",
+    "repro.analysis.report",
+    "repro.cluster.network",
+    "repro.partitioning.kahip_like",
+    "repro.solvers.aggregated_mip",
+    "repro.workloads.powerlaw",
+}
+
+
+def test_every_module_is_reachable_from_the_facade():
+    """North-star rule: a ``src/repro`` module is imported, directly or
+    transitively, by ``repro.api`` or ``repro.cli`` — or it is deleted.
+
+    ``from package import name`` reaches only the submodule the package's
+    ``__init__`` takes ``name`` from: a blanket re-export keeps nothing
+    alive on its own.
+    """
+    import ast
+    from pathlib import Path
+
+    root = Path(repro.__file__).parent
+    files = {}
+    for path in root.rglob("*.py"):
+        parts = path.relative_to(root.parent).with_suffix("").parts
+        files[".".join(parts[:-1] if parts[-1] == "__init__" else parts)] = path
+
+    def imports(module):
+        return [
+            (node.module, alias.name)
+            for node in ast.walk(ast.parse(files[module].read_text()))
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        ]
+
+    reached, todo = set(), ["repro.api", "repro.cli"]
+    while todo:
+        module = todo.pop()
+        if module in reached or module not in files:
+            continue
+        reached.add(module)
+        if files[module].name == "__init__.py":
+            continue
+        for source, name in imports(module):
+            todo.append(f"{source}.{name}")  # ``from package import submodule``
+            todo.append(source)
+            if source in files and files[source].name == "__init__.py":
+                todo += [src for src, alias in imports(source) if alias == name]
+
+    unreachable = {
+        module for module, path in files.items()
+        if path.name != "__init__.py" and module not in reached
+    }
+    assert unreachable == BENCHMARK_ONLY_MODULES

@@ -97,9 +97,46 @@ def test_event_from_dict_rejects_non_dict():
         event_from_dict(["service_scale"])
 
 
-def test_event_from_dict_rejects_malformed_payload():
-    with pytest.raises(ProblemValidationError, match="malformed"):
-        event_from_dict({"kind": "service_scale", "at_seconds": 0.0})
+_DEPLOY = {"kind": "service_deploy", "at_seconds": 0.0, "service": "d",
+           "demand": 2, "requests": {"cpu": 1.0}}
+_SHIFT = {"kind": "traffic_shift", "at_seconds": 0.0, "u": "a", "v": "b",
+          "factor": 2.0}
+_ADD = {"kind": "machine_add", "at_seconds": 0.0, "machine": "mX",
+        "capacity": {"cpu": 8.0}}
+
+
+@pytest.mark.parametrize(
+    "payload, field",
+    [
+        ({"kind": "service_scale", "at_seconds": 0.0}, "service"),
+        ({"kind": "service_scale", "at_seconds": 0.0, "service": "a"},
+         "new_demand"),
+        ({"kind": "service_scale", "at_seconds": 0.0, "service": "a",
+          "new_demand": 0}, "new_demand"),
+        ({"kind": "service_scale", "at_seconds": 0.0, "service": "a",
+          "new_demand": float("inf")}, "new_demand"),
+        ({**_SHIFT, "at_seconds": float("inf")}, "at_seconds"),
+        ({**_SHIFT, "at_seconds": "noon"}, "at_seconds"),
+        ({**_SHIFT, "factor": float("nan")}, "factor"),
+        ({**_SHIFT, "factor": float("inf")}, "factor"),
+        ({**_SHIFT, "factor": 0.0}, "factor"),
+        ({**_SHIFT, "factor": -1.5}, "factor"),
+        ({**_DEPLOY, "demand": 0}, "demand"),
+        ({**_DEPLOY, "demand": float("nan")}, "demand"),
+        ({**_DEPLOY, "requests": {"cpu": float("nan")}}, "requests"),
+        ({**_DEPLOY, "requests": [1.0]}, "requests"),
+        ({**_DEPLOY, "priority": float("-inf")}, "priority"),
+        ({**_DEPLOY, "edges": [["a", float("nan")]]}, "edges"),
+        ({**_DEPLOY, "edges": [["a"]]}, "edges"),
+        ({**_ADD, "capacity": {"cpu": float("inf")}}, "capacity"),
+    ],
+)
+def test_event_from_dict_rejects_malformed_payload(payload, field):
+    kind = payload["kind"]
+    with pytest.raises(
+        ProblemValidationError, match=f"malformed '{kind}' event payload: {field} "
+    ):
+        event_from_dict(payload)
 
 
 # ----------------------------------------------------------------------
@@ -147,9 +184,19 @@ def test_deploy_rejects_duplicates_and_bad_edges(tiny_problem):
     with pytest.raises(ClusterStateError, match="unknown peer"):
         world.apply(ServiceDeploy(0.0, "d", 1, {"cpu": 1.0},
                                   edges=(("ghost", 1.0),)))
-    with pytest.raises(ClusterStateError, match="must be positive"):
+    with pytest.raises(ClusterStateError, match="edges must be positive"):
         world.apply(ServiceDeploy(0.0, "d", 1, {"cpu": 1.0},
                                   edges=(("a", 0.0),)))
+    # Numbers on events built in code meet the same checks as the codec's.
+    for bad in (
+        ServiceDeploy(0.0, "d", 0, {"cpu": 1.0}),
+        ServiceDeploy(0.0, "d", 1, {"cpu": float("nan")}),
+        ServiceDeploy(0.0, "d", 1, {"cpu": 1.0}, priority=float("inf")),
+        ServiceDeploy(0.0, "d", 1, {"cpu": 1.0}, edges=(("a", float("nan")),)),
+    ):
+        with pytest.raises(ClusterStateError, match="service_deploy event"):
+            world.apply(bad)
+    assert "d" not in world.state.problem.service_names()
 
 
 def test_teardown_removes_service_everywhere(tiny_problem):
@@ -187,6 +234,25 @@ def test_scale_up_and_down(tiny_problem):
     assert_feasible(state.assignment())
 
 
+def test_scale_down_removes_least_affine_first(small_cluster):
+    world = ReplayWorld(small_cluster.problem)
+    state = world.state
+    demand_of = {svc.name: svc.demand for svc in state.problem.services}
+    service = next(
+        name
+        for name, _ in state.problem.affinity.services_by_total_affinity()
+        if demand_of[name] >= 3
+    )
+    s = state.problem.service_index(service)
+    demand = demand_of[service]
+    before = state.assignment().gained_affinity()
+    world.apply(ServiceScale(0.0, service, demand - 1))
+    assert state.placement[s].sum() == demand - 1
+    # The victim is the replica contributing least: dropping it cannot
+    # raise raw gained affinity.
+    assert state.assignment().gained_affinity() <= before + 1e-9
+
+
 def test_scale_rejects_bad_targets(tiny_problem):
     world = ReplayWorld(tiny_problem)
     with pytest.raises(ClusterStateError, match="unknown service"):
@@ -207,6 +273,22 @@ def test_traffic_shift_rescales_live_pair(tiny_problem):
         world.apply(TrafficShift(0.0, "a", "ghost", 2.0))
     with pytest.raises(ClusterStateError, match="must be positive"):
         world.apply(TrafficShift(0.0, "a", "b", 0.0))
+    for factor in (float("nan"), float("inf")):
+        with pytest.raises(ClusterStateError, match="factor must be positive"):
+            world.apply(TrafficShift(0.0, "a", "b", factor))
+    with pytest.raises(ClusterStateError, match="at_seconds must be finite"):
+        world.apply(TrafficShift(float("nan"), "a", "b", 2.0))
+    assert world.qps[("a", "b")] == pytest.approx(2.0 * before)
+
+
+def test_rebuild_preserves_placement_and_clock(small_cluster):
+    world = ReplayWorld(small_cluster.problem)
+    world.state.advance(123.0)
+    placement = world.state.placement.copy()
+    u, v = max(world.qps, key=world.qps.get)
+    world.apply(TrafficShift(0.0, u, v, 2.5))  # rebuilds, moves nothing
+    assert np.array_equal(world.state.placement, placement)
+    assert world.state.clock == pytest.approx(123.0)
 
 
 def test_drain_evicts_and_replaces(tiny_problem):
@@ -247,6 +329,9 @@ def test_machine_add_rejects_duplicates(tiny_problem):
     world = ReplayWorld(tiny_problem)
     with pytest.raises(ClusterStateError, match="already exists"):
         world.apply(MachineAdd(0.0, "m0", {"cpu": 1.0, "memory": 1.0}))
+    with pytest.raises(ClusterStateError, match="capacity must be finite"):
+        world.apply(MachineAdd(0.0, "m9", {"cpu": float("nan"), "memory": 1.0}))
+    assert "m9" not in world.state.problem.machine_names()
 
 
 def test_schedulability_bans_survive_rebuilds(constrained_problem):
@@ -302,6 +387,37 @@ def test_cursor_applies_due_events_in_order(tiny_problem):
     assert cursor.advance_to(1800.0) == []  # no rewind, no re-application
     assert len(cursor.advance_to(6000.0)) == 1
     assert cursor.exhausted
+
+
+def test_cursor_does_not_step_over_a_failed_event(tiny_problem):
+    trace = EventTrace(
+        base=tiny_problem,
+        events=[TrafficShift(10.0, "a", "b", 2.0), ServiceScale(20.0, "ghost", 2)],
+    )
+    for move in (lambda c: c.advance_to(1800.0), lambda c: c.seek(2)):
+        cursor = trace.cursor()
+        for _ in range(2):  # same failure on retry, as on a checkpoint resume
+            with pytest.raises(ClusterStateError, match="unknown service"):
+                move(cursor)
+            assert cursor.position == 1
+
+
+def test_events_only_cursor_walk_moves_no_containers(small_cluster):
+    """Without the control loop a cursor only applies its events."""
+    u, v = max(small_cluster.qps, key=small_cluster.qps.get)
+    trace = EventTrace(
+        base=small_cluster.problem, events=[TrafficShift(1800.0, u, v, 1.0)]
+    )
+    cursor = trace.cursor()
+    placement = cursor.state.placement.copy()
+    series = []
+    for _ in range(3):
+        cursor.advance_to(cursor.state.clock)
+        series.append(cursor.state.assignment().gained_affinity(normalized=True))
+        cursor.state.advance(trace.interval_seconds)
+    assert cursor.exhausted
+    assert np.array_equal(cursor.state.placement, placement)
+    assert series[1:] == pytest.approx(series[:1] * 2)
 
 
 def test_cursor_exposes_live_world(tiny_problem):
@@ -374,6 +490,29 @@ def test_replay_reports_carry_event_descriptions(small_trace):
     payload = reports[-1].to_dict()
     assert payload["events"] == reports[-1].events
     assert CycleReport.from_dict(payload).events == reports[-1].events
+
+
+def test_replay_recovers_from_scale_and_traffic_churn(small_cluster):
+    problem = small_cluster.problem
+    busiest = problem.affinity.services_by_total_affinity()[0][0]
+    demand = problem.services[problem.service_index(busiest)].demand
+    u, v = max(small_cluster.qps, key=small_cluster.qps.get)
+    trace = EventTrace(
+        base=problem,
+        events=[
+            ServiceScale(1800.0 * 2, busiest, demand + 4),
+            TrafficShift(1800.0 * 3, u, v, 2.0),
+        ],
+    )
+    reports = api.replay_trace(trace, cycles=5, time_limit=5)
+    assert len(reports) == 5
+    assert reports[0].action == "executed"
+    # The loop keeps gained affinity high through churn.
+    assert reports[-1].gained_after > 0.6
+    # Events are recorded on the cycle whose clock they fall due at.
+    assert [len(r.events) for r in reports] == [0, 0, 1, 1, 0]
+    assert reports[2].events[0].startswith(f"scaled {busiest}")
+    assert reports[3].events[0].startswith("traffic")
 
 
 def test_zero_rate_fault_plan_does_not_perturb_replay(small_trace):

@@ -231,6 +231,16 @@ def test_service_error_paths(client):
         ({"problem": problem, "sla_floor": 0}, "sla_floor"),
         ({"trace": {"events": []}}, "base"),
         ({"trace": {"base": problem, "events": [{"kind": "deploy"}]}}, "event"),
+        # json carries NaN/Infinity; the event codec must not.
+        ({"trace": {"base": problem, "events": [
+            {"kind": "traffic_shift", "at_seconds": 0.0, "u": "a", "v": "b",
+             "factor": float("nan")}]}}, "factor"),
+        ({"trace": {"base": problem, "events": [
+            {"kind": "machine_add", "at_seconds": 0.0, "machine": "m",
+             "capacity": {"cpu": float("inf")}}]}}, "capacity"),
+        ({"trace": {"base": problem, "events": [
+            {"kind": "service_scale", "at_seconds": 0.0, "service": "a",
+             "new_demand": 0}]}}, "new_demand"),
     ]:
         with pytest.raises(ServiceError) as excinfo:
             client.register_tenant({"name": "c", **bad})
