@@ -191,15 +191,8 @@ class CronJobController:
         rasa: The RASA scheduler instance.
         interval_seconds: Cycle period (paper: every half hour).
         time_limit: Per-cycle solver budget.
-        improvement_gate: Minimum relative improvement to execute.
         rollback_imbalance: Utilization-std threshold that triggers rollback;
             None disables the guard.
-        workers: When set, overrides the RASA scheduler's worker count so
-            each cycle's solve phase runs in a process pool (see
-            :mod:`repro.core.parallel`).  None leaves the scheduler's own
-            configuration untouched.
-        parallel: When set, overrides the scheduler's tri-state parallel
-            switch the same way.
         faults: Optional fault injector; None (the default) runs the exact
             fault-free control loop.
         degradation: The ladder walked when a cycle's migration aborts.
@@ -227,11 +220,8 @@ class CronJobController:
     default_scheduler: DefaultScheduler = field(default_factory=DefaultScheduler)
     interval_seconds: float = 1800.0
     time_limit: float | None = 10.0
-    improvement_gate: float = IMPROVEMENT_GATE
     rollback_imbalance: float | None = None
     sla_floor: float = 0.75
-    workers: int | None = None
-    parallel: bool | None = None
     faults: FaultInjector | None = None
     degradation: DegradationPolicy = field(default_factory=DegradationPolicy)
     retry: RetryPolicy = field(default_factory=RetryPolicy)
@@ -239,12 +229,6 @@ class CronJobController:
     stream: "EventStreamCursor | None" = None
     history: list[CycleReport] = field(default_factory=list)
     last_plan: "MigrationPlan | None" = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.workers is not None:
-            self.rasa.config.workers = self.workers
-        if self.parallel is not None:
-            self.rasa.config.parallel = self.parallel
 
     # ------------------------------------------------------------------
     def run_once(self) -> CycleReport:
@@ -367,7 +351,7 @@ class CronJobController:
         improvement = gained_new - gained_before
         relative = improvement / gained_before if gained_before > 0 else np.inf
         gated = gained_new <= gained_before or (
-            gained_before > 0 and relative <= self.improvement_gate
+            gained_before > 0 and relative <= IMPROVEMENT_GATE
         )
         tracer.event(
             "cron.gate",
@@ -383,7 +367,7 @@ class CronJobController:
                     cycle=cycle,
                     gained_before=f"{gained_before:.4f}",
                     gained_new=f"{gained_new:.4f}",
-                    gate=self.improvement_gate,
+                    gate=IMPROVEMENT_GATE,
                 ),
             )
             return (

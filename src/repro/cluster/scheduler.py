@@ -6,9 +6,14 @@ RASA pipeline failed to deploy and to re-place rolled-back containers.  This
 module implements that two-phase loop:
 
 * **filter** — drop machines violating schedulability, resources, or
-  anti-affinity for the container at hand;
+  anti-affinity for the container at hand, or carrying a churn tag;
 * **score** — rank surviving machines with pluggable scoring functions
   (spread / binpack / affinity), mirroring K8s scheduler plugins.
+
+Both phases read the cluster's books (``state.books``, a
+:class:`~repro.solvers.greedy.PackingState`): the feasibility rule and the
+marginal gained-affinity delta are the packer's own, and the scorers read
+its live rows and free capacity without copying the placement matrix.
 """
 
 from __future__ import annotations
@@ -26,8 +31,7 @@ ScoreFunction = Callable[[ClusterState, int, np.ndarray], np.ndarray]
 
 def spread_score(state: ClusterState, service: int, mask: np.ndarray) -> np.ndarray:
     """Prefer machines hosting fewer containers of this service (HA spread)."""
-    counts = state.placement[service].astype(float)
-    return -counts
+    return -state.books.x[service].astype(float)
 
 
 def binpack_score(state: ClusterState, service: int, mask: np.ndarray) -> np.ndarray:
@@ -35,7 +39,7 @@ def binpack_score(state: ClusterState, service: int, mask: np.ndarray) -> np.nda
     capacity = state.problem.capacities_matrix
     with np.errstate(divide="ignore", invalid="ignore"):
         fullness = np.where(
-            capacity > 0, 1.0 - state.free_resources() / capacity, 0.0
+            capacity > 0, 1.0 - state.books.free / capacity, 0.0
         ).mean(axis=1)
     return fullness
 
@@ -57,18 +61,7 @@ def affinity_score(state: ClusterState, service: int, mask: np.ndarray) -> np.nd
         (problem.service_index(other), weight)
         for other, weight in problem.affinity.neighbors(name).items()
     ]
-    if not neighbors:
-        return np.zeros(problem.num_machines)
-    demands = problem.demands.astype(float)
-    x = state.placement
-    current = x[service].astype(float)
-    delta = np.zeros(problem.num_machines)
-    for t, w in neighbors:
-        other = x[t].astype(float) / demands[t]
-        before = np.minimum(current / demands[service], other)
-        after = np.minimum((current + 1.0) / demands[service], other)
-        delta += w * (after - before)
-    return delta
+    return state.books.affinity_delta(service, neighbors)
 
 
 class DefaultScheduler:
@@ -94,16 +87,8 @@ class DefaultScheduler:
     def filter(self, state: ClusterState, service: int) -> np.ndarray:
         """Feasibility mask over machines for one more container of
         ``service`` (schedulability, resources, anti-affinity, churn tags)."""
-        problem = state.problem
-        mask = problem.schedulable[service].copy()
-        request = problem.requests_matrix[service]
-        mask &= (state.free_resources() >= request - 1e-9).all(axis=1)
-        x = state.placement
-        for rule in problem.anti_affinity:
-            if problem.services[service].name in rule.services:
-                members = [problem.service_index(s) for s in rule.services]
-                mask &= x[members].sum(axis=0) < rule.limit
-        for m, machine in enumerate(problem.machines):
+        mask = state.books.feasible_machines(service)
+        for m, machine in enumerate(state.problem.machines):
             if not state.is_schedulable_machine(machine.name):
                 mask[m] = False
         return mask
@@ -140,7 +125,7 @@ class DefaultScheduler:
         placed = 0
         problem = state.problem
         for s, svc in enumerate(problem.services):
-            missing = int(problem.demands[s] - state.placement[s].sum())
+            missing = int(problem.demands[s] - state.books.x[s].sum())
             for _ in range(max(0, missing)):
                 try:
                     machine = self.place_one(state, svc.name)

@@ -1,8 +1,15 @@
 """Mutable cluster state for the control-plane simulator.
 
 Wraps a :class:`~repro.core.problem.RASAProblem` with the live container
-placement and traffic metrics, and offers the container-level operations the
-CronJob workflow performs (delete/create, snapshots, utilization queries).
+placement, and offers the container-level operations the CronJob workflow
+performs (delete/create, snapshots, utilization queries).
+
+The placement is kept in one :class:`~repro.solvers.greedy.PackingState`
+(``state.books``): the matrix, the free capacity and the anti-affinity
+counts, updated in place by every create/delete.  The packer's
+``feasible_machines`` is therefore the single statement of "may this
+machine take one more container" (capacity, anti-affinity,
+schedulability) for the solvers, this state and the default scheduler.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ import numpy as np
 from repro.core.problem import RASAProblem
 from repro.core.solution import Assignment
 from repro.exceptions import ClusterStateError
+from repro.solvers.greedy import PackingState
 
 
 @dataclass
@@ -34,20 +42,17 @@ class ClusterState:
             affinity from traffic metrics, constraints).
         placement: Initial container placement; defaults to the problem's
             recorded current assignment or an empty cluster.
+
+    Attributes:
+        books: The one mutable placement record (``books.x`` is the live
+            matrix, ``books.free`` the free capacity per machine); rebuilt
+            by :meth:`restore`, :meth:`restore_named` and :meth:`rebind`.
     """
 
     def __init__(self, problem: RASAProblem, placement: np.ndarray | None = None) -> None:
-        self.problem = problem
-        if placement is None:
-            if problem.current_assignment is not None:
-                placement = problem.current_assignment
-            else:
-                placement = np.zeros(
-                    (problem.num_services, problem.num_machines), dtype=np.int64
-                )
-        self._x = np.asarray(placement, dtype=np.int64).copy()
         self._clock = 0.0
         self.unschedulable_until: dict[str, float] = {}
+        self.rebind(problem, placement)
 
     # ------------------------------------------------------------------
     # Time
@@ -70,31 +75,22 @@ class ClusterState:
         """Remove one container; raises if none exists there."""
         s = self.problem.service_index(service)
         m = self.problem.machine_index(machine)
-        if self._x[s, m] <= 0:
+        if self.books.x[s, m] <= 0:
             raise ClusterStateError(
                 f"no container of {service!r} on {machine!r} to delete"
             )
-        self._x[s, m] -= 1
+        self.books.remove(s, m)
 
     def create_container(self, service: str, machine: str) -> None:
         """Add one container; raises when capacity or constraints forbid it."""
         s = self.problem.service_index(service)
         m = self.problem.machine_index(machine)
-        if not self.problem.schedulable[s, m]:
-            raise ClusterStateError(f"{machine!r} is not schedulable for {service!r}")
-        request = self.problem.requests_matrix[s]
-        if (self.free_resources()[m] < request - 1e-9).any():
+        if not self.books.feasible_machines(s)[m]:
             raise ClusterStateError(
-                f"insufficient free resources on {machine!r} for {service!r}"
+                f"{machine!r} cannot take one more container of {service!r} "
+                f"(schedulability, free resources or anti-affinity)"
             )
-        for rule_index, rule in enumerate(self.problem.anti_affinity):
-            if service in rule.services:
-                members = [self.problem.service_index(name) for name in rule.services]
-                if self._x[members, m].sum() + 1 > rule.limit:
-                    raise ClusterStateError(
-                        f"anti-affinity rule {rule_index} blocks {service!r} on {machine!r}"
-                    )
-        self._x[s, m] += 1
+        self.books.place(s, m)
 
     def mark_unschedulable(self, machine: str, until: float) -> None:
         """Tag a machine as off-limits for optimization until a deadline
@@ -113,11 +109,11 @@ class ClusterState:
     @property
     def placement(self) -> np.ndarray:
         """Copy of the current placement matrix."""
-        return self._x.copy()
+        return self.books.x.copy()
 
     def assignment(self) -> Assignment:
         """Current placement as an :class:`~repro.core.solution.Assignment`."""
-        return Assignment(self.problem, self._x)
+        return Assignment(self.problem, self.books.x)
 
     def snapshot(self) -> ClusterSnapshot:
         """The Data Collector's output for the current instant."""
@@ -128,15 +124,14 @@ class ClusterState:
         )
 
     def free_resources(self) -> np.ndarray:
-        """Free capacity per machine, shape ``(M, R)``."""
-        used = self._x.T.astype(float) @ self.problem.requests_matrix
-        return self.problem.capacities_matrix - used
+        """Free capacity per machine, shape ``(M, R)`` (a copy)."""
+        return self.books.free.copy()
 
     def utilization(self) -> np.ndarray:
         """Per-machine, per-resource utilization in ``[0, 1]`` (NaN when
         capacity is zero)."""
         capacity = self.problem.capacities_matrix
-        used = self._x.T.astype(float) @ self.problem.requests_matrix
+        used = self.books.x.T.astype(float) @ self.problem.requests_matrix
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(capacity > 0, used / capacity, np.nan)
 
@@ -148,12 +143,7 @@ class ClusterState:
 
     def restore(self, placement: np.ndarray) -> None:
         """Overwrite the placement (rollback support)."""
-        placement = np.asarray(placement, dtype=np.int64)
-        if placement.shape != self._x.shape:
-            raise ClusterStateError(
-                f"placement shape {placement.shape} != {self._x.shape}"
-            )
-        self._x = placement.copy()
+        self.rebind(self.problem, placement)
 
     def named_placement(self) -> dict[str, dict[str, int]]:
         """The placement keyed by service and machine *names*.
@@ -170,7 +160,7 @@ class ClusterState:
         for s, svc in enumerate(services):
             row = {
                 machines[m]: int(count)
-                for m, count in enumerate(self._x[s])
+                for m, count in enumerate(self.books.x[s])
                 if count
             }
             if row:
@@ -190,7 +180,7 @@ class ClusterState:
         """
         services = {name: i for i, name in enumerate(self.problem.service_names())}
         machines = {name: j for j, name in enumerate(self.problem.machine_names())}
-        x = np.zeros_like(self._x)
+        x = np.zeros_like(self.books.x)
         for svc, row in mapping.items():
             s = services.get(svc)
             if s is None:
@@ -206,7 +196,7 @@ class ClusterState:
                         f"{mach!r} (reclaimed since the checkpoint?)"
                     )
                 x[s, m] = int(count)
-        self._x = x
+        self.books = PackingState(self.problem, x)
 
     def rebind(self, problem: RASAProblem, placement: np.ndarray | None = None) -> None:
         """Swap in a new problem definition *in place*, preserving identity.
@@ -230,18 +220,15 @@ class ClusterState:
         """
         if placement is None:
             placement = problem.current_assignment
-        if placement is None:
-            placement = np.zeros(
-                (problem.num_services, problem.num_machines), dtype=np.int64
-            )
-        placement = np.asarray(placement, dtype=np.int64)
-        expected = (problem.num_services, problem.num_machines)
-        if placement.shape != expected:
-            raise ClusterStateError(
-                f"placement shape {placement.shape} != {expected}"
-            )
+        if placement is not None:  # else the books start empty
+            placement = np.asarray(placement, dtype=np.int64)
+            expected = (problem.num_services, problem.num_machines)
+            if placement.shape != expected:
+                raise ClusterStateError(
+                    f"placement shape {placement.shape} != {expected}"
+                )
         self.problem = problem
-        self._x = placement.copy()
+        self.books = PackingState(problem, placement)
         machines = set(problem.machine_names())
         self.unschedulable_until = {
             name: until

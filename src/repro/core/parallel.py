@@ -15,7 +15,8 @@ granular allocation problems.  This module runs the per-subproblem
 * :class:`ParallelDispatcher` submits one task per subproblem, enforces a
   per-task wall-clock deadline derived from the task's solver budget, and
   degrades gracefully: a crashed, failed, or timed-out worker yields a
-  :class:`TaskFailure` that the caller retries sequentially in-process.
+  :class:`TaskFailure`, and the scheduler's one solve loop solves that
+  shard in-process when its merge turn comes.
 
 Determinism: the dispatcher reports outcomes keyed by task index, and
 :class:`~repro.core.rasa.RASAScheduler` applies them in the fixed
@@ -165,10 +166,10 @@ def select_and_solve(
 ) -> tuple[str, SolveResult]:
     """Run the per-subproblem (select, solve) step with full instrumentation.
 
-    Both execution modes share this helper — the sequential loop calls it
-    against the process-wide tracer/metrics, workers call it against their
-    own fresh instances — so spans and metrics have an identical shape
-    regardless of where the solve ran.
+    The scheduler's solve loop calls this against the process-wide
+    tracer/metrics, pool workers call it against their own fresh
+    instances — so spans and metrics have an identical shape regardless
+    of where the solve ran.
     """
     tracer = get_tracer()
     metrics = get_metrics()
@@ -238,7 +239,6 @@ class ParallelDispatcher:
         timeout_margin: Constant slack added to every deadline (covers
             pickling, fork, and queueing time; deadlines are measured from
             submission, not task start).
-        mp_context: Optional :mod:`multiprocessing` context override.
     """
 
     def __init__(
@@ -246,14 +246,12 @@ class ParallelDispatcher:
         workers: int,
         timeout_factor: float = 2.0,
         timeout_margin: float = 5.0,
-        mp_context=None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
         self.timeout_factor = timeout_factor
         self.timeout_margin = timeout_margin
-        self.mp_context = mp_context
 
     # ------------------------------------------------------------------
     def run(self, tasks: list[SubproblemTask]) -> dict[int, TaskOutcome | TaskFailure]:
@@ -268,8 +266,7 @@ class ParallelDispatcher:
         metrics = get_metrics()
         results: dict[int, TaskOutcome | TaskFailure] = {}
         pool = ProcessPoolExecutor(
-            max_workers=min(self.workers, max(1, len(tasks))),
-            mp_context=self.mp_context,
+            max_workers=min(self.workers, max(1, len(tasks)))
         )
         try:
             submitted = time.monotonic()

@@ -6,18 +6,16 @@ pool into the full three-phase pipeline, returning the merged cluster-wide
 assignment together with per-subproblem diagnostics and an anytime
 quality-over-time trajectory (used by the Fig. 10 benchmark).
 
-The solve phase runs in one of two modes:
-
-* **sequential** (default, ``workers=1``) — subproblems are solved one at
-  a time in affinity-descending order; when a shard finishes under its
-  proportional budget, the unspent time is redistributed across the
-  still-queued shards.
-* **parallel** (``workers>1`` or ``parallel=True``) — independent
-  subproblems are dispatched to a process pool
-  (:mod:`repro.core.parallel`); results are merged in the same fixed
-  affinity-descending order regardless of completion order, and failed or
-  timed-out workers fall back to an in-process sequential retry, so
-  parallelism never loses shards or reorders the merge.
+The solve phase is one loop over the subproblems in affinity-descending
+order.  Each shard is solved in-process at its merge turn; when a shard
+finishes under its proportional budget, the unspent time is redistributed
+across the shards still unsolved.  The process pool
+(:mod:`repro.core.parallel`, ``workers>1`` or ``parallel=True``) is an
+optional first pass over the same shards: what it delivers is merged at
+the shard's turn instead of being solved there, and what it does not
+deliver (a failed, crashed or timed-out worker) is simply still unsolved
+when its turn comes — so parallelism never loses shards or reorders the
+merge, and sequential mode is the same loop with an empty pool.
 """
 
 from __future__ import annotations
@@ -32,6 +30,7 @@ from repro.core.parallel import (
     DefaultAlgorithmFactory,
     ParallelDispatcher,
     SubproblemTask,
+    TaskFailure,
     TaskOutcome,
     select_and_solve,
 )
@@ -222,24 +221,17 @@ class RASAScheduler:
 
             reports: list[SubproblemReport] = []
             # Solve high-affinity shards first so early stopping keeps the
-            # most valuable improvements; parallel mode merges in this
-            # same order, so both modes produce identical results.
+            # most valuable improvements; pool results merge in this same
+            # order, so every worker count produces identical results.
             order = sorted(
                 range(len(partition.subproblems)),
                 key=lambda i: -partition.subproblems[i].total_affinity,
             )
             workers = self._effective_workers()
-            if workers > 1 and len(order) > 1:
-                run_span.set_tag("workers", workers)
-                assignment = self._solve_parallel(
-                    problem, partition, order, assignment, trajectory,
-                    reports, watch, workers, run_span,
-                )
-            else:
-                assignment = self._solve_sequential(
-                    problem, partition, order, assignment, trajectory,
-                    reports, watch,
-                )
+            assignment = self._solve(
+                problem, partition.subproblems, order, assignment, trajectory,
+                reports, watch, workers, run_span,
+            )
 
             if self.config.repair_unplaced:
                 with tracer.span("rasa.repair"):
@@ -286,30 +278,80 @@ class RASAScheduler:
         )
 
     # ------------------------------------------------------------------
-    # Solve phase: sequential mode
+    # Solve phase
     # ------------------------------------------------------------------
-    def _solve_sequential(
+    def _solve(
         self,
         problem: RASAProblem,
-        partition: PartitionResult,
+        subproblems: list[Subproblem],
         order: list[int],
         assignment: Assignment,
         trajectory: list[tuple[float, float]],
         reports: list[SubproblemReport],
         watch: Stopwatch,
+        workers: int,
+        run_span,
     ) -> Assignment:
-        """Solve shards one at a time in affinity-descending order."""
+        """Solve and merge every shard in affinity-descending order.
+
+        With ``workers > 1`` and more than one shard, the process pool gets
+        a first pass at all of them.  The walk over ``order`` then merges
+        what the pool delivered and solves every other shard in-process at
+        its merge turn — all of them when there was no pool; failed,
+        crashed or timed-out ones otherwise — with the remaining time
+        redistributed across the shards still unsolved, so one bad shard
+        never loses the other shards' results.
+        """
+        tracer = get_tracer()
+        metrics = get_metrics()
+        logger = get_logger("core.rasa")
         factory = DefaultAlgorithmFactory(self.config.backend)
+        pooled = workers > 1 and len(order) > 1
+        outcomes: dict[int, TaskOutcome | TaskFailure] = {}
+        if pooled:
+            run_span.set_tag("workers", workers)
+            outcomes = self._dispatch(subproblems, order, factory, watch, workers)
+        delivered = {
+            i for i, outcome in outcomes.items() if isinstance(outcome, TaskOutcome)
+        }
+        # Deterministic merge: fixed affinity-descending order, regardless
+        # of which worker finished first.
         for position, i in enumerate(order):
-            if watch.expired:
-                break
-            subproblem = partition.subproblems[i]
-            pending = [partition.subproblems[j] for j in order[position:]]
-            budget = self._next_budget(pending, watch)
-            solve_start = watch.elapsed
-            label, result = select_and_solve(
-                subproblem, self.selector, factory, budget
-            )
+            subproblem = subproblems[i]
+            if i in delivered:
+                # Rebuild the worker's result, folding its obs payload into
+                # the parent tracer/metrics so exports stay complete.
+                outcome = outcomes[i]
+                solve_start = max(
+                    0.0, outcome.started_monotonic - watch.start_monotonic
+                )
+                if tracer.enabled:
+                    tracer.adopt(outcome.spans, offset=run_span.start + solve_start)
+                metrics.merge(outcome.metrics)
+                label = outcome.label
+                result = outcome.to_solve_result(subproblem.problem)
+            elif watch.expired:
+                continue  # anytime stop: the shard keeps its current placement
+            else:
+                if pooled:
+                    failure = outcomes.get(i)
+                    logger.warning(
+                        "sequential retry %s",
+                        kv(
+                            subproblem=i,
+                            kind=getattr(failure, "kind", "missing"),
+                            error=getattr(failure, "error", ""),
+                        ),
+                    )
+                    metrics.counter("rasa.parallel.retries").inc()
+                pending = [
+                    subproblems[j] for j in order[position:] if j not in delivered
+                ]
+                budget = self._next_budget(pending, watch)
+                solve_start = watch.elapsed
+                label, result = select_and_solve(
+                    subproblem, self.selector, factory, budget
+                )
             reports.append(
                 SubproblemReport(
                     subproblem=subproblem,
@@ -323,33 +365,16 @@ class RASAScheduler:
             )
         return assignment
 
-    # ------------------------------------------------------------------
-    # Solve phase: parallel mode
-    # ------------------------------------------------------------------
-    def _solve_parallel(
+    def _dispatch(
         self,
-        problem: RASAProblem,
-        partition: PartitionResult,
+        subproblems: list[Subproblem],
         order: list[int],
-        assignment: Assignment,
-        trajectory: list[tuple[float, float]],
-        reports: list[SubproblemReport],
+        factory: DefaultAlgorithmFactory,
         watch: Stopwatch,
         workers: int,
-        run_span,
-    ) -> Assignment:
-        """Dispatch shards to a process pool, then merge deterministically.
-
-        Failed, crashed, or timed-out tasks are retried sequentially
-        in-process with the remaining time redistributed across them, so
-        one bad shard never loses the other shards' results.
-        """
+    ) -> dict[int, TaskOutcome | TaskFailure]:
+        """Offer every shard to the process pool; outcomes by shard index."""
         tracer = get_tracer()
-        metrics = get_metrics()
-        logger = get_logger("core.rasa")
-        subproblems = partition.subproblems
-        factory = DefaultAlgorithmFactory(self.config.backend)
-
         budgets = self._budgets([subproblems[i] for i in order], watch)
         remaining = watch.remaining
         tasks = []
@@ -379,68 +404,7 @@ class RASAScheduler:
             timeout_margin=self.config.worker_timeout_margin,
         )
         with tracer.span("rasa.dispatch", workers=workers, tasks=len(tasks)):
-            outcomes = dispatcher.run(tasks)
-
-        # Rebuild worker results, folding their obs payloads into the
-        # parent tracer/metrics so exports stay complete.
-        solved: dict[int, tuple[str, SolveResult, float]] = {}
-        for i in order:
-            outcome = outcomes.get(i)
-            if not isinstance(outcome, TaskOutcome):
-                continue
-            offset = max(0.0, outcome.started_monotonic - watch.start_monotonic)
-            if tracer.enabled:
-                tracer.adopt(outcome.spans, offset=run_span.start + offset)
-            metrics.merge(outcome.metrics)
-            solved[i] = (
-                outcome.label,
-                outcome.to_solve_result(subproblems[i].problem),
-                offset,
-            )
-
-        # Sequential-retry fallback, with leftover time redistributed
-        # across the failed shards only.
-        failed = [i for i in order if i not in solved]
-        for position, i in enumerate(failed):
-            if watch.expired:
-                break
-            failure = outcomes.get(i)
-            logger.warning(
-                "sequential retry %s",
-                kv(
-                    subproblem=i,
-                    kind=getattr(failure, "kind", "missing"),
-                    error=getattr(failure, "error", ""),
-                ),
-            )
-            metrics.counter("rasa.parallel.retries").inc()
-            pending = [subproblems[j] for j in failed[position:]]
-            budget = self._next_budget(pending, watch)
-            solve_start = watch.elapsed
-            label, result = select_and_solve(
-                subproblems[i], self.selector, factory, budget
-            )
-            solved[i] = (label, result, solve_start)
-
-        # Deterministic merge: fixed affinity-descending order, regardless
-        # of which worker finished first.
-        for i in order:
-            if i not in solved:
-                continue
-            subproblem = subproblems[i]
-            label, result, solve_start = solved[i]
-            reports.append(
-                SubproblemReport(
-                    subproblem=subproblem,
-                    selected_algorithm=label,
-                    result=result,
-                )
-            )
-            assignment = self._merge_result(
-                problem, assignment, subproblem, result, trajectory,
-                solve_start, watch,
-            )
-        return assignment
+            return dispatcher.run(tasks)
 
     # ------------------------------------------------------------------
     # Shared helpers
@@ -497,10 +461,6 @@ class RASAScheduler:
         if remaining is not None:
             budget = max(self.config.min_subproblem_budget, min(budget, remaining))
         return budget
-
-    def _algorithm(self, label: str):
-        """Label → algorithm instance (kept for API compatibility)."""
-        return DefaultAlgorithmFactory(self.config.backend)(label)
 
     @staticmethod
     def _extend_trajectory(

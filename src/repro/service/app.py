@@ -49,7 +49,9 @@ the server log under the ``error_id``.
 Scheduling: a ticker thread fires one cycle per tenant every
 ``schedule_seconds`` (wall clock).  A scheduled tick is skipped while the
 tenant's previous scheduled cycle is still queued or running — cron
-cycles never stack up behind a slow solve.
+cycles never stack up behind a slow solve.  Clearing the cadence cancels
+a queued-not-started scheduled cycle, and the ``POST .../schedule`` reply's
+``in_flight`` says whether one is running at that moment (it finishes).
 
 Durability: with ``checkpoint_root`` set, each tenant journals under
 ``<root>/<name>`` (PR 6's WAL + snapshots), the registered spec rides in
@@ -370,13 +372,23 @@ class OptimizerService:
         with self._lock:
             return self._jobs[job_id]
 
-    def set_schedule(self, name: str, schedule_seconds: float | None) -> Tenant:
-        """Set or clear a tenant's wall-clock cron cadence."""
-        tenant = self.tenant(name)
-        tenant.spec = replace(tenant.spec, schedule_seconds=schedule_seconds)
+    def set_schedule(
+        self, name: str, schedule_seconds: float | None
+    ) -> tuple[Tenant, bool]:
+        """Set or clear a tenant's wall-clock cron cadence.
+
+        Clearing cancels a scheduled cycle that is queued but not started.
+
+        Returns:
+            The tenant, and whether a scheduled cycle is running right now
+            (it finishes; after a clear, nothing fires behind it).
+        """
         with self._lock:
+            tenant = self._tenants[name]
+            tenant.spec = replace(tenant.spec, schedule_seconds=schedule_seconds)
             self._arm_schedule(tenant)
-        return tenant
+            scheduled = self._scheduled.get(name)
+            return tenant, scheduled is not None and scheduled.running()
 
     def health(self) -> dict:
         """The service-level ``/v1/healthz`` document."""
@@ -444,7 +456,11 @@ class OptimizerService:
         every = tenant.spec.schedule_seconds
         if every is None:
             self._next_due.pop(tenant.name, None)
-            self._scheduled.pop(tenant.name, None)
+            scheduled = self._scheduled.get(tenant.name)
+            if scheduled is not None:
+                # Queued-not-started: the pool skips a cancelled future.
+                # A running cycle cannot be cancelled and finishes.
+                scheduled.cancel()
         else:
             self._next_due[tenant.name] = time.monotonic() + float(every)
 
@@ -478,16 +494,18 @@ class OptimizerService:
                 )
                 return
             self._next_due[name] = now + float(tenant.spec.schedule_seconds)
-        # Each scheduled firing gets its own trace context (there is no
-        # client request to inherit one from); the pool carries it to the
-        # worker thread like any triggered cycle.
-        try:
-            with use_context(self.ids.new_context()):
-                future = self.pool.submit(name, lambda: tenant.run_cycles(1))
-        except RuntimeError:
-            return  # pool already stopped; shutdown is racing the ticker
-        with self._lock:
-            self._scheduled[name] = future
+            # Each scheduled firing gets its own trace context (there is no
+            # client request to inherit one from); the pool carries it to
+            # the worker thread like any triggered cycle.  Submitted under
+            # the same lock acquisition as the None-check above, so a tick
+            # racing ``set_schedule(name, None)`` cannot submit after it.
+            try:
+                with use_context(self.ids.new_context()):
+                    self._scheduled[name] = self.pool.submit(
+                        name, lambda: tenant.run_cycles(1)
+                    )
+            except RuntimeError:
+                return  # pool already stopped; shutdown is racing the ticker
         get_metrics().counter("service.schedule.fired").inc()
 
     # ------------------------------------------------------------------
@@ -785,11 +803,15 @@ class _ServiceRequestHandler(JsonRequestHandler):
             check_schema(body, "schedule")
             value = strip_schema(body)["schedule_seconds"]
             seconds = None if value is None else float(value)
-            tenant = svc.set_schedule(name, seconds)
+            tenant, in_flight = svc.set_schedule(name, seconds)
             self.respond_json(
                 200,
                 tag_schema(
-                    {"tenant": name, "schedule_seconds": tenant.spec.schedule_seconds}
+                    {
+                        "tenant": name,
+                        "schedule_seconds": tenant.spec.schedule_seconds,
+                        "in_flight": in_flight,
+                    }
                 ),
             )
             return

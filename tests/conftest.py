@@ -9,12 +9,30 @@ sharing them across tests is safe and fast.
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
 
 from repro.core import AntiAffinityRule, Assignment, Machine, RASAProblem, Service
 from repro.workloads import ClusterSpec, generate_cluster
+
+# Tier-1 must be a deterministic gate, so the default profile derives its
+# examples from each test's source instead of a random seed.  The ``fuzz``
+# profile (``HYPOTHESIS_PROFILE=fuzz``, the ``property-fuzz`` CI lane) is the
+# same budget with fresh random examples on every run.
+settings.register_profile(
+    "tier1",
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+    derandomize=True,
+)
+settings.register_profile(
+    "fuzz", parent=settings.get_profile("tier1"), derandomize=False
+)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
 
 # ----------------------------------------------------------------------
@@ -51,6 +69,35 @@ def assert_feasible(assignment: Assignment, allow_partial: bool = False) -> None
         assert not over, f"services over-placed beyond demand: {over}"
     else:
         assert not report.sla_violations, f"SLA violated: {report.summary()}"
+
+
+def assert_books_match_verifier(state) -> None:
+    """Pin a :class:`ClusterState`'s incremental books with the verifier.
+
+    The oracle shares no code with the bookkeeper
+    (:class:`~repro.solvers.greedy.PackingState`): from ``state.placement``
+    alone it recomputes (a) the free capacity and (b), for every service
+    and machine, whether one more container passes
+    :meth:`Assignment.check_feasibility`.  The default scheduler's filter
+    must say yes exactly on the untagged machines where the verifier does.
+    """
+    from repro.cluster import DefaultScheduler
+
+    problem, x = state.problem, state.placement
+    used = x.T.astype(float) @ problem.requests_matrix
+    np.testing.assert_allclose(
+        state.free_resources(), problem.capacities_matrix - used, rtol=0, atol=1e-9
+    )
+    scheduler = DefaultScheduler()
+    for s, svc in enumerate(problem.services):
+        mask = scheduler.filter(state, s)
+        for m, machine in enumerate(problem.machines):
+            bumped = x.copy()
+            bumped[s, m] += 1
+            expected = state.is_schedulable_machine(machine.name) and (
+                Assignment(problem, bumped).check_feasibility(check_sla=False).feasible
+            )
+            assert bool(mask[m]) == expected, (svc.name, machine.name)
 
 
 @pytest.fixture(name="assert_feasible")

@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import assert_books_match_verifier
+
 from repro.cluster import (
     ClusterState,
     DataCollector,
@@ -96,6 +98,9 @@ def test_state_restore(tiny_problem):
     state.create_container("a", "m0")
     state.restore(snapshot)
     assert state.placement.sum() == 0
+    assert_books_match_verifier(state)
+    state.create_container("a", "m0")  # the rebuilt books keep counting
+    assert_books_match_verifier(state)
     with pytest.raises(ClusterStateError):
         state.restore(np.zeros((2, 2), dtype=np.int64))
 
@@ -111,6 +116,7 @@ def test_named_placement_roundtrip(small_cluster):
     other.restore_named(captured)
     assert (other.placement == state.placement).all()
     assert other.named_placement() == captured
+    assert_books_match_verifier(other)
 
 
 def test_named_placement_omits_zero_counts(tiny_problem):

@@ -60,10 +60,10 @@ def _run_loop(cluster, plan: FaultPlan | None, cycles: int = 3, **kwargs):
     """
     state = ClusterState(cluster.problem)
     collector = DataCollector(cluster.qps, traffic_jitter_sigma=0.0)
+    kwargs.setdefault("rasa", RASAScheduler(config=RASAConfig()))
     controller = CronJobController(
         state=state,
         collector=collector,
-        rasa=RASAScheduler(config=RASAConfig()),
         time_limit=None,
         faults=FaultInjector(plan) if plan is not None else None,
         **kwargs,
@@ -288,7 +288,10 @@ def test_determinism_holds_under_workers(small_cluster):
     merges deterministically, so workers > 1 changes nothing."""
     _, serial = _run_loop(small_cluster, CHAOS_PLAN, cycles=2)
     _, parallel = _run_loop(
-        small_cluster, CHAOS_PLAN, cycles=2, workers=2, parallel=True
+        small_cluster,
+        CHAOS_PLAN,
+        cycles=2,
+        rasa=RASAScheduler(config=RASAConfig(workers=2, parallel=True)),
     )
     assert [_report_key(r) for r in serial] == [_report_key(r) for r in parallel]
 

@@ -13,7 +13,11 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import assert_feasible, make_random_problem
+from conftest import (
+    assert_books_match_verifier,
+    assert_feasible,
+    make_random_problem,
+)
 
 from repro.core import RASAConfig, RASAScheduler
 from repro.solvers import (
@@ -152,6 +156,7 @@ def test_replay_world_stays_feasible_under_random_churn(seed):
         applied += 1
         problem = world.state.problem
         assert_feasible(world.state.assignment(), allow_partial=True)
+        assert_books_match_verifier(world.state)
         # The books and the materialized problem must agree.
         live = set(problem.service_names())
         assert set(world.qps) >= set(problem.affinity.edges())

@@ -24,7 +24,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterState, CronJobController, DataCollector
 from repro.core import Assignment, RASAConfig, RASAScheduler
 from repro.core.parallel import (
     DefaultAlgorithmFactory,
@@ -346,7 +345,7 @@ def test_dispatcher_maps_hang_to_timeout(shards):
 
 
 # ----------------------------------------------------------------------
-# Config threading: CLI, CronJob, worker resolution
+# Config threading: CLI, worker resolution
 # ----------------------------------------------------------------------
 def test_effective_workers_resolution():
     assert RASAScheduler(config=RASAConfig())._effective_workers() == 1
@@ -371,15 +370,3 @@ def test_cli_parallel_flags():
     with pytest.raises(SystemExit):
         _scheduler_config(bad)
 
-
-def test_cronjob_threads_parallel_config(small_cluster):
-    rasa = RASAScheduler()
-    CronJobController(
-        state=ClusterState(small_cluster.problem),
-        collector=DataCollector(small_cluster.qps, traffic_jitter_sigma=0.0),
-        rasa=rasa,
-        workers=2,
-        parallel=True,
-    )
-    assert rasa.config.workers == 2
-    assert rasa.config.parallel is True

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import AffinityGraph, Assignment, Machine, RASAProblem, Service
@@ -17,13 +17,6 @@ from repro.migration import MigrationExecutor, MigrationPathBuilder
 from repro.partitioning import MultiStagePartitioner, balanced_partition
 from repro.solvers import BranchAndBoundSolver, GreedyAlgorithm, LinearModel, solve_milp
 from repro.solvers.greedy import repair_unplaced
-
-SETTINGS = settings(
-    max_examples=25,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -70,7 +63,6 @@ def placements(draw, problem: RASAProblem) -> np.ndarray:
 # ----------------------------------------------------------------------
 # Objective properties
 # ----------------------------------------------------------------------
-@SETTINGS
 @given(data=st.data())
 def test_gained_affinity_bounded_by_total(data):
     problem = data.draw(problems())
@@ -83,7 +75,6 @@ def test_gained_affinity_bounded_by_total(data):
         assert -1e-9 <= normalized <= 1.0 + 1e-9
 
 
-@SETTINGS
 @given(data=st.data())
 def test_all_on_one_machine_maximizes_affinity(data):
     problem = data.draw(problems())
@@ -94,7 +85,6 @@ def test_all_on_one_machine_maximizes_affinity(data):
         assert assignment.gained_affinity(normalized=True) == pytest.approx(1.0)
 
 
-@SETTINGS
 @given(data=st.data())
 def test_gained_affinity_pairwise_decomposition(data):
     problem = data.draw(problems())
@@ -109,7 +99,6 @@ def test_gained_affinity_pairwise_decomposition(data):
 # ----------------------------------------------------------------------
 # Greedy / repair properties
 # ----------------------------------------------------------------------
-@SETTINGS
 @given(data=st.data())
 def test_greedy_output_is_feasible(data):
     problem = data.draw(problems())
@@ -120,7 +109,6 @@ def test_greedy_output_is_feasible(data):
     assert result.assignment.x.sum() == problem.num_containers
 
 
-@SETTINGS
 @given(data=st.data())
 def test_repair_preserves_existing_placements(data):
     problem = data.draw(problems())
@@ -134,7 +122,6 @@ def test_repair_preserves_existing_placements(data):
 # ----------------------------------------------------------------------
 # Partitioning properties
 # ----------------------------------------------------------------------
-@SETTINGS
 @given(data=st.data())
 def test_multistage_partition_covers_all_services(data):
     problem = data.draw(problems())
@@ -147,7 +134,6 @@ def test_multistage_partition_covers_all_services(data):
     assert covered == set(problem.service_names())
 
 
-@SETTINGS
 @given(
     num_services=st.integers(4, 12),
     num_parts=st.integers(2, 3),
@@ -169,7 +155,6 @@ def test_balanced_partition_is_a_partition(num_services, num_parts, seed):
 # ----------------------------------------------------------------------
 # Migration properties
 # ----------------------------------------------------------------------
-@SETTINGS
 @given(data=st.data())
 def test_migration_invariants_hold_for_random_targets(data):
     problem = data.draw(problems())
@@ -190,7 +175,6 @@ def test_migration_invariants_hold_for_random_targets(data):
 # ----------------------------------------------------------------------
 # Solver agreement
 # ----------------------------------------------------------------------
-@SETTINGS
 @given(data=st.data())
 def test_bnb_agrees_with_highs_on_random_models(data):
     rng_seed = data.draw(st.integers(0, 10_000))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import Machine, RASAProblem, Service
@@ -16,13 +16,6 @@ from repro.solvers.patterns import (
     price_pattern_greedy,
     price_pattern_mip,
 )
-
-SETTINGS = settings(
-    max_examples=12,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-
 
 @st.composite
 def homogeneous_problems(draw) -> RASAProblem:
@@ -48,7 +41,6 @@ def homogeneous_problems(draw) -> RASAProblem:
     return RASAProblem(services, machines, affinity=edges)
 
 
-@SETTINGS
 @given(data=st.data())
 def test_aggregated_bracketed_by_flat_optimum(data):
     problem = data.draw(homogeneous_problems())
@@ -62,7 +54,6 @@ def test_aggregated_bracketed_by_flat_optimum(data):
     assert agg.assignment.check_feasibility(check_sla=False).feasible
 
 
-@SETTINGS
 @given(data=st.data())
 def test_cg_between_greedy_and_total(data):
     problem = data.draw(homogeneous_problems())
@@ -71,7 +62,6 @@ def test_cg_between_greedy_and_total(data):
     assert cg.assignment.check_feasibility(check_sla=False).feasible
 
 
-@SETTINGS
 @given(data=st.data())
 def test_pricing_always_returns_feasible_patterns(data):
     problem = data.draw(homogeneous_problems())
@@ -91,7 +81,6 @@ def test_pricing_always_returns_feasible_patterns(data):
             assert pattern_is_feasible(problem, group, greedy.counts)
 
 
-@SETTINGS
 @given(data=st.data())
 def test_exact_pricing_dominates_greedy_pricing(data):
     """The MILP pricer's reduced cost is >= the greedy pricer's."""

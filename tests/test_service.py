@@ -329,6 +329,12 @@ def test_cron_schedule_fires_and_clears(client):
         time.sleep(0.05)
     cleared = client.set_schedule("sched", None)
     assert cleared["schedule_seconds"] is None
+    if cleared["in_flight"]:
+        # One scheduled cycle was running when the cadence was cleared.  A
+        # tenant's jobs are FIFO on one slot, so a blocking trigger returns
+        # only after that cycle has landed.
+        client.trigger_cycles("sched", cycles=1, wait=True)
+    # Nothing is queued (cancelled) and no tick can submit any more.
     settled = client.tenant("sched")["cycles_completed"]
     time.sleep(0.3)
     assert client.tenant("sched")["cycles_completed"] == settled

@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 import logging
 import re
+import time
 import urllib.error
 import urllib.request
 
@@ -28,6 +29,22 @@ def _problem_payload(seed: int) -> dict:
         num_machines=4, seed=seed,
     )
     return problem_to_dict(generate_cluster(spec).problem)
+
+
+def _await_access_line(caplog, fragment: str) -> str:
+    """The access-log line containing ``fragment``.
+
+    The handler logs after it has replied, so the line can trail the
+    client's return by a thread switch — call this inside the
+    ``caplog.at_level`` block, before the capture level is restored.
+    """
+    deadline = time.monotonic() + 10
+    while True:
+        for record in list(caplog.records):
+            if record.name == "repro.http.access" and fragment in record.getMessage():
+                return record.getMessage()
+        assert time.monotonic() < deadline, f"no access-log line with {fragment!r}"
+        time.sleep(0.01)
 
 
 @pytest.fixture()
@@ -60,6 +77,7 @@ def test_trace_id_links_client_to_cycle_spans_and_events(
         job = client.trigger_cycles(
             "alpha", cycles=1, wait=True, trace_id=TRACE_ID
         )
+        line = _await_access_line(caplog, "path=/v1/tenants/alpha/cycles")
     assert client.last_trace_id == PADDED
     assert job["trace_id"] == PADDED
 
@@ -84,9 +102,6 @@ def test_trace_id_links_client_to_cycle_spans_and_events(
     assert any(s["name"].startswith("cron.cycle") for s in traced)
 
     # And the access log recorded the request under the same id.
-    access = [r.getMessage() for r in caplog.records
-              if r.name == "repro.http.access"]
-    line = next(l for l in access if "path=/v1/tenants/alpha/cycles" in l)
     assert f"trace_id={PADDED}" in line
     assert "tenant=alpha" in line
     assert "method=POST" in line and "status=200" in line
@@ -97,8 +112,7 @@ def test_access_log_covers_untenanted_requests(client, caplog, monkeypatch):
     monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
     with caplog.at_level(logging.INFO, logger="repro.http.access"):
         client.service_health()
-    line = next(r.getMessage() for r in caplog.records
-                if r.name == "repro.http.access")
+        line = _await_access_line(caplog, "path=/v1/healthz")
     assert "method=GET" in line and "path=/v1/healthz" in line
     assert "status=200" in line and "tenant=-" in line
     assert f"trace_id={client.last_trace_id}" in line
