@@ -20,7 +20,7 @@ from conftest import TIME_LIMIT, record_result
 from repro import api
 from repro.cluster import EventTrace, MachineDrain, ServiceScale, TrafficShift
 from repro.solvers import MIPAlgorithm
-from repro.solvers.aggregated_mip import AggregatedMIPAlgorithm, build_aggregated_model
+from repro.solvers.aggregated_mip import AggregatedMIPAlgorithm
 from repro.solvers.mip import build_rasa_model
 from repro.solvers.patterns import group_machines
 
@@ -35,7 +35,7 @@ def test_extension_aggregated_mip(benchmark, datasets):
             total = problem.affinity.total_affinity
             groups = group_machines(problem)
             flat_model, _ = build_rasa_model(problem)
-            agg_model, _ = build_aggregated_model(problem, groups)
+            agg_model, _ = build_rasa_model(problem, groups)
             flat = MIPAlgorithm().solve(problem, time_limit=TIME_LIMIT)
             agg = AggregatedMIPAlgorithm().solve(problem, time_limit=TIME_LIMIT)
             rows[name] = {

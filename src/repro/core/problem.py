@@ -211,6 +211,10 @@ class RASAProblem:
             dtype=float,
         )
         self._demands = np.array([svc.demand for svc in self.services], dtype=np.int64)
+        self._edges = tuple(
+            (self._service_index[u], self._service_index[v], w)
+            for (u, v), w in self.affinity.items()
+        )
         self._requests.setflags(write=False)
         self._capacities.setflags(write=False)
         self._demands.setflags(write=False)
@@ -247,6 +251,11 @@ class RASAProblem:
     def capacities_matrix(self) -> np.ndarray:
         """Machine capacities, shape ``(M, len(resource_types))``."""
         return self._capacities
+
+    @property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        """Affinity edges as ``(s, t, weight)`` index triples, in ``affinity.items()`` order."""
+        return self._edges
 
     def service_index(self, name: str) -> int:
         """Return the index of the named service."""

@@ -127,9 +127,7 @@ class Assignment:
         problem = self.problem
         total = 0.0
         demands = problem.demands.astype(float)
-        for (u, v), w in problem.affinity.items():
-            s = problem.service_index(u)
-            t = problem.service_index(v)
+        for s, t, w in problem.edges:
             ratios = np.minimum(self.x[s] / demands[s], self.x[t] / demands[t])
             total += w * float(ratios.sum())
         if normalized:

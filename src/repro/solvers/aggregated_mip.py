@@ -6,6 +6,11 @@ applies variable aggregation to meet SLOs at region scale.  This module
 implements that technique for RASA: one integer variable per
 ``(service, machine group)`` instead of per ``(service, machine)``.
 
+The model is the flat one — :func:`repro.solvers.mip.build_rasa_model` with
+``group_machines(problem)`` as its bins: a group of ``k`` machines has
+``k x`` its capacity and ``k x`` each anti-affinity limit on Eq. 4–5 (the
+group-level relaxation; per-machine rules are re-checked at deaggregation).
+
 Why this is sound: ``min`` is positively homogeneous, so splitting the
 group-level counts evenly across a group's ``k`` identical machines
 realizes *exactly* the aggregated objective in the fractional sense —
@@ -20,19 +25,26 @@ reduction, which is the whole point at cluster scale.
 The deaggregation step splits each group's counts across member machines
 with largest-remainder quotas, checks feasibility per machine, and the
 caller's usual repair pass picks up anything dropped.
+
+Every flat solution sums to an aggregated one, so the aggregated *model's*
+optimum is at least the flat optimum, and the realized placement at most.
+There is no lower bracket on the realized placement: demand-1 services
+cannot be split evenly and the greedy floor does not bound the loss.
+Demands ``[2, 1, 1, 2]`` of one cpu each on three 3-cpu machines with edges
+``s0–s1: 5, s1–s2: 1, s2–s3: 5`` give flat 10.0, aggregated model 11.0,
+realized 3.5 — 0.35 (pinned in ``tests/test_properties_solvers.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
 from repro.core.problem import RASAProblem
 from repro.core.solution import Assignment
 from repro.solvers.base import SolveResult, Stopwatch
 from repro.solvers.greedy import GreedyAlgorithm, PackingState, repair_unplaced
-from repro.solvers.lp import LinearModel
-from repro.solvers.milp_backend import solve_milp
+from repro.solvers.milp_backend import GAP_TOLERANCE, solve_milp
+from repro.solvers.mip import ModelLayout, build_rasa_model
 from repro.solvers.patterns import MachineGroup, group_machines
 
 
@@ -41,49 +53,33 @@ class AggregatedMIPAlgorithm:
 
     Args:
         backend: MILP backend identifier (``"highs"`` or ``"bnb"``).
-        gap_tolerance: Relative optimality gap accepted as optimal.
     """
 
     name = "agg-mip"
 
-    def __init__(self, backend: str = "highs", gap_tolerance: float = 1e-4) -> None:
+    def __init__(self, backend: str = "highs") -> None:
         self.backend = backend
-        self.gap_tolerance = gap_tolerance
 
     def solve(self, problem: RASAProblem, time_limit: float | None = None) -> SolveResult:
         """Solve the group-aggregated model and deaggregate to machines."""
         watch = Stopwatch(time_limit)
         groups = group_machines(problem)
-        model, layout = build_aggregated_model(problem, groups)
+        model, layout = build_rasa_model(problem, groups)
 
         if layout.num_variables == 0:
-            empty = Assignment.empty(problem)
-            return SolveResult(
-                assignment=empty,
-                algorithm=self.name,
-                status="no_variables",
-                runtime_seconds=watch.elapsed,
-                objective=0.0,
-            )
-
-        milp_result = solve_milp(
-            model,
-            time_limit=time_limit,
-            backend=self.backend,
-            gap_tolerance=self.gap_tolerance,
-        )
-        if milp_result.x is None:
-            assignment = GreedyAlgorithm().solve(problem).assignment
-            status = f"{milp_result.status}+greedy"
+            # Nothing is schedulable anywhere: return the empty placement.
+            assignment, status = Assignment.empty(problem), "no_variables"
         else:
-            x = deaggregate(problem, groups, layout, milp_result.x)
-            x = repair_unplaced(problem, x)
-            assignment = Assignment(problem, x)
-            status = milp_result.status
+            milp_result = solve_milp(
+                model, time_limit=time_limit, backend=self.backend, gap_tolerance=GAP_TOLERANCE
+            )
+            assignment, status = None, milp_result.status
+            if milp_result.x is not None:
+                x = deaggregate(problem, groups, layout, milp_result.x)
+                assignment = Assignment(problem, repair_unplaced(problem, x))
             greedy = GreedyAlgorithm().solve(problem)
-            if greedy.objective > assignment.gained_affinity():
-                assignment = greedy.assignment
-                status = f"{status}+greedy"
+            if assignment is None or greedy.objective > assignment.gained_affinity():
+                assignment, status = greedy.assignment, f"{status}+greedy"
 
         return SolveResult(
             assignment=assignment,
@@ -94,160 +90,10 @@ class AggregatedMIPAlgorithm:
         )
 
 
-class AggregatedLayout:
-    """Variable indexing for the aggregated model.
-
-    ``x`` variables cover ``(service, group)`` cells where the group is
-    schedulable for the service; ``a`` variables cover
-    ``(edge, group)`` pairs where both endpoints are schedulable.
-    """
-
-    def __init__(self, problem: RASAProblem, groups: list[MachineGroup]) -> None:
-        self.problem = problem
-        self.groups = groups
-        self.x_index: dict[tuple[int, int], int] = {}
-        for s in range(problem.num_services):
-            for g, group in enumerate(groups):
-                if group.schedulable[s]:
-                    self.x_index[(s, g)] = len(self.x_index)
-        self.num_x = len(self.x_index)
-
-        self.edges: list[tuple[int, int, float]] = []
-        for (u, v), w in problem.affinity.items():
-            self.edges.append(
-                (problem.service_index(u), problem.service_index(v), w)
-            )
-        self.a_index: dict[tuple[int, int], int] = {}
-        for e, (s, t, _w) in enumerate(self.edges):
-            for g, group in enumerate(groups):
-                if group.schedulable[s] and group.schedulable[t]:
-                    self.a_index[(e, g)] = self.num_x + len(self.a_index)
-        self.num_a = len(self.a_index)
-        self.num_variables = self.num_x + self.num_a
-
-
-def build_aggregated_model(
-    problem: RASAProblem,
-    groups: list[MachineGroup],
-) -> tuple[LinearModel, AggregatedLayout]:
-    """Build the group-aggregated RASA MILP (minimization form).
-
-    Aggregated constraints:
-
-    * SLA: ``sum_g x[s, g] == d_s``;
-    * resources: ``sum_s x[s, g] * R_s <= |g| * capacity_g`` per resource;
-    * anti-affinity: ``sum_{s in A_k} x[s, g] <= |g| * h_k`` (the group-level
-      relaxation; the per-machine rule is re-checked at deaggregation);
-    * affinity linearization exactly as in the flat model, per group.
-    """
-    layout = AggregatedLayout(problem, groups)
-    n_vars = layout.num_variables
-    demands = problem.demands.astype(float)
-
-    c = np.zeros(n_vars)
-    for idx in layout.a_index.values():
-        c[idx] = -1.0
-
-    lb = np.zeros(n_vars)
-    ub = np.full(n_vars, np.inf)
-    integrality = np.zeros(n_vars, dtype=bool)
-    for (s, _g), idx in layout.x_index.items():
-        ub[idx] = float(problem.demands[s])
-        integrality[idx] = True
-    for (e, _g), idx in layout.a_index.items():
-        ub[idx] = layout.edges[e][2]
-
-    rows_eq: list[int] = []
-    cols_eq: list[int] = []
-    vals_eq: list[float] = []
-    b_eq: list[float] = []
-    row = 0
-    for s in range(problem.num_services):
-        cells = [
-            layout.x_index[(s, g)]
-            for g in range(len(groups))
-            if (s, g) in layout.x_index
-        ]
-        if not cells:
-            continue
-        for idx in cells:
-            rows_eq.append(row)
-            cols_eq.append(idx)
-            vals_eq.append(1.0)
-        b_eq.append(float(problem.demands[s]))
-        row += 1
-    n_eq = row
-
-    rows_ub: list[int] = []
-    cols_ub: list[int] = []
-    vals_ub: list[float] = []
-    b_ub: list[float] = []
-    row = 0
-    requests = problem.requests_matrix
-    for g, group in enumerate(groups):
-        capacity = np.asarray(group.capacity)
-        for r in range(len(problem.resource_types)):
-            touched = False
-            for s in range(problem.num_services):
-                idx = layout.x_index.get((s, g))
-                if idx is None or requests[s, r] == 0.0:
-                    continue
-                rows_ub.append(row)
-                cols_ub.append(idx)
-                vals_ub.append(float(requests[s, r]))
-                touched = True
-            if touched:
-                b_ub.append(float(group.count * capacity[r]))
-                row += 1
-    for rule in problem.anti_affinity:
-        members = [problem.service_index(s) for s in rule.services]
-        for g, group in enumerate(groups):
-            touched = False
-            for s in members:
-                idx = layout.x_index.get((s, g))
-                if idx is None:
-                    continue
-                rows_ub.append(row)
-                cols_ub.append(idx)
-                vals_ub.append(1.0)
-                touched = True
-            if touched:
-                b_ub.append(float(group.count * rule.limit))
-                row += 1
-    for (e, g), a_idx in layout.a_index.items():
-        s, t, w = layout.edges[e]
-        for endpoint in (s, t):
-            x_idx = layout.x_index[(endpoint, g)]
-            rows_ub.append(row)
-            cols_ub.append(a_idx)
-            vals_ub.append(1.0)
-            rows_ub.append(row)
-            cols_ub.append(x_idx)
-            vals_ub.append(-w / demands[endpoint])
-            b_ub.append(0.0)
-            row += 1
-
-    model = LinearModel(
-        c=c,
-        a_ub=sparse.csr_matrix((vals_ub, (rows_ub, cols_ub)), shape=(row, n_vars))
-        if row
-        else None,
-        b_ub=np.asarray(b_ub) if row else None,
-        a_eq=sparse.csr_matrix((vals_eq, (rows_eq, cols_eq)), shape=(n_eq, n_vars))
-        if n_eq
-        else None,
-        b_eq=np.asarray(b_eq) if n_eq else None,
-        lb=lb,
-        ub=ub,
-        integrality=integrality,
-    )
-    return model, layout
-
-
 def deaggregate(
     problem: RASAProblem,
     groups: list[MachineGroup],
-    layout: AggregatedLayout,
+    layout: ModelLayout,
     solution: np.ndarray,
 ) -> np.ndarray:
     """Split group-level counts onto member machines.

@@ -25,7 +25,7 @@ from repro.obs import get_metrics, get_tracer
 from repro.solvers.base import SolveResult, Stopwatch
 from repro.solvers.greedy import GreedyAlgorithm, repair_unplaced
 from repro.solvers.lp import LinearModel, solve_lp
-from repro.solvers.milp_backend import solve_milp
+from repro.solvers.milp_backend import GAP_TOLERANCE, solve_milp
 from repro.solvers.patterns import (
     MachineGroup,
     Pattern,
@@ -38,6 +38,15 @@ from repro.solvers.patterns import (
 #: Minimum reduced cost treated as an actual improvement.
 REDUCED_COST_TOLERANCE = 1e-7
 
+#: Cap on master/pricing rounds.
+MAX_ITERATIONS = 40
+
+#: Share of the time budget reserved for the final integral rounding MILP.
+ROUNDING_FRACTION = 0.35
+
+#: Per-group budget (seconds) for one exact pricing solve.
+PRICING_TIME_LIMIT = 2.0
+
 
 class ColumnGenerationAlgorithm:
     """Solver-based RASA algorithm with sub-optimal quality but good scaling.
@@ -46,29 +55,15 @@ class ColumnGenerationAlgorithm:
         backend: MILP backend for pricing and final rounding.
         pricing: ``"mip"`` for exact pricing, ``"greedy"`` for the fast
             heuristic pricer (ablation point).
-        max_iterations: Cap on master/pricing rounds.
-        rounding_fraction: Share of the time budget reserved for the final
-            integral rounding MILP.
-        pricing_time_limit: Per-group budget for one exact pricing solve.
     """
 
     name = "cg"
 
-    def __init__(
-        self,
-        backend: str = "highs",
-        pricing: str = "mip",
-        max_iterations: int = 40,
-        rounding_fraction: float = 0.35,
-        pricing_time_limit: float = 2.0,
-    ) -> None:
+    def __init__(self, backend: str = "highs", pricing: str = "mip") -> None:
         if pricing not in ("mip", "greedy"):
             raise ValueError(f"pricing must be 'mip' or 'greedy', got {pricing!r}")
         self.backend = backend
         self.pricing = pricing
-        self.max_iterations = max_iterations
-        self.rounding_fraction = rounding_fraction
-        self.pricing_time_limit = pricing_time_limit
 
     # ------------------------------------------------------------------
     def solve(self, problem: RASAProblem, time_limit: float | None = None) -> SolveResult:
@@ -92,11 +87,11 @@ class ColumnGenerationAlgorithm:
 
         cg_budget = None
         if time_limit is not None:
-            cg_budget = time_limit * (1.0 - self.rounding_fraction)
+            cg_budget = time_limit * (1.0 - ROUNDING_FRACTION)
 
         iterations = 0
         columns_added = 0
-        for iteration in range(self.max_iterations):
+        for iteration in range(MAX_ITERATIONS):
             if cg_budget is not None and watch.elapsed >= cg_budget:
                 break
             with tracer.span("cg.iteration", index=iteration) as span:
@@ -170,7 +165,7 @@ class ColumnGenerationAlgorithm:
             problem,
             group,
             duals,
-            time_limit=self.pricing_time_limit,
+            time_limit=PRICING_TIME_LIMIT,
             backend=self.backend,
         )
 
@@ -256,7 +251,7 @@ def _round_master(
     if master.model.num_variables == 0:
         return None
     result = solve_milp(
-        master.model, time_limit=time_limit, backend=backend, gap_tolerance=1e-4
+        master.model, time_limit=time_limit, backend=backend, gap_tolerance=GAP_TOLERANCE
     )
     if result.x is None:
         return None

@@ -100,9 +100,7 @@ class PackingState:
 def neighbor_table(problem: RASAProblem) -> list[list[tuple[int, float]]]:
     """Adjacency list over service *indices* with affinity weights."""
     table: list[list[tuple[int, float]]] = [[] for _ in range(problem.num_services)]
-    for (u, v), w in problem.affinity.items():
-        s = problem.service_index(u)
-        t = problem.service_index(v)
+    for s, t, w in problem.edges:
         table[s].append((t, w))
         table[t].append((s, w))
     return table

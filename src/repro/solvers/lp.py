@@ -17,7 +17,7 @@ integrality mask, feeds the MILP backends in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -43,7 +43,6 @@ class LinearModel:
         lb: Per-variable lower bounds.
         ub: Per-variable upper bounds (``np.inf`` for unbounded).
         integrality: Boolean mask — True where the variable is integral.
-        variable_names: Optional debugging labels, parallel to ``c``.
     """
 
     c: np.ndarray
@@ -54,7 +53,6 @@ class LinearModel:
     lb: np.ndarray | None = None
     ub: np.ndarray | None = None
     integrality: np.ndarray | None = None
-    variable_names: list[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self.c = np.asarray(self.c, dtype=float)

@@ -30,6 +30,10 @@ from repro.solvers.lp import LinearModel
 #: Recognized backend identifiers.
 BACKENDS = ("highs", "bnb")
 
+#: Relative optimality gap the RASA algorithms (flat and aggregated MIP,
+#: pricing, master rounding) accept as optimal.
+GAP_TOLERANCE = 1e-4
+
 
 def solve_milp(
     model: LinearModel,

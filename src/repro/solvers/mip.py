@@ -1,19 +1,31 @@
-"""MIP-based RASA algorithm (paper Section IV-C1).
+"""MIP-based RASA algorithm (paper Section IV-C1) and the Eq. 2–9 builder.
 
-Builds the exact mixed-integer formulation of Eq. 2–9 and hands it to a
-MILP backend.  Decision variables:
+:func:`build_rasa_model` is the only place the paper's formulation turns
+into a :class:`~repro.solvers.lp.LinearModel`.  It is written over *bins*:
+one per machine (the flat model solved here), one per machine group (the
+aggregated model of :mod:`repro.solvers.aggregated_mip`), or the single
+machine a column-generation pricing call fills
+(:func:`repro.solvers.patterns.price_pattern_mip`).  Decision variables:
 
-* ``x[s, m]`` — integer count of service ``s`` containers on machine ``m``
-  (only materialized where the machine is schedulable for the service).
-* ``a[e, m]`` — continuous gained affinity of edge ``e`` on machine ``m``,
-  linearizing ``min(x[s,m]/d_s, x[s',m]/d_s')`` via the two upper-bounding
+* ``x[s, b]`` — integer count of service ``s`` containers in bin ``b``
+  (only materialized where the bin is schedulable for the service).
+* ``a[e, b]`` — continuous gained affinity of edge ``e`` in bin ``b``,
+  linearizing ``min(x[s,b]/d_s, x[s',b]/d_s')`` via the two upper-bounding
   constraints Eq. 7–8.
 
 The objective maximizes total gained affinity; internally the model is
 negated into scipy's minimization convention.
+
+The emission order is a contract — HiGHS breaks ties by it, so reordering
+moves solutions: ``x`` cells service-major then ``a`` cells edge-major;
+Eq. 4 rows bin-major/resource-minor, Eq. 5 rule-major/bin-minor, Eq. 7–8
+in ``a_index`` order with endpoint ``s`` before ``t`` and the ``a`` entry
+before the ``x`` entry.  ``tests/data/model_digests.json`` pins the bytes.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 from scipy import sparse
@@ -23,8 +35,9 @@ from repro.core.solution import Assignment
 from repro.obs import get_metrics, get_tracer
 from repro.solvers.base import SolveResult, Stopwatch
 from repro.solvers.branch_and_bound import MILPResult
+from repro.solvers.greedy import GreedyAlgorithm
 from repro.solvers.lp import LinearModel
-from repro.solvers.milp_backend import solve_milp
+from repro.solvers.milp_backend import GAP_TOLERANCE, solve_milp
 
 
 class MIPAlgorithm:
@@ -36,14 +49,12 @@ class MIPAlgorithm:
 
     Args:
         backend: MILP backend identifier (``"highs"`` or ``"bnb"``).
-        gap_tolerance: Relative optimality gap accepted as optimal.
     """
 
     name = "mip"
 
-    def __init__(self, backend: str = "highs", gap_tolerance: float = 1e-4) -> None:
+    def __init__(self, backend: str = "highs") -> None:
         self.backend = backend
-        self.gap_tolerance = gap_tolerance
 
     def solve(self, problem: RASAProblem, time_limit: float | None = None) -> SolveResult:
         """Solve the instance; falls back to an empty placement on failure.
@@ -73,7 +84,7 @@ class MIPAlgorithm:
             model,
             time_limit=time_limit,
             backend=self.backend,
-            gap_tolerance=self.gap_tolerance,
+            gap_tolerance=GAP_TOLERANCE,
         )
         metrics.counter("solver.mip.nodes").inc(milp_result.nodes_explored)
         for record in milp_result.incumbents:
@@ -87,8 +98,6 @@ class MIPAlgorithm:
         status = milp_result.status
         # A timed-out solve can return an incumbent worse than the cheap
         # affinity-aware packer; keep whichever placement gains more.
-        from repro.solvers.greedy import GreedyAlgorithm
-
         greedy = GreedyAlgorithm().solve(problem)
         if greedy.objective > objective:
             assignment = greedy.assignment
@@ -108,41 +117,65 @@ class MIPAlgorithm:
 class ModelLayout:
     """Index bookkeeping for the flat variable vector of the RASA MIP.
 
+    A *bin* is anything with a ``capacity`` vector, a ``schedulable`` column
+    and a ``count`` of interchangeable machines it stands for (a
+    :class:`~repro.solvers.patterns.MachineGroup`); ``groups=None`` means one
+    bin per machine, read straight from the problem's matrices.
+
     Variables are laid out as all ``x`` variables (one per schedulable
-    ``(service, machine)`` cell) followed by all ``a`` variables (one per
-    affinity-edge/machine pair whose both endpoints are schedulable there).
+    ``(service, bin)`` cell, service-major) followed by all ``a`` variables
+    (one per affinity-edge/bin pair whose both endpoints are schedulable
+    there, edge-major).
     """
 
-    def __init__(self, problem: RASAProblem) -> None:
+    def __init__(self, problem: RASAProblem, groups: Sequence | None = None) -> None:
         self.problem = problem
+        if groups is None:
+            self.schedulable = problem.schedulable
+            self.capacities = problem.capacities_matrix
+            self.counts = [1] * problem.num_machines
+        else:
+            self.schedulable = np.array([group.schedulable for group in groups], dtype=bool).T
+            self.capacities = np.array([group.capacity for group in groups], dtype=float)
+            self.counts = [group.count for group in groups]
+        self.num_bins = len(self.counts)
+
         self.x_index: dict[tuple[int, int], int] = {}
         for s in range(problem.num_services):
-            for m in range(problem.num_machines):
-                if problem.schedulable[s, m]:
-                    self.x_index[(s, m)] = len(self.x_index)
+            for b in range(self.num_bins):
+                if self.schedulable[s, b]:
+                    self.x_index[(s, b)] = len(self.x_index)
         self.num_x = len(self.x_index)
 
         self.a_index: dict[tuple[int, int], int] = {}
-        self.edges: list[tuple[int, int, float]] = []
-        for (u, v), w in problem.affinity.items():
-            s = problem.service_index(u)
-            t = problem.service_index(v)
-            self.edges.append((s, t, w))
+        self.edges = problem.edges
         for e, (s, t, _w) in enumerate(self.edges):
-            for m in range(problem.num_machines):
-                if problem.schedulable[s, m] and problem.schedulable[t, m]:
-                    self.a_index[(e, m)] = self.num_x + len(self.a_index)
+            for b in range(self.num_bins):
+                if self.schedulable[s, b] and self.schedulable[t, b]:
+                    self.a_index[(e, b)] = self.num_x + len(self.a_index)
         self.num_a = len(self.a_index)
         self.num_variables = self.num_x + self.num_a
 
 
-def build_rasa_model(problem: RASAProblem) -> tuple[LinearModel, ModelLayout]:
+def build_rasa_model(
+    problem: RASAProblem,
+    groups: Sequence | None = None,
+    sla: bool = True,
+) -> tuple[LinearModel, ModelLayout]:
     """Build the Eq. 2–9 MILP (minimization form) for a RASA instance.
+
+    Args:
+        problem: The instance.
+        groups: Bins (see :class:`ModelLayout`).  A group of ``count``
+            machines gets ``count x`` its capacity / each rule limit on the
+            Eq. 4–5 right-hand sides — the group-level relaxation.
+        sla: False omits the Eq. 3 demand rows (pricing fills one machine,
+            it does not place every container).
 
     Returns:
         The model and the variable layout needed to decode solutions.
     """
-    layout = ModelLayout(problem)
+    layout = ModelLayout(problem, groups)
     n_vars = layout.num_variables
     demands = problem.demands.astype(float)
 
@@ -154,10 +187,10 @@ def build_rasa_model(problem: RASAProblem) -> tuple[LinearModel, ModelLayout]:
     lb = np.zeros(n_vars)
     ub = np.full(n_vars, np.inf)
     integrality = np.zeros(n_vars, dtype=bool)
-    for (s, _m), idx in layout.x_index.items():
+    for (s, _b), idx in layout.x_index.items():
         ub[idx] = float(problem.demands[s])
         integrality[idx] = True
-    for (e, _m), idx in layout.a_index.items():
+    for (e, _b), idx in layout.a_index.items():
         ub[idx] = layout.edges[e][2]
 
     rows_eq: list[int] = []
@@ -165,15 +198,15 @@ def build_rasa_model(problem: RASAProblem) -> tuple[LinearModel, ModelLayout]:
     vals_eq: list[float] = []
     b_eq: list[float] = []
 
-    # Eq. 3 — SLA: sum_m x[s, m] == d_s.  Services with no schedulable
-    # machine get an (infeasible) 0 == d_s row only if d_s > 0; we instead
+    # Eq. 3 — SLA: sum_b x[s, b] == d_s.  Services with no schedulable
+    # bin get an (infeasible) 0 == d_s row only if d_s > 0; we instead
     # relax them to "place nowhere" by skipping the row, matching the
     # paper's tolerance for failed deployments handled by the default
     # scheduler.
     row = 0
-    for s in range(problem.num_services):
-        cells = [layout.x_index[(s, m)] for m in range(problem.num_machines)
-                 if (s, m) in layout.x_index]
+    for s in range(problem.num_services if sla else 0):
+        cells = [layout.x_index[(s, b)] for b in range(layout.num_bins)
+                 if (s, b) in layout.x_index]
         if not cells:
             continue
         for idx in cells:
@@ -190,14 +223,13 @@ def build_rasa_model(problem: RASAProblem) -> tuple[LinearModel, ModelLayout]:
     b_ub: list[float] = []
     row = 0
 
-    # Eq. 4 — resources: sum_s x[s, m] * R[r, s] <= R[r, m].
+    # Eq. 4 — resources: sum_s x[s, b] * R[r, s] <= count_b * R[r, b].
     requests = problem.requests_matrix
-    capacities = problem.capacities_matrix
-    for m in range(problem.num_machines):
+    for b in range(layout.num_bins):
         for r in range(len(problem.resource_types)):
             touched = False
             for s in range(problem.num_services):
-                idx = layout.x_index.get((s, m))
+                idx = layout.x_index.get((s, b))
                 if idx is None or requests[s, r] == 0.0:
                     continue
                 rows_ub.append(row)
@@ -205,16 +237,16 @@ def build_rasa_model(problem: RASAProblem) -> tuple[LinearModel, ModelLayout]:
                 vals_ub.append(float(requests[s, r]))
                 touched = True
             if touched:
-                b_ub.append(float(capacities[m, r]))
+                b_ub.append(float(layout.counts[b] * layout.capacities[b, r]))
                 row += 1
 
-    # Eq. 5 — anti-affinity: sum_{s in A_k} x[s, m] <= h_k.
+    # Eq. 5 — anti-affinity: sum_{s in A_k} x[s, b] <= count_b * h_k.
     for rule in problem.anti_affinity:
         members = [problem.service_index(s) for s in rule.services]
-        for m in range(problem.num_machines):
+        for b in range(layout.num_bins):
             touched = False
             for s in members:
-                idx = layout.x_index.get((s, m))
+                idx = layout.x_index.get((s, b))
                 if idx is None:
                     continue
                 rows_ub.append(row)
@@ -222,14 +254,14 @@ def build_rasa_model(problem: RASAProblem) -> tuple[LinearModel, ModelLayout]:
                 vals_ub.append(1.0)
                 touched = True
             if touched:
-                b_ub.append(float(rule.limit))
+                b_ub.append(float(layout.counts[b] * rule.limit))
                 row += 1
 
-    # Eq. 7–8 — affinity linearization: a[e, m] <= (w/d) * x[endpoint, m].
-    for (e, m), a_idx in layout.a_index.items():
+    # Eq. 7–8 — affinity linearization: a[e, b] <= (w/d) * x[endpoint, b].
+    for (e, b), a_idx in layout.a_index.items():
         s, t, w = layout.edges[e]
         for endpoint in (s, t):
-            x_idx = layout.x_index[(endpoint, m)]
+            x_idx = layout.x_index[(endpoint, b)]
             rows_ub.append(row)
             cols_ub.append(a_idx)
             vals_ub.append(1.0)

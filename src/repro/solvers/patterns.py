@@ -8,20 +8,21 @@ so patterns are generated per *machine group*.
 
 The pricing subproblem searches, for one group, the feasible pattern with
 the most positive reduced cost given the master LP's dual prices.  Two
-implementations are provided: an exact small MILP and a greedy fallback
-(used both for speed and as an ablation point).
+implementations are provided: an exact small MILP — the Eq. 2–9 model of
+:func:`repro.solvers.mip.build_rasa_model` for one machine of the group,
+with the duals as container costs — and a greedy fallback (used both for
+speed and as an ablation point).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import sparse
 
 from repro.core.problem import RASAProblem
-from repro.solvers.lp import LinearModel
-from repro.solvers.milp_backend import solve_milp
+from repro.solvers.milp_backend import GAP_TOLERANCE, solve_milp
+from repro.solvers.mip import build_rasa_model
 
 
 @dataclass(frozen=True)
@@ -98,9 +99,7 @@ def pattern_value(problem: RASAProblem, counts: np.ndarray) -> float:
     """
     demands = problem.demands.astype(float)
     total = 0.0
-    for (u, v), w in problem.affinity.items():
-        s = problem.service_index(u)
-        t = problem.service_index(v)
+    for s, t, w in problem.edges:
         total += w * min(counts[s] / demands[s], counts[t] / demands[t])
     return total
 
@@ -172,8 +171,10 @@ def price_pattern_mip(
 ) -> Pattern | None:
     """Exact pricing: maximize ``value(p) - duals @ p`` over feasible patterns.
 
-    Builds a small MILP with integer per-service counts and continuous edge
-    variables linearizing the ``min`` terms.
+    The model is :func:`~repro.solvers.mip.build_rasa_model` over one bin —
+    a single machine of the group — without the demand rows; pricing's own
+    part is the duals as ``x`` costs and the per-service bound (0 where the
+    group bars the service, else what demand and capacity allow).
 
     Args:
         problem: The instance.
@@ -186,77 +187,25 @@ def price_pattern_mip(
         The best pattern found, or None if the solve produced nothing.
     """
     n = problem.num_services
-    demands = problem.demands.astype(float)
-    edges = [
-        (problem.service_index(u), problem.service_index(v), w)
-        for (u, v), w in problem.affinity.items()
-    ]
-    n_vars = n + len(edges)
-
-    c = np.concatenate([np.asarray(duals, dtype=float), -np.ones(len(edges))])
-
-    lb = np.zeros(n_vars)
-    ub = np.zeros(n_vars)
+    # One all-schedulable machine of the group: a column per service, with
+    # schedulability living in the bounds below.
+    machine = replace(
+        group, machine_indices=group.machine_indices[:1], schedulable=(True,) * n
+    )
+    model, _layout = build_rasa_model(problem, [machine], sla=False)
+    model.c[:n] = duals
     capacity = np.asarray(group.capacity)
-    sched = np.asarray(group.schedulable, dtype=bool)
     for s in range(n):
-        if not sched[s]:
-            ub[s] = 0.0
+        if not group.schedulable[s]:
+            model.ub[s] = 0.0
             continue
         cap_bound = np.inf
         for r in range(len(problem.resource_types)):
             req = problem.requests_matrix[s, r]
             if req > 0:
                 cap_bound = min(cap_bound, capacity[r] / req)
-        ub[s] = min(float(problem.demands[s]), np.floor(cap_bound + 1e-9))
-    for e, (_s, _t, w) in enumerate(edges):
-        ub[n + e] = w
-
-    integrality = np.zeros(n_vars, dtype=bool)
-    integrality[:n] = True
-
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    b_ub: list[float] = []
-    row = 0
-    for r in range(len(problem.resource_types)):
-        requests = problem.requests_matrix[:, r]
-        if not (requests > 0).any():
-            continue
-        for s in np.nonzero(requests > 0)[0]:
-            rows.append(row)
-            cols.append(int(s))
-            vals.append(float(requests[s]))
-        b_ub.append(float(capacity[r]))
-        row += 1
-    for rule in problem.anti_affinity:
-        for s in rule.services:
-            rows.append(row)
-            cols.append(problem.service_index(s))
-            vals.append(1.0)
-        b_ub.append(float(rule.limit))
-        row += 1
-    for e, (s, t, w) in enumerate(edges):
-        for endpoint in (s, t):
-            rows.append(row)
-            cols.append(n + e)
-            vals.append(1.0)
-            rows.append(row)
-            cols.append(endpoint)
-            vals.append(-w / demands[endpoint])
-            b_ub.append(0.0)
-            row += 1
-
-    model = LinearModel(
-        c=c,
-        a_ub=sparse.csr_matrix((vals, (rows, cols)), shape=(row, n_vars)) if row else None,
-        b_ub=np.asarray(b_ub) if row else None,
-        lb=lb,
-        ub=ub,
-        integrality=integrality,
-    )
-    result = solve_milp(model, time_limit=time_limit, backend=backend, gap_tolerance=1e-4)
+        model.ub[s] = min(float(problem.demands[s]), np.floor(cap_bound + 1e-9))
+    result = solve_milp(model, time_limit=time_limit, backend=backend, gap_tolerance=GAP_TOLERANCE)
     if result.x is None:
         return None
     counts = np.rint(result.x[:n]).astype(np.int64)
@@ -284,9 +233,7 @@ def price_pattern_greedy(
     free = np.asarray(group.capacity, dtype=float).copy()
     sched = np.asarray(group.schedulable, dtype=bool)
     neighbors: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for (u, v), w in problem.affinity.items():
-        s = problem.service_index(u)
-        t = problem.service_index(v)
+    for s, t, w in problem.edges:
         neighbors[s].append((t, w))
         neighbors[t].append((s, w))
     rule_idx = [
@@ -322,9 +269,7 @@ def price_pattern_greedy(
         nonlocal free
         best: tuple[int, int] | None = None
         best_net = 1e-12
-        for (u, v), w in problem.affinity.items():
-            s = problem.service_index(u)
-            t = problem.service_index(v)
+        for s, t, w in problem.edges:
             if not (addable(s) and addable(t)):
                 continue
             if (

@@ -7,18 +7,14 @@ import pytest
 
 from repro.core import Machine, RASAProblem, Service
 from repro.solvers import MIPAlgorithm
-from repro.solvers.aggregated_mip import (
-    AggregatedLayout,
-    AggregatedMIPAlgorithm,
-    build_aggregated_model,
-    deaggregate,
-)
+from repro.solvers.aggregated_mip import AggregatedMIPAlgorithm, deaggregate
+from repro.solvers.mip import ModelLayout, build_rasa_model
 from repro.solvers.patterns import group_machines
 
 
 def test_aggregated_layout_skips_unschedulable(constrained_problem):
     groups = group_machines(constrained_problem)
-    layout = AggregatedLayout(constrained_problem, groups)
+    layout = ModelLayout(constrained_problem, groups)
     db = constrained_problem.service_index("db")
     # db is barred from m0's group.
     barred_groups = [
@@ -30,12 +26,10 @@ def test_aggregated_layout_skips_unschedulable(constrained_problem):
 
 
 def test_aggregated_model_is_smaller_than_flat(medium_cluster):
-    from repro.solvers.mip import build_rasa_model
-
     problem = medium_cluster.problem
     groups = group_machines(problem)
     flat_model, _ = build_rasa_model(problem)
-    agg_model, _ = build_aggregated_model(problem, groups)
+    agg_model, _ = build_rasa_model(problem, groups)
     assert agg_model.num_variables < flat_model.num_variables
     # The reduction factor is roughly machines-per-group.
     assert agg_model.num_variables * 2 < flat_model.num_variables
@@ -74,7 +68,7 @@ def test_deaggregation_even_split_exact():
     problem = RASAProblem(services, machines, affinity={("a", "b"): 1.0})
     groups = group_machines(problem)
     assert len(groups) == 1 and groups[0].count == 2
-    _model, layout = build_aggregated_model(problem, groups)
+    _model, layout = build_rasa_model(problem, groups)
     solution = np.zeros(layout.num_variables)
     solution[layout.x_index[(0, 0)]] = 4
     solution[layout.x_index[(1, 0)]] = 4

@@ -2,12 +2,24 @@
 
 from __future__ import annotations
 
+import importlib.util
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.core import Assignment, Machine, RASAProblem, Service
 from repro.solvers import MIPAlgorithm, build_rasa_model
 from repro.solvers.mip import ModelLayout
+
+_DATA_DIR = Path(__file__).resolve().parent / "data"
+
+_spec = importlib.util.spec_from_file_location(
+    "make_model_digests", _DATA_DIR / "make_model_digests.py"
+)
+make_model_digests = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(make_model_digests)
 
 
 def test_layout_skips_unschedulable_cells(constrained_problem):
@@ -28,6 +40,18 @@ def test_model_dimensions(tiny_problem):
     assert model.num_integer_variables == layout.num_x
     # Objective covers exactly the a-variables.
     assert (model.c != 0).sum() == layout.num_a
+
+
+def test_models_match_three_builder_parent_byte_for_byte():
+    """The flat, aggregated and pricing models are the ones bdf4fd7 built.
+
+    ``model_digests.json`` was written by ``make_model_digests.py`` running
+    on bdf4fd7, which had one builder per model; equal digests mean HiGHS is
+    handed the same bytes, so solutions cannot move.
+    """
+    pinned = json.loads((_DATA_DIR / "model_digests.json").read_text())
+    assert any(len(entry["pricing"]) > 1 for entry in pinned.values())
+    assert make_model_digests.compute_digests() == pinned
 
 
 def test_mip_finds_full_affinity_optimum(tiny_problem):

@@ -78,6 +78,17 @@ def test_mip_pricing_ignores_duals_zero(tiny_problem):
     assert pattern.value >= 10.0
 
 
+def test_mip_pricing_keeps_barred_service_at_zero(constrained_problem):
+    db = constrained_problem.service_index("db")
+    duals = np.zeros(constrained_problem.num_services)
+    barred = [g for g in group_machines(constrained_problem) if not g.schedulable[db]]
+    assert barred
+    for group in barred:
+        pattern = price_pattern_mip(constrained_problem, group, duals, time_limit=10)
+        assert pattern is not None and pattern.counts.sum() > 0
+        assert pattern.counts[db] == 0
+
+
 def test_greedy_pricing_returns_feasible_pattern(tiny_problem):
     groups = group_machines(tiny_problem)
     duals = np.zeros(tiny_problem.num_services)
