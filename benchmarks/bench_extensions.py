@@ -1,11 +1,8 @@
-"""Extension benchmarks: aggregation speed-up and continuous-vs-once churn.
+"""Extension benchmark: continuous-vs-once under churn.
 
-These back the two extension systems DESIGN.md adds beyond the paper's
-core pipeline:
+Backs the extension system DESIGN.md adds beyond the paper's core
+pipeline:
 
-* **Variable-aggregated MIP** (RAS-style, Section VI related work): same
-  objective over machine groups, 10–50x fewer variables.  Measured: model
-  size reduction, runtime, and quality vs. the flat MIP.
 * **Continuous optimization under churn** (Section III motivation): an
   :class:`~repro.cluster.replay.EventTrace` of scale/drain/traffic events,
   replayed through the CronJob closed loop against optimize-once.  The
@@ -19,50 +16,6 @@ from conftest import TIME_LIMIT, record_result
 
 from repro import api
 from repro.cluster import EventTrace, MachineDrain, ServiceScale, TrafficShift
-from repro.solvers import MIPAlgorithm
-from repro.solvers.aggregated_mip import AggregatedMIPAlgorithm
-from repro.solvers.mip import build_rasa_model
-from repro.solvers.patterns import group_machines
-
-
-def test_extension_aggregated_mip(benchmark, datasets):
-    """Aggregated vs flat MIP: model size, runtime, quality."""
-
-    def run():
-        rows = {}
-        for name, cluster in sorted(datasets.items()):
-            problem = cluster.problem
-            total = problem.affinity.total_affinity
-            groups = group_machines(problem)
-            flat_model, _ = build_rasa_model(problem)
-            agg_model, _ = build_rasa_model(problem, groups)
-            flat = MIPAlgorithm().solve(problem, time_limit=TIME_LIMIT)
-            agg = AggregatedMIPAlgorithm().solve(problem, time_limit=TIME_LIMIT)
-            rows[name] = {
-                "flat_variables": flat_model.num_variables,
-                "agg_variables": agg_model.num_variables,
-                "flat_gained": flat.objective / total,
-                "agg_gained": agg.objective / total,
-                "flat_runtime": flat.runtime_seconds,
-                "agg_runtime": agg.runtime_seconds,
-            }
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    print("\nExtension — variable-aggregated MIP vs flat MIP")
-    print(f"{'cluster':8s} {'vars flat->agg':>18s} {'gained flat/agg':>17s} "
-          f"{'runtime flat/agg':>18s}")
-    for name, row in sorted(rows.items()):
-        print(
-            f"{name:8s} {row['flat_variables']:>8d} -> {row['agg_variables']:<7d}"
-            f" {row['flat_gained']:>8.3f}/{row['agg_gained']:<8.3f}"
-            f" {row['flat_runtime']:>8.1f}s/{row['agg_runtime']:<7.1f}s"
-        )
-        assert row["agg_variables"] < row["flat_variables"]
-        assert row["agg_runtime"] <= row["flat_runtime"] + 1.0
-        # Aggregation loses little quality vs the (greedy-floored) flat MIP.
-        assert row["agg_gained"] >= row["flat_gained"] - 0.10
-    record_result("extension_aggregated_mip", rows)
 
 
 def test_extension_dynamic_churn(benchmark, datasets):

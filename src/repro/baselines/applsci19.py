@@ -105,7 +105,7 @@ class ApplSci19Algorithm:
                 continue
             for s in group:
                 for _ in range(int(problem.demands[s])):
-                    if state.feasible_machines(s)[machine]:
+                    if state.feasible_machines(s, machine):
                         state.place(s, machine)
                     else:
                         leftovers.append(s)

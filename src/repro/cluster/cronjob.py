@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -41,14 +40,12 @@ from repro.core.solution import Assignment
 from repro.exceptions import ClusterStateError
 from repro.faults import FaultInjector, attempt_with_retry, coerce_injector
 from repro.migration.path import MigrationPathBuilder
+from repro.migration.plan import CommandAction, MigrationPlan, alive_floor
 from repro.obs import get_logger, get_metrics, get_tracer, kv
 from repro.obs.context import current_trace_id
 from repro.obs.server import TelemetryHub
 from repro.schemas import check_schema, tag_schema
 from repro.workloads.trace_io import problem_from_dict
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.migration.plan import MigrationPlan
 
 #: The paper's churn gate: execute only on > 3 % gained-affinity improvement.
 IMPROVEMENT_GATE = 0.03
@@ -228,7 +225,7 @@ class CronJobController:
     telemetry: "TelemetryHub | None" = None
     stream: "EventStreamCursor | None" = None
     history: list[CycleReport] = field(default_factory=list)
-    last_plan: "MigrationPlan | None" = field(default=None, repr=False)
+    last_plan: MigrationPlan | None = field(default=None, repr=False)
 
     # ------------------------------------------------------------------
     def run_once(self) -> CycleReport:
@@ -571,7 +568,7 @@ class CronJobController:
         """Delete every container on a killed machine."""
         problem = self.state.problem
         m = problem.machine_index(machine)
-        column = self.state.placement[:, m]
+        column = self.state.books.x[:, m].copy()  # the deletes below write the books
         for s in np.nonzero(column)[0]:
             for _ in range(int(column[s])):
                 self.state.delete_container(problem.services[int(s)].name, machine)
@@ -585,12 +582,10 @@ class CronJobController:
         loop, and a permanent failure aborts the replay back to the last
         SLA-safe step boundary.
         """
-        from repro.migration.plan import CommandAction
-
         metrics = get_metrics()
         logger = get_logger("cluster.cronjob")
         demands = self.state.problem.demands
-        alive_floor = np.floor(plan.sla_floor * demands).astype(np.int64)
+        floor = alive_floor(plan.sla_floor, demands)
 
         outcome = _ApplyOutcome()
         safe_placement = self.state.placement
@@ -631,10 +626,10 @@ class CronJobController:
                         kv(cycle=cycle, step=step_index, command=str(command),
                            error=str(exc)),
                     )
-            alive = self.state.placement.sum(axis=1)
+            alive = self.state.books.x.sum(axis=1)
             fraction = float((alive / np.maximum(demands, 1)).min()) if alive.size else 1.0
             outcome.min_alive = min(outcome.min_alive, fraction)
-            if (alive >= alive_floor).all():
+            if (alive >= floor).all():
                 safe_placement = self.state.placement
                 outcome.safe_steps = step_index + 1
                 outcome.moved_at_safe = moved
@@ -646,9 +641,8 @@ class CronJobController:
 
     def _sla_satisfied(self) -> bool:
         """Whether the live state meets the integral SLA floor per service."""
-        demands = self.state.problem.demands
-        alive_floor = np.floor(self.sla_floor * demands).astype(np.int64)
-        return bool((self.state.placement.sum(axis=1) >= alive_floor).all())
+        floor = alive_floor(self.sla_floor, self.state.problem.demands)
+        return bool((self.state.books.x.sum(axis=1) >= floor).all())
 
     def _skewed_machines(self, top_fraction: float = 0.1) -> list[str]:
         """Most-utilized machines — the rollback's unschedulable targets."""

@@ -9,7 +9,8 @@ The placement is kept in one :class:`~repro.solvers.greedy.PackingState`
 counts, updated in place by every create/delete.  The packer's
 ``feasible_machines`` is therefore the single statement of "may this
 machine take one more container" (capacity, anti-affinity,
-schedulability) for the solvers, this state and the default scheduler.
+schedulability) for the solvers, this state, the default scheduler and
+the migration path builder.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ class ClusterState:
         """Add one container; raises when capacity or constraints forbid it."""
         s = self.problem.service_index(service)
         m = self.problem.machine_index(machine)
-        if not self.books.feasible_machines(s)[m]:
+        if not self.books.feasible_machines(s, m):
             raise ClusterStateError(
                 f"{machine!r} cannot take one more container of {service!r} "
                 f"(schedulability, free resources or anti-affinity)"

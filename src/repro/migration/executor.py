@@ -4,8 +4,15 @@ and fault tolerance.
 The executor replays a :class:`~repro.migration.plan.MigrationPlan` command
 set by command set, verifying after *every* set that
 
-* no machine exceeds its resource capacity, and
+* the placement is feasible (Eq. 4–6: capacity, anti-affinity,
+  schedulability) at that step boundary, and
 * every service keeps at least the plan's SLA floor of containers alive.
+
+Feasibility is the verifier's verdict —
+``Assignment.check_feasibility(check_sla=False)`` — never the packer's
+``feasible_machines`` the path builder constructs with: the executor is the
+oracle for Algorithm 2 and must not share the builder's statement of the
+rule.
 
 It backs :func:`repro.api.execute_plan` and the test suite's proofs of
 Algorithm 2's invariants (and of the naive plan's violation of them); the
@@ -33,10 +40,10 @@ import numpy as np
 
 from repro.core.config import RetryPolicy
 from repro.core.problem import RASAProblem
-from repro.core.solution import RESOURCE_TOLERANCE, Assignment
+from repro.core.solution import Assignment
 from repro.exceptions import MigrationError
 from repro.faults import FaultInjector, attempt_with_retry
-from repro.migration.plan import CommandAction, MigrationPlan
+from repro.migration.plan import CommandAction, MigrationPlan, alive_floor
 from repro.obs import get_logger, get_metrics, get_tracer, kv
 from repro.schemas import check_schema, tag_schema
 
@@ -165,12 +172,7 @@ class MigrationExecutor:
         """
         x = start.x.copy()
         demands = problem.demands.astype(float)
-        requests = problem.requests_matrix
-        capacities = problem.capacities_matrix
-        # Integral floor matching the path builder: a service with demand d
-        # must keep at least floor(sla_floor * d) containers alive, which
-        # lets single-container services move at all.
-        alive_floor = np.floor(plan.sla_floor * demands)
+        floor = alive_floor(plan.sla_floor, problem.demands)
 
         min_alive = 1.0
         peak_over = 0.0
@@ -249,26 +251,23 @@ class MigrationExecutor:
                     alive_fractions.append(step_min)
                     min_alive = min(min_alive, step_min)
                     step_span.set_tag("min_alive_fraction", step_min)
-                    deficit = alive_floor - alive_counts
+                    deficit = floor - alive_counts
                     sla_ok = not (deficit > 0).any()
                     if self.strict and not sla_ok:
                         worst = int(np.argmax(deficit))
                         raise MigrationError(
                             f"step {step_index}: service {problem.services[worst].name} "
                             f"has {int(alive_counts[worst])} alive "
-                            f"(< floor {int(alive_floor[worst])} from the "
+                            f"(< floor {int(floor[worst])} from the "
                             f"{plan.sla_floor:.0%} SLA floor)"
                         )
 
-                    usage = x.T.astype(float) @ requests
-                    over = float((usage - capacities).max())
-                    peak_over = max(peak_over, over)
-                    capacity_ok = over <= RESOURCE_TOLERANCE
-                    if self.strict and not capacity_ok:
-                        raise MigrationError(
-                            f"step {step_index}: resource capacity exceeded by {over:.3f}"
-                        )
-                    if sla_ok and capacity_ok:
+                    verdict = Assignment(problem, x).check_feasibility(check_sla=False)
+                    for _machine, _resource, used, capacity in verdict.resource_violations:
+                        peak_over = max(peak_over, used - capacity)
+                    if self.strict and not verdict.feasible:
+                        raise MigrationError(f"step {step_index}: {verdict.summary()}")
+                    if sla_ok and verdict.feasible:
                         safe_x = x.copy()
                         safe_steps = step_index + 1
 

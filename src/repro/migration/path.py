@@ -5,7 +5,14 @@ alternating delete and create command sets while
 
 * keeping at least ``sla_floor`` (default 75 %) of every service's
   containers alive at all times, and
-* never exceeding any machine's resource capacity.
+* staying feasible (Eq. 4–6: capacity, anti-affinity, schedulability) at
+  every step boundary.
+
+The builder states no feasibility rule of its own: every mid-path placement
+lives in a :class:`~repro.solvers.greedy.PackingState` and a create is
+admitted only where the packer's ``feasible_machines`` says the machine may
+take one more container.  The executor checks the result independently,
+with the verifier (``Assignment.check_feasibility``).
 
 Container choice is driven by each service's *offline ratio* — the fraction
 of its containers deleted but not yet recreated: deletions pick the service
@@ -20,8 +27,9 @@ import numpy as np
 from repro.core.problem import RASAProblem
 from repro.core.solution import Assignment
 from repro.exceptions import MigrationError
-from repro.migration.plan import Command, CommandAction, MigrationPlan
+from repro.migration.plan import Command, CommandAction, MigrationPlan, alive_floor
 from repro.obs import get_metrics, get_tracer
+from repro.solvers.greedy import PackingState
 
 #: Safety cap on path iterations (each iteration emits >= 1 command when
 #: progress is possible, so this bounds plans at ~2 * containers steps).
@@ -51,22 +59,17 @@ class MigrationPathBuilder:
         Returns:
             A :class:`MigrationPlan`; ``plan.complete`` is False when the
             path stalls (some containers cannot move without violating the
-            SLA floor or capacities) — the residual diff is then left to the
+            SLA floor or Eq. 4–6) — the residual diff is then left to the
             cluster's default scheduler, matching the paper's tolerance.
         """
         tracer = get_tracer()
         metrics = get_metrics()
         metrics.gauge("migration.sla_floor").set(self.sla_floor)
-        current = original.x.copy()
+        books = PackingState(problem, original.x)
         goal = target.x
         demands = problem.demands
-        requests = problem.requests_matrix
-        capacities = problem.capacities_matrix
-        free = capacities - current.T.astype(float) @ requests
-        # Alive floor per service: floor(sla * d) tolerates single-container
-        # services, which could otherwise never move.
-        alive_floor = np.floor(self.sla_floor * demands).astype(np.int64)
-        alive = current.sum(axis=1)
+        floor = alive_floor(self.sla_floor, demands)
+        alive = books.x.sum(axis=1)
         offline = np.maximum(demands - alive, 0)
 
         plan = MigrationPlan(sla_floor=self.sla_floor)
@@ -74,19 +77,18 @@ class MigrationPathBuilder:
 
         with tracer.span("migration.build", sla_floor=self.sla_floor) as build_span:
             for batch in range(MAX_ITERATIONS):
-                surplus = current - goal  # >0: delete here, <0: create here
+                surplus = books.x - goal  # >0: delete here, <0: create here
                 if not (surplus > 0).any() and not (surplus < 0).any():
                     break
 
                 with tracer.span("migration.batch", index=batch) as batch_span:
                     deletes = self._select_deletes(
-                        surplus, alive, alive_floor, demands, offline
+                        surplus, alive, floor, demands, offline
                     )
                     for service, machine in deletes:
-                        current[service, machine] -= 1
+                        books.remove(service, machine)
                         alive[service] -= 1
                         offline[service] += 1
-                        free[machine] += requests[service]
                     if deletes:
                         plan.steps.append(
                             [
@@ -96,15 +98,14 @@ class MigrationPathBuilder:
                             ]
                         )
 
-                    surplus = current - goal
+                    surplus = books.x - goal
                     creates = self._select_creates(
-                        problem, surplus, free, requests, demands, alive, offline
+                        books, surplus, demands, alive, offline
                     )
                     for service, machine in creates:
-                        current[service, machine] += 1
+                        books.place(service, machine)
                         alive[service] += 1
                         offline[service] = max(0, offline[service] - 1)
-                        free[machine] -= requests[service]
                     if creates:
                         plan.steps.append(
                             [
@@ -124,7 +125,7 @@ class MigrationPathBuilder:
                 raise MigrationError("migration path exceeded the iteration cap")
 
             plan.moved_containers = moved
-            if plan.complete and not np.array_equal(current, goal):
+            if plan.complete and not np.array_equal(books.x, goal):
                 plan.complete = False
             build_span.set_tag("moved_containers", moved)
             build_span.set_tag("steps", len(plan.steps))
@@ -138,7 +139,7 @@ class MigrationPathBuilder:
         self,
         surplus: np.ndarray,
         alive: np.ndarray,
-        alive_floor: np.ndarray,
+        floor: np.ndarray,
         demands: np.ndarray,
         offline: np.ndarray,
     ) -> list[tuple[int, int]]:
@@ -154,7 +155,7 @@ class MigrationPathBuilder:
             best_service = -1
             best_ratio = np.inf
             for s in candidates:
-                if pending[s] - 1 < alive_floor[s]:
+                if pending[s] - 1 < floor[s]:
                     continue
                 ratio = offline[s] / demands[s]
                 if ratio < best_ratio:
@@ -166,21 +167,19 @@ class MigrationPathBuilder:
 
     def _select_creates(
         self,
-        problem: RASAProblem,
+        books: PackingState,
         surplus: np.ndarray,
-        free: np.ndarray,
-        requests: np.ndarray,
         demands: np.ndarray,
         alive: np.ndarray,
         offline: np.ndarray,
     ) -> list[tuple[int, int]]:
         """One creation per machine: among services scheduled here in the
-        target, missing locally, still short of their demand, and fitting
-        the machine's free resources, pick the highest offline ratio."""
+        target, missing locally, still short of their demand, and which the
+        machine may take (the packer's Eq. 4–6 rule), pick the highest
+        offline ratio."""
         chosen: list[tuple[int, int]] = []
         num_machines = surplus.shape[1]
         pending_alive = alive.copy()
-        pending_free = free.copy()
         for m in range(num_machines):
             candidates = np.nonzero(surplus[:, m] < 0)[0]
             best_service = -1
@@ -188,7 +187,7 @@ class MigrationPathBuilder:
             for s in candidates:
                 if pending_alive[s] >= demands[s]:
                     continue
-                if (requests[s] > pending_free[m] + 1e-9).any():
+                if not books.feasible_machines(s, m):
                     continue
                 ratio = offline[s] / demands[s]
                 if ratio > best_ratio:
@@ -196,7 +195,6 @@ class MigrationPathBuilder:
             if best_service >= 0:
                 chosen.append((best_service, m))
                 pending_alive[best_service] += 1
-                pending_free[m] -= requests[best_service]
         return chosen
 
 

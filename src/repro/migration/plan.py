@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
+import numpy as np
+
 from repro.schemas import check_schema, tag_schema
 
 
@@ -31,6 +33,15 @@ class Command:
 
     def __str__(self) -> str:
         return f"({self.action.value}, {self.service}, {self.machine})"
+
+
+def alive_floor(sla_floor: float, demands: np.ndarray) -> np.ndarray:
+    """Containers each service must keep alive during a migration (int64).
+
+    ``floor(sla_floor * d)`` rather than a fraction test tolerates
+    single-container services, which could otherwise never move.
+    """
+    return np.floor(sla_floor * demands).astype(np.int64)
 
 
 @dataclass

@@ -49,14 +49,23 @@ class PackingState:
             for s in members:
                 self._service_rules[s].append(k)
 
-    def feasible_machines(self, service: int) -> np.ndarray:
-        """Boolean mask of machines that can accept one more container."""
+    def feasible_machines(
+        self, service: int, machines: int | slice | np.ndarray = slice(None)
+    ) -> np.ndarray:
+        """Boolean mask of machines that can accept one more container.
+
+        Args:
+            machines: Restrict the question to these machines — an index
+                array returns the sub-mask, a single int a scalar bool; the
+                default asks about every machine.
+        """
         problem = self.problem
         request = problem.requests_matrix[service]
-        mask = problem.schedulable[service].copy()
-        mask &= np.all(self.free >= request - 1e-9, axis=1)
+        mask = problem.schedulable[service, machines] & np.all(
+            self.free[machines] >= request - 1e-9, axis=-1
+        )
         for k in self._service_rules[service]:
-            mask &= self.rule_counts[k] < self.rule_limits[k]
+            mask &= self.rule_counts[k, machines] < self.rule_limits[k]
         return mask
 
     def place(self, service: int, machine: int) -> None:
@@ -167,7 +176,7 @@ def proportional_cluster_seed(problem: RASAProblem, state: PackingState) -> None
                 for _ in range(quota):
                     if state.x[s].sum() >= problem.demands[s]:
                         break
-                    if not state.feasible_machines(s)[m]:
+                    if not state.feasible_machines(s, m):
                         break
                     state.place(s, int(m))
 
@@ -222,7 +231,7 @@ def group_growth_seed(problem: RASAProblem, state: PackingState) -> None:
         machine = int(np.argmin(leftover))
         for s in group:
             for _ in range(int(demands[s])):
-                if not state.feasible_machines(s)[machine]:
+                if not state.feasible_machines(s, machine):
                     break
                 state.place(s, machine)
 

@@ -30,8 +30,8 @@ from repro.solvers.lp import LinearModel
 #: Recognized backend identifiers.
 BACKENDS = ("highs", "bnb")
 
-#: Relative optimality gap the RASA algorithms (flat and aggregated MIP,
-#: pricing, master rounding) accept as optimal.
+#: Relative optimality gap the RASA algorithms (flat MIP, pricing, master
+#: rounding) accept as optimal.
 GAP_TOLERANCE = 1e-4
 
 

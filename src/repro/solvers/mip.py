@@ -3,7 +3,7 @@
 :func:`build_rasa_model` is the only place the paper's formulation turns
 into a :class:`~repro.solvers.lp.LinearModel`.  It is written over *bins*:
 one per machine (the flat model solved here), one per machine group (the
-aggregated model of :mod:`repro.solvers.aggregated_mip`), or the single
+group-aggregated model, a relaxation of the flat one), or the single
 machine a column-generation pricing call fills
 (:func:`repro.solvers.patterns.price_pattern_mip`).  Decision variables:
 

@@ -1,10 +1,11 @@
 """Regenerate ``model_digests.json`` in this directory.
 
-Run it with the source tree of the commit whose Eq. 2–9 models the digests
-pin (they were written by bdf4fd7, the parent of the one-builder refactor,
-which still had three builders), never with the current tree::
+The committed digests pin the Eq. 2–9 models of bdf4fd7, the parent of the
+one-builder refactor, which still had three builders.  Every tree since has
+the one ``build_rasa_model`` and must regenerate the same bytes — run it to
+check (``git diff`` stays empty), never to move the pin::
 
-    PYTHONPATH=<checkout of bdf4fd7>/src python make_model_digests.py
+    PYTHONPATH=src python tests/data/make_model_digests.py
 
 For M3 and T3 whole (both have unschedulable cells and anti-affinity
 rules) and every ``MultiStagePartitioner(max_subproblem_services=12)`` shard
@@ -24,16 +25,13 @@ from unittest import mock
 import numpy as np
 
 from repro.partitioning.multistage import MultiStagePartitioner
-from repro.solvers import aggregated_mip, patterns
+from repro.solvers import patterns
 from repro.solvers.branch_and_bound import MILPResult
 from repro.solvers.mip import build_rasa_model
 from repro.workloads.datasets import load_cluster
 
 HERE = Path(__file__).resolve().parent
 DIGESTS = HERE / "model_digests.json"
-
-# bdf4fd7 built the aggregated model with its own copy of the builder.
-build_aggregated = getattr(aggregated_mip, "build_aggregated_model", build_rasa_model)
 
 
 def model_digest(model) -> str:
@@ -88,7 +86,7 @@ def compute_digests() -> dict[str, dict]:
         groups = patterns.group_machines(problem)
         digests[label] = {
             "flat": model_digest(build_rasa_model(problem)[0]),
-            "aggregated": model_digest(build_aggregated(problem, groups)[0]),
+            "aggregated": model_digest(build_rasa_model(problem, groups)[0]),
             "pricing": pricing_digests(problem, groups),
         }
     return digests

@@ -261,7 +261,6 @@ BENCHMARK_ONLY_MODULES = {
     "repro.analysis.report",
     "repro.cluster.network",
     "repro.partitioning.kahip_like",
-    "repro.solvers.aggregated_mip",
     "repro.workloads.powerlaw",
 }
 

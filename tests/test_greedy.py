@@ -52,6 +52,21 @@ def test_packing_state_respects_schedulability(constrained_problem):
     assert not state.feasible_machines(db)[0]  # db barred from m0
 
 
+def test_feasible_machines_subset_matches_full_mask(constrained_problem):
+    state = PackingState(constrained_problem)
+    web = constrained_problem.service_index("web")
+    state.place(web, 0)
+    state.place(web, 0)  # rule limit reached on m0
+    for s in range(constrained_problem.num_services):
+        full = state.feasible_machines(s)
+        for m in range(constrained_problem.num_machines):
+            assert state.feasible_machines(s, m) == full[m]
+        picked = np.array([2, 0])
+        assert state.feasible_machines(s, picked).tolist() == full[picked].tolist()
+    # Asking must not write through to the problem's schedulability matrix.
+    assert constrained_problem.schedulable[web, 0]
+
+
 def test_affinity_delta_matches_objective_change(tiny_problem):
     state = PackingState(tiny_problem)
     neighbors = neighbor_table(tiny_problem)

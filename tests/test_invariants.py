@@ -26,14 +26,12 @@ from repro.solvers import (
     LocalSearchAlgorithm,
     MIPAlgorithm,
 )
-from repro.solvers.aggregated_mip import AggregatedMIPAlgorithm
 
 SOLVERS = [
     GreedyAlgorithm,
     MIPAlgorithm,
     ColumnGenerationAlgorithm,
     LocalSearchAlgorithm,
-    AggregatedMIPAlgorithm,
 ]
 
 SEEDS = range(6)
