@@ -1,4 +1,4 @@
-"""Analytics and reporting: placement metrics, tables, benchmark summaries."""
+"""Analytics: placement metrics and the Lemma 1 partition-loss checks."""
 
 from repro.analysis.lemma1 import (
     Lemma1Check,
@@ -16,12 +16,6 @@ from repro.analysis.metrics import (
     pair_localization_table,
     placement_metrics,
 )
-from repro.analysis.report import (
-    format_table,
-    load_results,
-    render_results_overview,
-    summarize_comparison,
-)
 
 __all__ = [
     "Lemma1Check",
@@ -31,13 +25,9 @@ __all__ = [
     "check_problem",
     "churn_between",
     "constant_sweep",
-    "format_table",
     "lemma1_bound",
     "master_head_size",
     "tail_share",
-    "load_results",
     "pair_localization_table",
     "placement_metrics",
-    "render_results_overview",
-    "summarize_comparison",
 ]

@@ -68,7 +68,7 @@ from repro.faults import FaultInjector, FaultPlan, coerce_injector
 from repro.migration.executor import ExecutionTrace, MigrationExecutor
 from repro.migration.path import MigrationPathBuilder
 from repro.migration.plan import MigrationPlan
-from repro.obs import JsonlStreamWriter, TelemetryHub, TelemetryServer
+from repro.obs import JsonlStreamWriter, TelemetryHub, TelemetryServer, get_metrics
 from repro.service.app import OptimizerService, ServiceConfig
 from repro.service.client import ServiceClient
 
@@ -464,15 +464,31 @@ def resume_control_loop(
     Returns:
         The full report history, restored cycles included.
     """
-    return _run_observed(
-        lambda hub: prepare_resume(
+    def build(hub: "TelemetryHub | None") -> "Callable[[], list[CycleReport]]":
+        loop = prepare_resume(
             checkpoint_dir,
             cycles=cycles,
             allow_cold_start=allow_cold_start,
             checkpoint_every=checkpoint_every,
             shutdown=shutdown,
             telemetry=hub,
-        ).run,
+        )
+        # This loop owns the process, so its counters/gauges survive the
+        # restart via the last report's snapshot (histograms restart empty
+        # — their reservoirs are process-local).  Tenants of a service
+        # share the registry their reports snapshot, so they must not.
+        if loop.controller.history:
+            last = loop.controller.history[-1].metrics
+            get_metrics().merge(
+                {
+                    "counters": dict(last.get("counters", {})),
+                    "gauges": dict(last.get("gauges", {})),
+                }
+            )
+        return loop.run
+
+    return _run_observed(
+        build,
         telemetry_port,
         telemetry_host,
         cycle_stream,
@@ -499,7 +515,7 @@ def start_service(
     snapshots, trigger or cron-schedule optimization cycles, fetch
     migration plans and cycle reports, and scrape per-tenant ``/healthz``
     and ``/metrics``.  Tenant control loops shard onto a bounded worker
-    pool (consistent-hash tenant → slot); each tenant keeps its own
+    pool (each tenant pinned to one slot); each tenant keeps its own
     checkpoint directory, fault plan, and degradation policy.
 
     Args:

@@ -329,16 +329,6 @@ def prepare_resume(
             cold_start=cold,
         ),
     )
-    # Counters/gauges survive the restart via the last report's snapshot
-    # (histograms restart empty — their reservoirs are process-local).
-    if controller.history:
-        last = controller.history[-1].metrics
-        metrics.merge(
-            {
-                "counters": dict(last.get("counters", {})),
-                "gauges": dict(last.get("gauges", {})),
-            }
-        )
     if telemetry is not None:
         for report in controller.history:
             telemetry.publish_cycle(report)

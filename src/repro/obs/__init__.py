@@ -20,10 +20,10 @@ Independent pieces with one import surface:
   pagination.
 * :mod:`repro.obs.slo` — per-tenant SLO specs and the multi-window
   burn-rate alert engine (:class:`SLOSpec`, :class:`SLOEngine`).
-* :mod:`repro.obs.server` — stdlib HTTP telemetry endpoint
-  (``/metrics``, ``/healthz``, ``/cycles``, ``/trace``,
-  ``/trace/otlp``) the control loop attaches via a
-  :class:`TelemetryHub`.
+* :mod:`repro.obs.server` — the stdlib HTTP serving layer (one listener,
+  one request pipeline) and the telemetry endpoint on it (``/metrics``,
+  ``/healthz``, ``/cycles``, ``/trace``, ``/trace/otlp``) the control
+  loop attaches via a :class:`TelemetryHub`.
 * :mod:`repro.obs.profile` — opt-in per-span cProfile capture attaching
   top-N hotspot tables to solver and partitioning spans; the process
   default is a no-op :class:`NullProfiler`.

@@ -16,7 +16,7 @@ manages N named clusters as independent tenants:
   :func:`repro.api.run_control_loop` so a tenant's cycle reports are
   bit-identical to the equivalent single-tenant run.
 * :class:`~repro.service.pool.ControllerPool` — bounded worker set the
-  per-tenant loops shard onto (consistent-hash tenant → slot); one
+  per-tenant loops shard onto (each tenant pinned to one slot); one
   tenant's cycles always run serialized on one worker, different tenants
   run concurrently.
 * :class:`~repro.service.client.ServiceClient` — stdlib HTTP client

@@ -1,11 +1,12 @@
 """The multi-tenant optimizer service: a versioned REST control plane.
 
 One process hosts N named clusters as independent tenants.  The HTTP
-layer is the same stdlib :class:`~http.server.ThreadingHTTPServer`
-plumbing the telemetry server uses (no new dependencies); tenant work is
-executed on a :class:`~repro.service.pool.ControllerPool`, so handler
-threads stay cheap and one tenant's control loop never interleaves with
-itself.
+layer is :mod:`repro.obs.server`'s listener and request pipeline (trace
+context, routing, 400/404/405/500 mapping, typed request parsing, access
+log — described there once); this module adds the route table below and
+one short handler method per row.  Tenant work is executed on a
+:class:`~repro.service.pool.ControllerPool`, so handler threads stay
+cheap and one tenant's control loop never interleaves with itself.
 
 Surface (all request/response documents are ``schema_version``-tagged
 JSON, :mod:`repro.schemas`):
@@ -35,16 +36,11 @@ GET    ``/v1/trace/otlp``                 live OTLP/JSON trace document
 GET    ``/v1/jobs/<id>``                  async trigger status
 ====== ================================== ===================================
 
-Request tracing: every request runs under a
-:class:`~repro.obs.context.TraceContext` — continued from the client's
-W3C ``traceparent`` header when one is sent, minted from the service's
-deterministic :class:`~repro.obs.context.TraceIdFactory` otherwise.  The
-context crosses the controller-pool thread boundary with the job, so the
-HTTP access-log line, the tenant's audit events, the cycle's spans
-(Chrome and OTLP exports), and ``CycleReport.trace_id`` all carry the
-same trace id.  Unhandled errors return a uniform envelope
-``{"error", "error_id", "trace_id"}`` with the exception detail kept in
-the server log under the ``error_id``.
+Request tracing: the pipeline's per-request
+:class:`~repro.obs.context.TraceContext` crosses the controller-pool
+thread boundary with the job, so the HTTP access-log line, the tenant's
+audit events, the cycle's spans (Chrome and OTLP exports), and
+``CycleReport.trace_id`` all carry the same trace id.
 
 Scheduling: a ticker thread fires one cycle per tenant every
 ``schedule_seconds`` (wall clock).  A scheduled tick is skipped while the
@@ -62,26 +58,19 @@ disk — schedules included.
 from __future__ import annotations
 
 import itertools
-import json
 import re
 import threading
 import time
 from dataclasses import dataclass, replace
-from http.server import ThreadingHTTPServer
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.durability.checkpoint import SNAPSHOT_FILE, WAL_FILE
 from repro.exceptions import ProblemValidationError, ReproError
 from repro.obs import get_logger, get_metrics, kv
-from repro.obs.context import (
-    TraceIdFactory,
-    current_trace_id,
-    parse_traceparent,
-    use_context,
-)
-from repro.obs.export import PROMETHEUS_CONTENT_TYPE, to_otlp, to_prometheus
-from repro.obs.server import JsonRequestHandler
+from repro.obs.context import TraceIdFactory, current_trace_id, use_context
+from repro.obs.export import to_otlp
+from repro.obs.server import HttpListener, JsonRequestHandler, chrome_trace
 from repro.obs.spans import Tracer, get_tracer, set_tracer
 from repro.schemas import check_schema, strip_schema, tag_schema
 from repro.service.pool import ControllerPool
@@ -90,12 +79,9 @@ from repro.service.tenant import Tenant, TenantSpec
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from concurrent.futures import Future
 
-_TENANT_PATH = re.compile(r"^/v1/tenants/([A-Za-z0-9._-]+)(?:/([a-z]+))?$")
-_JOB_PATH = re.compile(r"^/v1/jobs/(job-\d+)$")
-
-#: Largest request body the control plane accepts (problems and traces
-#: are compact JSON; anything bigger is a client bug, not a workload).
-MAX_BODY_BYTES = 64 * 1024 * 1024
+#: What ``<n>`` and ``<id>`` stand for in the route table's paths.
+_NAME = r"(?P<tenant>[A-Za-z0-9._-]+)"
+_JOB_ID = r"(job-\d+)"
 
 
 class TenantExistsError(ReproError):
@@ -189,8 +175,11 @@ class OptimizerService:
         self._scheduled: dict[str, "Future | None"] = {}
         self._next_due: dict[str, float] = {}
         self._lock = threading.RLock()
-        self._httpd: ThreadingHTTPServer | None = None
-        self._http_thread: threading.Thread | None = None
+        self._http = HttpListener(
+            _ServiceRequestHandler, self,
+            host=self.config.host, port=self.config.port,
+            name="rasa-service-http",
+        )
         self._ticker: threading.Thread | None = None
         self._stop_event = threading.Event()
         self._prev_tracer = None
@@ -201,7 +190,7 @@ class OptimizerService:
     # ------------------------------------------------------------------
     def start(self) -> int:
         """Resume checkpointed tenants, bind, and serve; returns the port."""
-        if self._httpd is not None:
+        if self._ticker is not None:
             return self.port
         if self.config.tracing and not get_tracer().enabled:
             # Install a live tracer for /v1/trace[.otlp]; restored on
@@ -210,16 +199,7 @@ class OptimizerService:
         self.pool.start()
         if self.config.checkpoint_root is not None and self.config.resume:
             self._resume_tenants(self.config.checkpoint_root)
-        httpd = ThreadingHTTPServer(
-            (self.config.host, self.config.port), _ServiceRequestHandler
-        )
-        httpd.daemon_threads = True
-        httpd.service = self  # type: ignore[attr-defined]
-        self._httpd = httpd
-        self._http_thread = threading.Thread(
-            target=httpd.serve_forever, name="rasa-service-http", daemon=True
-        )
-        self._http_thread.start()
+        self._http.start()
         self._ticker = threading.Thread(
             target=self._tick_loop, name="rasa-service-ticker", daemon=True
         )
@@ -244,13 +224,7 @@ class OptimizerService:
         ticker, self._ticker = self._ticker, None
         if ticker is not None:
             ticker.join(timeout=5.0)
-        httpd, self._httpd = self._httpd, None
-        thread, self._http_thread = self._http_thread, None
-        if httpd is not None:
-            httpd.shutdown()
-            httpd.server_close()
-        if thread is not None:
-            thread.join(timeout=5.0)
+        self._http.stop()
         self.pool.stop(drain=True, timeout=timeout)
         with self._lock:
             tenants = list(self._tenants.values())
@@ -277,13 +251,11 @@ class OptimizerService:
     # ------------------------------------------------------------------
     @property
     def port(self) -> int:
-        if self._httpd is not None:
-            return self._httpd.server_address[1]
-        return self.config.port
+        return self._http.port
 
     @property
     def url(self) -> str:
-        return f"http://{self.config.host}:{self.port}"
+        return self._http.url
 
     # ------------------------------------------------------------------
     # Tenant registry
@@ -436,13 +408,6 @@ class OptimizerService:
             {"alerts": alerts, "cycles_observed": observed}
         )
 
-    def trace_chrome(self) -> dict:
-        """Live Chrome trace-event document from the process tracer."""
-        tracer = get_tracer()
-        if not tracer.enabled:
-            return {"traceEvents": [], "displayTimeUnit": "ms"}
-        return tracer.to_chrome()
-
     def trace_otlp(self) -> dict:
         """Live OTLP/JSON trace document from the process tracer."""
         return to_otlp(get_tracer().finished_roots(),
@@ -541,281 +506,151 @@ class OptimizerService:
 
 
 class _ServiceRequestHandler(JsonRequestHandler):
-    """Routes the control-plane REST surface onto :class:`OptimizerService`."""
+    """The control-plane route table; ``owner`` is the :class:`OptimizerService`."""
 
     logger_name = "service.app"
 
-    @property
-    def svc(self) -> OptimizerService:
-        return self.server.service  # type: ignore[attr-defined]
-
-    # ------------------------------------------------------------------
-    def _read_body(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > MAX_BODY_BYTES:
-            raise ProblemValidationError(
-                f"request body of {length} bytes exceeds {MAX_BODY_BYTES}"
-            )
-        raw = self.rfile.read(length) if length else b""
-        if not raw:
-            return {}
-        try:
-            return json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ProblemValidationError(
-                f"request body is not valid JSON: {exc}"
-            ) from exc
-
-    def _query(self) -> dict[str, str]:
-        if "?" not in self.path:
-            return {}
-        out: dict[str, str] = {}
-        for pair in self.path.split("?", 1)[1].split("&"):
-            if not pair:
-                continue
-            key, _, value = pair.partition("=")
-            out[key] = value
-        return out
-
-    def _dispatch(self, method: str) -> None:
-        svc = self.svc
-        self._tenant_name: str | None = None
-        parsed = parse_traceparent(self.headers.get("traceparent"))
-        # Continue the client's trace when a valid traceparent came in;
-        # mint a fresh deterministic context otherwise.
-        ctx = svc.ids.child(parsed) if parsed else svc.ids.new_context()
-        started = time.perf_counter()
-        with use_context(ctx):
-            try:
-                self._route(method)
-            except KeyError as exc:
-                self.respond_json(
-                    404, tag_schema({"error": f"not found: {exc}"})
-                )
-            except ProblemValidationError as exc:
-                self.respond_json(400, tag_schema({"error": str(exc)}))
-            except Exception as exc:  # noqa: BLE001 - surface, don't kill thread
-                # Uniform 500 envelope: the exception detail stays in the
-                # server log, keyed by error_id, so internals never leak
-                # to clients but remain one grep away.
-                error_id = svc.ids.error_id()
-                get_logger(self.logger_name).error(
-                    "request failed %s",
-                    kv(
-                        path=self.path,
-                        error_id=error_id,
-                        trace_id=ctx.trace_id,
-                        error=f"{type(exc).__name__}: {exc}",
-                    ),
-                )
-                self.respond_json(
-                    500,
-                    tag_schema(
-                        {
-                            "error": "internal server error",
-                            "error_id": error_id,
-                            "trace_id": ctx.trace_id,
-                        }
-                    ),
-                )
-            finally:
-                self.log_access(
-                    (time.perf_counter() - started) * 1e3,
-                    tenant=self._tenant_name,
-                    trace_id=ctx.trace_id,
-                )
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server naming
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server naming
-        self._dispatch("POST")
-
-    def do_DELETE(self) -> None:  # noqa: N802 - http.server naming
-        self._dispatch("DELETE")
-
-    # ------------------------------------------------------------------
-    def _route(self, method: str) -> None:
-        svc = self.svc
-        path = self.path.split("?", 1)[0].rstrip("/") or "/"
-
-        if method == "GET" and path == "/v1/healthz":
-            self.respond_json(200, svc.health())
-            return
-        if method == "GET" and path == "/metrics":
-            body = to_prometheus(get_metrics().snapshot())
-            self.respond(200, PROMETHEUS_CONTENT_TYPE, body.encode("utf-8"))
-            return
-        if method == "GET" and path == "/v1/events":
-            self.respond_json(200, svc.events_doc())
-            return
-        if method == "GET" and path == "/v1/alerts":
-            self.respond_json(200, svc.alerts_doc())
-            return
-        if method == "GET" and path == "/v1/trace":
-            self.respond_json(200, svc.trace_chrome())
-            return
-        if method == "GET" and path == "/v1/trace/otlp":
-            self.respond_json(200, svc.trace_otlp())
-            return
-        if path == "/v1/tenants":
-            if method == "GET":
-                self.respond_json(
-                    200,
-                    tag_schema(
-                        {"tenants": [t.summary() for t in svc.tenants()]}
-                    ),
-                )
-                return
-            if method == "POST":
-                payload = self._read_body()
-                if not isinstance(payload, dict):
-                    raise ProblemValidationError(
-                        "tenant registration body must be a JSON object"
-                    )
-                spec = TenantSpec.from_dict(payload)
-                try:
-                    tenant = svc.register(spec)
-                except TenantExistsError:
-                    self.respond_json(
-                        409,
-                        tag_schema(
-                            {"error": f"tenant {spec.name!r} already exists"}
-                        ),
-                    )
-                    return
-                self.respond_json(201, tenant.summary())
-                return
-        job_match = _JOB_PATH.match(path)
-        if job_match and method == "GET":
-            self.respond_json(200, svc.job(job_match.group(1)).payload())
-            return
-        tenant_match = _TENANT_PATH.match(path)
-        if tenant_match:
-            self._route_tenant(
-                method, tenant_match.group(1), tenant_match.group(2)
-            )
-            return
-        self.respond_json(404, tag_schema({"error": f"unknown path {path!r}"}))
-
-    def _route_tenant(
-        self, method: str, name: str, leaf: str | None
-    ) -> None:
-        svc = self.svc
-        self._tenant_name = name
-        if leaf is None:
-            if method == "GET":
-                self.respond_json(200, svc.tenant(name).summary())
-                return
-            if method == "DELETE":
-                tenant = svc.deregister(name)
-                self.respond_json(
-                    200,
-                    tag_schema(
-                        {
-                            "deregistered": name,
-                            "cycles_completed": tenant.cycles_completed,
-                        }
-                    ),
-                )
-                return
-        elif leaf == "cycles":
-            if method == "POST":
-                body = self._read_body()
-                body = strip_schema(body) if isinstance(body, dict) else {}
-                check_schema(body, "trigger")
-                cycles = int(body.get("cycles", 1))
-                job = svc.trigger(name, cycles)
-                if body.get("wait") or self._query().get("wait"):
-                    job.future.result()
-                    self.respond_json(200, job.payload())
-                else:
-                    self.respond_json(202, job.payload())
-                return
-            if method == "GET":
-                since = int(self._query().get("since", 0))
-                history = svc.tenant(name).controller.history
-                self.respond_json(
-                    200,
-                    tag_schema(
-                        {
-                            "tenant": name,
-                            "since": since,
-                            "reports": [
-                                report.to_dict() for report in history[since:]
-                            ],
-                        }
-                    ),
-                )
-                return
-        elif leaf == "plan" and method == "GET":
-            plan = svc.tenant(name).last_plan
-            if plan is None:
-                self.respond_json(
-                    404,
-                    tag_schema(
-                        {"error": f"tenant {name!r} has not built a plan yet"}
-                    ),
-                )
-                return
-            self.respond_json(200, plan.to_dict())
-            return
-        elif leaf == "healthz" and method == "GET":
-            health = svc.tenant(name).hub.health()
-            code = 503 if health["status"] == "sla_violated" else 200
-            self.respond_json(code, tag_schema(health))
-            return
-        elif leaf == "metrics" and method == "GET":
-            body = to_prometheus(svc.tenant(name).registry.snapshot())
-            self.respond(200, PROMETHEUS_CONTENT_TYPE, body.encode("utf-8"))
-            return
-        elif leaf == "events" and method == "GET":
-            since = int(self._query().get("since", 0))
-            self.respond_json(
-                200, tag_schema(svc.tenant(name).events_since(since))
-            )
-            return
-        elif leaf == "alerts" and method == "GET":
-            self.respond_json(200, tag_schema(svc.tenant(name).alerts_doc()))
-            return
-        elif leaf == "snapshots" and method == "POST":
-            body = self._read_body()
-            if not isinstance(body, dict):
-                raise ProblemValidationError(
-                    "snapshot body must be a JSON object with 'edges'"
-                )
-            check_schema(body, "snapshot")
-            edges = strip_schema(body).get("edges")
-            if not isinstance(edges, list):
-                raise ProblemValidationError(
-                    "snapshot body needs an 'edges' list of "
-                    "[service_a, service_b, qps] triples"
-                )
-            count = svc.tenant(name).push_snapshot(edges)
-            self.respond_json(200, tag_schema({"tenant": name, "edges": count}))
-            return
-        elif leaf == "schedule" and method == "POST":
-            body = self._read_body()
-            if not isinstance(body, dict) or "schedule_seconds" not in strip_schema(body):
-                raise ProblemValidationError(
-                    "schedule body needs 'schedule_seconds' (number or null)"
-                )
-            check_schema(body, "schedule")
-            value = strip_schema(body)["schedule_seconds"]
-            seconds = None if value is None else float(value)
-            tenant, in_flight = svc.set_schedule(name, seconds)
-            self.respond_json(
-                200,
-                tag_schema(
-                    {
-                        "tenant": name,
-                        "schedule_seconds": tenant.spec.schedule_seconds,
-                        "in_flight": in_flight,
-                    }
-                ),
-            )
-            return
-        self.respond_json(
-            404,
-            tag_schema({"error": f"unknown tenant path {self.path!r}"}),
+    # Same rows and order as the module docstring's table (test-enforced).
+    routes = tuple(
+        (verb, re.compile(path.replace("<n>", _NAME).replace("<id>", _JOB_ID)), name)
+        for verb, path, name in (
+            ("GET", "/v1/healthz", "get_health"),
+            ("GET", "/metrics", "get_metrics"),
+            ("GET", "/v1/tenants", "list_tenants"),
+            ("POST", "/v1/tenants", "register_tenant"),
+            ("GET", "/v1/tenants/<n>", "get_tenant"),
+            ("DELETE", "/v1/tenants/<n>", "delete_tenant"),
+            ("POST", "/v1/tenants/<n>/cycles", "trigger_cycles"),
+            ("GET", "/v1/tenants/<n>/cycles", "get_cycles"),
+            ("GET", "/v1/tenants/<n>/plan", "get_plan"),
+            ("POST", "/v1/tenants/<n>/snapshots", "push_snapshot"),
+            ("POST", "/v1/tenants/<n>/schedule", "set_schedule"),
+            ("GET", "/v1/tenants/<n>/healthz", "get_tenant_health"),
+            ("GET", "/v1/tenants/<n>/metrics", "get_tenant_metrics"),
+            ("GET", "/v1/tenants/<n>/events", "get_tenant_events"),
+            ("GET", "/v1/tenants/<n>/alerts", "get_tenant_alerts"),
+            ("GET", "/v1/events", "get_events"),
+            ("GET", "/v1/alerts", "get_alerts"),
+            ("GET", "/v1/trace", "get_trace"),
+            ("GET", "/v1/trace/otlp", "get_trace_otlp"),
+            ("GET", "/v1/jobs/<id>", "get_job"),
         )
+    )
+
+    # ------------------------------------------------------------------
+    # Service-wide documents
+    # ------------------------------------------------------------------
+    def get_health(self) -> None:
+        self.respond_json(200, self.owner.health())
+
+    def get_metrics(self) -> None:
+        self.respond_prometheus(get_metrics().snapshot())
+
+    def get_events(self) -> None:
+        self.respond_json(200, self.owner.events_doc())
+
+    def get_alerts(self) -> None:
+        self.respond_json(200, self.owner.alerts_doc())
+
+    def get_trace(self) -> None:
+        self.respond_json(200, chrome_trace())
+
+    def get_trace_otlp(self) -> None:
+        self.respond_json(200, self.owner.trace_otlp())
+
+    def get_job(self, job_id: str) -> None:
+        self.respond_json(200, self.owner.job(job_id).payload())
+
+    def list_tenants(self) -> None:
+        summaries = [tenant.summary() for tenant in self.owner.tenants()]
+        self.respond_json(200, tag_schema({"tenants": summaries}))
+
+    def register_tenant(self) -> None:
+        spec = TenantSpec.from_dict(self.read_json())
+        try:
+            tenant = self.owner.register(spec)
+        except TenantExistsError:
+            self.respond_error(409, f"tenant {spec.name!r} already exists")
+            return
+        self.respond_json(201, tenant.summary())
+
+    # ------------------------------------------------------------------
+    # One tenant
+    # ------------------------------------------------------------------
+    def get_tenant(self, name: str) -> None:
+        self.respond_json(200, self.owner.tenant(name).summary())
+
+    def delete_tenant(self, name: str) -> None:
+        tenant = self.owner.deregister(name)
+        document = {"deregistered": name, "cycles_completed": tenant.cycles_completed}
+        self.respond_json(200, tag_schema(document))
+
+    def trigger_cycles(self, name: str) -> None:
+        body = strip_schema(check_schema(self.read_json(), "trigger"))
+        cycles = body.get("cycles", 1)
+        if isinstance(cycles, bool) or not isinstance(cycles, int):
+            raise ProblemValidationError(f"'cycles' must be an integer, got {cycles!r}")
+        job = self.owner.trigger(name, cycles)
+        if body.get("wait") or self.query().get("wait"):
+            job.future.result()
+            self.respond_json(200, job.payload())
+        else:
+            self.respond_json(202, job.payload())
+
+    def get_cycles(self, name: str) -> None:
+        since = self.int_query("since", 0)
+        # The hub holds each report already serialized, in history order.
+        reports = self.owner.tenant(name).hub.cycles(since)
+        document = {"tenant": name, "since": since, "reports": reports}
+        self.respond_json(200, tag_schema(document))
+
+    def get_plan(self, name: str) -> None:
+        plan = self.owner.tenant(name).last_plan
+        if plan is None:
+            self.respond_error(404, f"tenant {name!r} has not built a plan yet")
+        else:
+            self.respond_json(200, plan.to_dict())
+
+    def get_tenant_health(self, name: str) -> None:
+        self.respond_health(tag_schema(self.owner.tenant(name).hub.health()))
+
+    def get_tenant_metrics(self, name: str) -> None:
+        self.respond_prometheus(self.owner.tenant(name).registry.snapshot())
+
+    def get_tenant_events(self, name: str) -> None:
+        document = self.owner.tenant(name).events_since(self.int_query("since", 0))
+        self.respond_json(200, tag_schema(document))
+
+    def get_tenant_alerts(self, name: str) -> None:
+        self.respond_json(200, tag_schema(self.owner.tenant(name).alerts_doc()))
+
+    def push_snapshot(self, name: str) -> None:
+        body = check_schema(self.read_json(), "snapshot")
+        edges = body.get("edges")
+        if not isinstance(edges, list):
+            raise ProblemValidationError(
+                "snapshot body needs an 'edges' list of "
+                "[service_a, service_b, qps] triples"
+            )
+        count = self.owner.tenant(name).push_snapshot(edges)
+        self.respond_json(200, tag_schema({"tenant": name, "edges": count}))
+
+    def set_schedule(self, name: str) -> None:
+        body = check_schema(self.read_json(), "schedule")
+        seconds = body.get("schedule_seconds", "missing")
+        if seconds is not None and (
+            isinstance(seconds, bool) or not isinstance(seconds, (int, float))
+        ):
+            raise ProblemValidationError(
+                "schedule body needs 'schedule_seconds' (number or null), "
+                f"got {seconds!r}"
+            )
+        tenant, in_flight = self.owner.set_schedule(
+            name, None if seconds is None else float(seconds)
+        )
+        document = {
+            "tenant": name,
+            "schedule_seconds": tenant.spec.schedule_seconds,
+            "in_flight": in_flight,
+        }
+        self.respond_json(200, tag_schema(document))

@@ -1,4 +1,4 @@
-"""Bounded worker pool sharding tenants onto slots by consistent hashing.
+"""Bounded worker pool pinning each tenant to one worker slot.
 
 The service may host far more tenants than it can run threads, so tenant
 work is sharded onto a fixed worker set.  Two disciplines matter:
@@ -8,11 +8,10 @@ work is sharded onto a fixed worker set.  Two disciplines matter:
   N+1 starts only after cycle N committed — the same discipline the
   parallel subproblem engine uses for its deterministic merge: concurrency
   between independent units, strict order within one).
-* **tenant → slot stability** — the mapping is a consistent-hash ring
-  (SHA-1, virtual nodes), so growing the worker set remaps only ~1/slots
-  of the tenants instead of reshuffling everybody — the property that lets
-  a horizontally sharded deployment add capacity without stampeding every
-  tenant's checkpoint directory to a new owner.
+* **tenant → slot stability** — the slot is ``crc32(name) % workers``, a
+  pure function of the name: the same in every process and across
+  restarts.  Nothing resizes a live pool, so nothing is ever remapped (a
+  consistent-hash ring belongs with shard handoff, which ROADMAP parks).
 
 Jobs are plain callables; results travel through
 :class:`concurrent.futures.Future`, so callers can fire-and-forget
@@ -21,58 +20,17 @@ Jobs are plain callables; results travel through
 
 from __future__ import annotations
 
-import bisect
-import hashlib
 import queue
 import threading
+import zlib
 from concurrent.futures import Future
 from typing import Any, Callable
 
 from repro.obs import get_logger, get_metrics, kv
 from repro.obs.context import current_context, use_context
 
-#: Virtual nodes per slot on the hash ring — enough for an even spread at
-#: small slot counts without making ring construction noticeable.
-VNODES_PER_SLOT = 64
-
 #: Sentinel telling a worker thread to drain out.
 _STOP = object()
-
-
-def _ring_hash(key: str) -> int:
-    """Stable 64-bit position on the ring (SHA-1 prefix, platform-free)."""
-    return int.from_bytes(
-        hashlib.sha1(key.encode("utf-8")).digest()[:8], "big"
-    )
-
-
-class HashRing:
-    """Consistent tenant → slot mapping with virtual nodes.
-
-    Args:
-        slots: Number of physical slots (worker threads).
-        vnodes: Virtual nodes per slot; more vnodes → smoother spread.
-    """
-
-    def __init__(self, slots: int, vnodes: int = VNODES_PER_SLOT) -> None:
-        if slots < 1:
-            raise ValueError(f"slots must be >= 1, got {slots}")
-        self.slots = int(slots)
-        points: list[tuple[int, int]] = []
-        for slot in range(self.slots):
-            for replica in range(vnodes):
-                points.append((_ring_hash(f"slot-{slot}#{replica}"), slot))
-        points.sort()
-        self._positions = [position for position, _ in points]
-        self._owners = [slot for _, slot in points]
-
-    def slot_for(self, key: str) -> int:
-        """The slot owning ``key`` (first ring point clockwise of its hash)."""
-        position = _ring_hash(key)
-        index = bisect.bisect_right(self._positions, position)
-        if index == len(self._positions):
-            index = 0
-        return self._owners[index]
 
 
 class ControllerPool:
@@ -88,7 +46,6 @@ class ControllerPool:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = int(workers)
-        self._ring = HashRing(self.workers)
         self._queues: list[queue.Queue] = [queue.Queue() for _ in range(self.workers)]
         self._threads = [
             threading.Thread(
@@ -114,7 +71,7 @@ class ControllerPool:
 
     def slot_for(self, tenant: str) -> int:
         """The worker slot a tenant's jobs are pinned to."""
-        return self._ring.slot_for(tenant)
+        return zlib.crc32(tenant.encode("utf-8")) % self.workers
 
     def submit(self, tenant: str, fn: Callable[[], Any]) -> "Future[Any]":
         """Enqueue ``fn`` on the tenant's slot; returns its future.

@@ -1,8 +1,6 @@
-"""Unit tests for the analytics and reporting module."""
+"""Unit tests for the analytics module."""
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 import pytest
@@ -10,12 +8,8 @@ import pytest
 from repro.analysis import (
     affinity_cdf,
     churn_between,
-    format_table,
-    load_results,
     pair_localization_table,
     placement_metrics,
-    render_results_overview,
-    summarize_comparison,
 )
 from repro.core import Assignment
 
@@ -73,31 +67,3 @@ def test_affinity_cdf_monotone(small_cluster):
     # Skew: the top 20 % of services carry well over half the affinity mass.
     top = max(1, int(cdf.size * 0.2))
     assert cdf[top - 1] > 0.5
-
-
-def test_format_table_alignment():
-    table = format_table(["name", "value"], [["a", 1.23456], ["long-name", 2.0]])
-    lines = table.splitlines()
-    assert len(lines) == 4
-    assert "1.235" in table
-    assert lines[0].startswith("name")
-
-
-def test_load_results_and_overview(tmp_path):
-    (tmp_path / "x.json").write_text(json.dumps({"hello": 1}))
-    results = load_results(tmp_path)
-    assert results == {"x": {"hello": 1}}
-    overview = render_results_overview(tmp_path)
-    assert "== x ==" in overview
-    assert "no benchmark results" in render_results_overview(tmp_path / "missing")
-
-
-def test_summarize_comparison():
-    rows = {
-        "M1": {"rasa": 0.8, "pop": 0.3},
-        "M2": {"rasa": 0.7, "pop": 0.9},
-    }
-    summary = summarize_comparison(rows, winner_hint="rasa")
-    assert summary["winner_per_cluster"] == {"M1": "rasa", "M2": "pop"}
-    assert summary["hint_wins"] == 1
-    assert summary["averages"]["rasa"] == pytest.approx(0.75)

@@ -258,7 +258,6 @@ def test_loop_tunables_have_one_spelling(small_cluster, tmp_path):
 #: their tests import; everything else must be reachable from the facade.
 BENCHMARK_ONLY_MODULES = {
     "repro.analysis.lemma1",
-    "repro.analysis.report",
     "repro.cluster.network",
     "repro.partitioning.kahip_like",
     "repro.workloads.powerlaw",

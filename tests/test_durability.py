@@ -46,6 +46,7 @@ from repro.exceptions import (
     WALCorruptionError,
 )
 from repro.faults import FaultPlan
+from repro.obs import MetricsRegistry, use_metrics
 from repro.workloads import ClusterSpec, generate_cluster
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
@@ -286,9 +287,16 @@ def test_resume_after_partial_run_is_bit_identical(demo_trace, tmp_path):
         demo_trace, cycles=3, checkpoint_dir=ck, checkpoint_every=2
     )
     assert len(partial) == 3
-    resumed = api.resume_control_loop(ck, cycles=6)
+    with use_metrics(MetricsRegistry()):  # a restarted process counts from 0
+        resumed = api.resume_control_loop(ck, cycles=6)
     assert [r.cycle for r in resumed] == list(range(6))
     assert _stripped(resumed) == _stripped(ref)
+    # The one loop owning the process continues its counters from the
+    # last journaled report.
+    solved = [r.metrics["counters"]["rasa.subproblems.solved"] for r in resumed]
+    assert solved[3] > solved[2] == partial[-1].metrics["counters"][
+        "rasa.subproblems.solved"
+    ]
 
 
 def test_resume_with_faults_and_jitter_is_bit_identical(demo_trace, tmp_path):

@@ -7,17 +7,22 @@ tenant's chaos plan never perturbing another's RNG streams.
 
 from __future__ import annotations
 
+import http.client
 import json
+import re
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
-from repro import api
+from repro import api, obs
 from repro.cluster.replay import synthesize_trace
 from repro.exceptions import ProblemValidationError
+from repro.obs import server as obs_server
+from repro.service import app
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.pool import VNODES_PER_SLOT, ControllerPool, HashRing
+from repro.service.pool import ControllerPool
 from repro.service.tenant import Tenant, TenantSpec
 from repro.workloads import ClusterSpec, generate_cluster
 from repro.workloads.trace_io import problem_to_dict
@@ -45,6 +50,19 @@ def _strip(payload: dict) -> dict:
     return payload
 
 
+def _raw(base_url: str, method: str, path: str, body=None, headers=None):
+    """One request with ``http.client`` (no client-side checks) →
+    (response, body bytes)."""
+    host, port = base_url.removeprefix("http://").split(":")
+    conn = http.client.HTTPConnection(host, int(port), timeout=600)
+    try:
+        conn.request(method, path, body=body, headers=headers or {})
+        response = conn.getresponse()
+        return response, response.read()
+    finally:
+        conn.close()
+
+
 def _reference_reports(seed: int, cycles: int, faults=None) -> list[dict]:
     """What a single-tenant run_control_loop produces for the same world."""
     reports = api.run_control_loop(
@@ -54,30 +72,8 @@ def _reference_reports(seed: int, cycles: int, faults=None) -> list[dict]:
 
 
 # ----------------------------------------------------------------------
-# Consistent hashing + the controller pool
+# The controller pool
 # ----------------------------------------------------------------------
-def test_hash_ring_is_stable_and_in_range():
-    ring = HashRing(4)
-    slots = {f"tenant-{i}": ring.slot_for(f"tenant-{i}") for i in range(50)}
-    assert all(0 <= slot < 4 for slot in slots.values())
-    again = HashRing(4)
-    assert {k: again.slot_for(k) for k in slots} == slots
-    # Virtual nodes spread tenants over every slot.
-    assert set(slots.values()) == {0, 1, 2, 3}
-
-
-def test_hash_ring_grow_remaps_a_minority():
-    keys = [f"tenant-{i}" for i in range(400)]
-    before = HashRing(4, VNODES_PER_SLOT)
-    after = HashRing(5, VNODES_PER_SLOT)
-    moved = sum(
-        1 for key in keys if before.slot_for(key) != after.slot_for(key)
-    )
-    # Consistent hashing moves ~1/slots of the keys; a naive mod-N rehash
-    # would move ~80%.  Allow generous slack over the ~20% expectation.
-    assert moved / len(keys) < 0.45
-
-
 def test_pool_serializes_jobs_per_tenant():
     order: list[int] = []
     lock = threading.Lock()
@@ -249,6 +245,88 @@ def test_service_error_paths(client):
     with pytest.raises(ServiceError) as excinfo:
         client.tenant("c")
     assert excinfo.value.status == 404
+
+    # Malformed queries and bodies name the offending field, same rule.
+    for method, path, body, field in [
+        ("GET", "/v1/tenants/dup/cycles?since=abc", None, "since"),
+        ("GET", "/v1/tenants/dup/cycles?since=-1", None, "since"),
+        ("GET", "/v1/tenants/dup/events?since=1.5", None, "since"),
+        ("POST", "/v1/tenants/dup/cycles", {"cycles": "two"}, "cycles"),
+        ("POST", "/v1/tenants/dup/schedule", {"schedule_seconds": "soon"},
+         "schedule_seconds"),
+    ]:
+        with pytest.raises(ServiceError) as excinfo:
+            client._request(method, path, body)
+        assert excinfo.value.status == 400, path
+        assert field in excinfo.value.payload["error"], excinfo.value.payload
+    # Query values are percent-decoded before they are parsed.
+    assert client._request("GET", "/v1/tenants/dup/cycles?since=%31")["since"] == 1
+
+    response, body = _raw(
+        client.base_url, "POST", "/v1/tenants/dup/cycles",
+        headers={"Content-Length": "abc"},
+    )
+    assert response.status == 400 and "Content-Length" in json.loads(body)["error"]
+    # A known path under a verb it does not serve is 405, not a 404 or
+    # the stdlib's HTML 501.
+    response, body = _raw(client.base_url, "PUT", "/v1/tenants/dup")
+    document = json.loads(body)
+    assert response.status == 405
+    assert response.getheader("Allow") == "DELETE, GET"
+    assert document["schema_version"] == 1 and "PUT" in document["error"]
+
+
+def _route_templates(handler, **groups) -> list[tuple[str, str]]:
+    """``(verb, path)`` per route row, ``<key>`` standing for its group."""
+    rows = []
+    for verb, pattern, _name in handler.routes:
+        path = pattern.pattern
+        for key, regex in groups.items():
+            path = path.replace(regex, f"<{key}>")
+        rows.append((verb, path))
+    return rows
+
+
+SERVICE_ROUTES = _route_templates(
+    app._ServiceRequestHandler, n=app._NAME, id=app._JOB_ID
+)
+TELEMETRY_ROUTES = _route_templates(obs_server._TelemetryRequestHandler)
+
+
+def test_docstring_route_table_is_the_route_table():
+    documented = re.findall(
+        r"^(GET|POST|DELETE)\s+``(/\S*)``", app.__doc__, flags=re.MULTILINE
+    )
+    assert documented == SERVICE_ROUTES
+    assert len(SERVICE_ROUTES) == 20 and len(TELEMETRY_ROUTES) == 5
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    assert re.findall(r"^\| (GET|POST|DELETE) \| `(/\S*)` \|", readme, flags=re.M) == documented
+
+
+@pytest.mark.parametrize(
+    "verb,template,kind",
+    [pytest.param(*row, "service", id=" ".join(row)) for row in SERVICE_ROUTES]
+    + [pytest.param(*row, "telemetry", id=" ".join(row)) for row in TELEMETRY_ROUTES],
+)
+def test_malformed_requests_never_5xx(verb, template, kind, service, client):
+    """Every route answers a non-integer query value, a non-object JSON
+    body and wrong-typed fields with 2xx or 4xx — never a 500."""
+    client.register_tenant(
+        {"name": "fuzz", "problem": problem_to_dict(_problem(7)),
+         "time_limit": None}
+    )
+    path = template.replace("<n>", "fuzz").replace("<id>", "job-1")
+    wrong_types = {"name": 7, "cycles": "two", "wait": [], "edges": 5,
+                   "schedule_seconds": "soon", "schema_version": "1"}
+    with obs.TelemetryServer(registry=obs.MetricsRegistry()) as telemetry:
+        base = service.url if kind == "service" else telemetry.url
+        for suffix, body in [
+            ("?since=abc&wait=%ZZ", None),
+            ("", "[1, 2]"),
+            ("", json.dumps(wrong_types)),
+        ]:
+            response, _ = _raw(base, verb, path + suffix, body=body)
+            assert response.status < 500, (verb, path + suffix, body)
 
 
 def test_async_trigger_and_job_polling(client):
@@ -428,37 +506,47 @@ def test_durable_tenants_resume_across_service_restarts(tmp_path):
     reference_a = _reference_reports(11, 5, faults=dict(FAULTS))
     reference_b = _reference_reports(5, 4)
 
-    svc = api.start_service(port=0, workers=2, checkpoint_root=root)
-    try:
-        client = ServiceClient(svc.url, timeout=600.0)
-        client.register_tenant(
-            {"name": "dur-a", "problem": problem_to_dict(_problem(11)),
-             "time_limit": None, "faults": dict(FAULTS)}
-        )
-        client.register_tenant(
-            {"name": "dur-b", "problem": problem_to_dict(_problem(5)),
-             "time_limit": None, "checkpoint_every": 1}
-        )
-        client.trigger_cycles("dur-a", cycles=2, wait=True)
-        client.trigger_cycles("dur-b", cycles=1, wait=True)
-    finally:
-        svc.stop()
+    # Each service life gets its own process registry: a restarted
+    # process counts from zero.
+    with obs.use_metrics(obs.MetricsRegistry()) as registry:
+        svc = api.start_service(port=0, workers=2, checkpoint_root=root)
+        try:
+            client = ServiceClient(svc.url, timeout=600.0)
+            client.register_tenant(
+                {"name": "dur-a", "problem": problem_to_dict(_problem(11)),
+                 "time_limit": None, "faults": dict(FAULTS)}
+            )
+            client.register_tenant(
+                {"name": "dur-b", "problem": problem_to_dict(_problem(5)),
+                 "time_limit": None, "checkpoint_every": 1}
+            )
+            client.trigger_cycles("dur-a", cycles=2, wait=True)
+            client.trigger_cycles("dur-b", cycles=1, wait=True)
+        finally:
+            svc.stop()
+        before = registry.snapshot()["counters"]
     assert (root / "dur-a" / "snapshot.json").exists()
     assert (root / "dur-b" / "snapshot.json").exists()
 
-    svc = api.start_service(port=0, workers=2, checkpoint_root=root)
-    try:
-        client = ServiceClient(svc.url, timeout=600.0)
-        tenants = {t["name"]: t for t in client.list_tenants()}
-        assert set(tenants) == {"dur-a", "dur-b"}
-        assert tenants["dur-a"]["cycles_completed"] == 2
-        assert tenants["dur-b"]["cycles_completed"] == 1
-        client.trigger_cycles("dur-a", cycles=3, wait=True)
-        client.trigger_cycles("dur-b", cycles=3, wait=True)
-        assert [_strip(r) for r in client.reports("dur-a")] == reference_a
-        assert [_strip(r) for r in client.reports("dur-b")] == reference_b
-    finally:
-        svc.stop()
+    with obs.use_metrics(obs.MetricsRegistry()) as registry:
+        svc = api.start_service(port=0, workers=2, checkpoint_root=root)
+        try:
+            # Resuming N tenants must not replay N copies of the process
+            # counters their reports snapshotted.
+            after = registry.snapshot()["counters"]
+            assert before["solver.cg.solves"] > 0
+            assert {n: v for n, v in after.items() if v > before.get(n, v)} == {}
+            client = ServiceClient(svc.url, timeout=600.0)
+            tenants = {t["name"]: t for t in client.list_tenants()}
+            assert set(tenants) == {"dur-a", "dur-b"}
+            assert tenants["dur-a"]["cycles_completed"] == 2
+            assert tenants["dur-b"]["cycles_completed"] == 1
+            client.trigger_cycles("dur-a", cycles=3, wait=True)
+            client.trigger_cycles("dur-b", cycles=3, wait=True)
+            assert [_strip(r) for r in client.reports("dur-a")] == reference_a
+            assert [_strip(r) for r in client.reports("dur-b")] == reference_b
+        finally:
+            svc.stop()
 
 
 def test_tenant_matches_cli_replay_run(tmp_path, client):

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import logging
+import re
+import time
 import urllib.error
 import urllib.request
 
@@ -143,6 +146,56 @@ def test_unknown_path_is_404():
         status, _ctype, body = _get(server.url + "/nope")
     assert status == 404
     assert "unknown path" in json.loads(body)["error"]
+
+
+def test_wrong_verb_is_405_json():
+    with TelemetryServer(registry=MetricsRegistry()) as server:
+        request = urllib.request.Request(
+            server.url + "/healthz", data=b"{}", method="POST"
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=10)
+    error = excinfo.value
+    assert error.code == 405 and error.headers.get("Allow") == "GET"
+    document = json.loads(error.read())
+    assert document["schema_version"] == 1 and "POST" in document["error"]
+
+
+def test_raising_data_source_is_a_logged_500_envelope(caplog, monkeypatch):
+    # configure_logging (run by CLI tests sharing this process) stops
+    # propagation at the package root; caplog needs it back on.
+    monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+    hub = TelemetryHub()
+
+    def boom():
+        raise RuntimeError("secret detail that must stay server-side")
+
+    monkeypatch.setattr(hub, "health", boom)
+    with caplog.at_level(logging.INFO, logger="repro"):
+        with TelemetryServer(hub, registry=MetricsRegistry()) as server:
+            status, _ctype, body = _get(server.url + "/healthz")
+            # The handler logs after it has replied; stopping the server
+            # does not wait for it, so wait here.
+            deadline = time.monotonic() + 10
+            while not any(
+                r.name == "repro.http.access" for r in caplog.records
+            ):
+                assert time.monotonic() < deadline, "no access-log line"
+                time.sleep(0.01)
+    document = json.loads(body)
+    assert status == 500
+    assert document["error"] == "internal server error"
+    assert re.fullmatch(r"[0-9a-f]{12}", document["error_id"])
+    assert "secret detail" not in body.decode()
+    messages = [r.getMessage() for r in caplog.records]
+    assert any(
+        document["error_id"] in m and "secret detail" in m for m in messages
+    )
+    assert any(
+        "method=GET path=/healthz status=500" in m
+        and f"trace_id={document['trace_id']}" in m
+        for m in messages
+    )
 
 
 def test_server_start_is_idempotent_and_stop_reentrant():
