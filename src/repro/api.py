@@ -35,16 +35,23 @@ positionally and *every* tunable keyword-only — positional tunables are
 rejected by the signatures themselves (enforced by a test over
 ``api.__all__``).
 
-The control-loop tunables are spelled out in exactly two places: the
-signatures of :func:`run_control_loop` / :func:`replay_trace` below and
-the fields of :class:`~repro.core.config.LoopSpec`.  A loop run builds
-one ``LoopSpec`` (in :func:`run_control_loop`, which :func:`replay_trace`
-calls) and hands it to
-:func:`~repro.cluster.cronjob.build_controller`; the service's tenant
-payload and the durable checkpoint's ``run`` payload are that same record
-(DESIGN §12 has the field table).  Runtime objects — a custom
-``collector``, a ready ``FaultInjector``, ``stream``, ``shutdown``, the
-telemetry arguments — are arguments of the call, not fields of the spec.
+A control-loop tunable is declared once, as a field of
+:class:`~repro.core.config.LoopSpec` (type, range, default, meaning).
+The signatures of :func:`run_control_loop` / :func:`replay_trace` below
+name the same fields as keywords and take their defaults from the spec
+(``sla_floor: float = LoopSpec.sla_floor``) — only ``run_control_loop``'s
+``time_limit`` and ``interval_seconds`` defaults are its own — and the
+``rasa`` command line derives its loop flags from the field names
+(:data:`repro.cli.LOOP_FLAGS`).  A loop run builds one ``LoopSpec`` (in
+:func:`run_control_loop`, which :func:`replay_trace` calls), hands it to
+:func:`~repro.cluster.cronjob.build_controller`, and drives the
+controller with the one loop runner,
+:class:`~repro.durability.loop.DurableControlLoop` (which journals iff
+``checkpoint_dir`` is set); the service's tenant payload and the durable
+checkpoint's ``run`` payload are that same record (DESIGN §12 has the
+field table).  Runtime objects — a custom ``collector``, a ready
+``FaultInjector``, ``stream``, ``shutdown``, the telemetry arguments —
+are arguments of the call, not fields of the spec.
 """
 
 from __future__ import annotations
@@ -217,19 +224,19 @@ def run_control_loop(
     collector: DataCollector | None = None,
     time_limit: float | None = 10.0,
     interval_seconds: float | None = 1800.0,
-    sla_floor: float = 0.75,
+    sla_floor: float = LoopSpec.sla_floor,
     rollback_imbalance: float | None = None,
     degradation: DegradationPolicy | None = None,
     retry: RetryPolicy | None = None,
-    traffic_jitter_sigma: float = 0.0,
-    seed: int = 0,
+    traffic_jitter_sigma: float = LoopSpec.traffic_jitter_sigma,
+    seed: int = LoopSpec.seed,
     telemetry_port: int | None = None,
     telemetry_host: str = "127.0.0.1",
     cycle_stream: "str | None" = None,
     on_telemetry_start: "Callable[[TelemetryServer], None] | None" = None,
     stream: "EventStreamCursor | None" = None,
     checkpoint_dir: "str | Path | None" = None,
-    checkpoint_every: int = 16,
+    checkpoint_every: int = LoopSpec.checkpoint_every,
     shutdown=None,
 ) -> list[CycleReport]:
     """Drive the CronJob control plane for ``cycles`` cycles.
@@ -314,29 +321,16 @@ def run_control_loop(
             injector=injector,
             telemetry=hub,
         )
-        if checkpoint_dir is not None:
-            return DurableControlLoop(
-                controller=controller,
-                store=CheckpointStore(checkpoint_dir),
-                spec=spec,
-                total_cycles=cycles,
-                shutdown=shutdown,
-            ).run
-
-        def run() -> list[CycleReport]:
-            should_stop = (
-                (lambda: shutdown.requested) if shutdown is not None else None
-            )
-            reports = controller.run(cycles, should_stop=should_stop)
-            if (
-                shutdown is not None
-                and shutdown.requested
-                and len(reports) < cycles
-            ):
-                shutdown.interrupted = True
-            return reports
-
-        return run
+        return DurableControlLoop(
+            controller=controller,
+            store=(
+                None if checkpoint_dir is None
+                else CheckpointStore(checkpoint_dir)
+            ),
+            spec=spec,
+            total_cycles=cycles,
+            shutdown=shutdown,
+        ).run
 
     return _run_observed(
         build, telemetry_port, telemetry_host, cycle_stream, on_telemetry_start
@@ -351,18 +345,18 @@ def replay_trace(
     faults: "FaultPlan | FaultInjector | dict | None" = None,
     time_limit: float | None = None,
     interval_seconds: float | None = None,
-    sla_floor: float = 0.75,
+    sla_floor: float = LoopSpec.sla_floor,
     rollback_imbalance: float | None = None,
     degradation: DegradationPolicy | None = None,
     retry: RetryPolicy | None = None,
-    traffic_jitter_sigma: float = 0.0,
-    seed: int = 0,
+    traffic_jitter_sigma: float = LoopSpec.traffic_jitter_sigma,
+    seed: int = LoopSpec.seed,
     telemetry_port: int | None = None,
     telemetry_host: str = "127.0.0.1",
     cycle_stream: "str | None" = None,
     on_telemetry_start: "Callable[[TelemetryServer], None] | None" = None,
     checkpoint_dir: "str | Path | None" = None,
-    checkpoint_every: int = 16,
+    checkpoint_every: int = LoopSpec.checkpoint_every,
     shutdown=None,
 ) -> list[CycleReport]:
     """Replay a recorded event trace through the CronJob control plane.

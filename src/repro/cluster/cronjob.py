@@ -25,7 +25,8 @@ recorded on the :class:`CycleReport` and in spans/metrics.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import get_origin, get_type_hints
 
 import numpy as np
 
@@ -89,8 +90,9 @@ class CycleReport:
             cycle finished.
         trace_id: Request trace id current while the cycle ran (None when
             untraced).  Process-local like ``metrics`` — deliberately
-            excluded from :meth:`to_dict`, so serialized report sequences
-            stay bit-identical whether or not tracing is enabled.
+            excluded from :meth:`to_dict` (``wire=False``), so serialized
+            report sequences stay bit-identical whether or not tracing is
+            enabled.
     """
 
     cycle: int
@@ -110,56 +112,46 @@ class CycleReport:
     sla_ok: bool = True
     events: list[str] = field(default_factory=list)
     metrics: dict = field(default_factory=dict)
-    trace_id: str | None = field(default=None, compare=False)
+    trace_id: str | None = field(
+        default=None, compare=False, metadata={"wire": False}
+    )
 
     # ------------------------------------------------------------------
     # Serialization (mirrors MigrationPlan.to_dict conventions)
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        """Serialize to plain data (JSON-compatible, ``schema_version``-tagged)."""
+        """Serialize to plain data (JSON-compatible, ``schema_version``-tagged).
+
+        The payload is the dataclass's fields in declaration order, minus
+        the ones marked ``wire=False`` — a new report field is one line.
+        """
         return tag_schema({
-            "cycle": self.cycle,
-            "action": self.action,
-            "gained_before": self.gained_before,
-            "gained_after": self.gained_after,
-            "moved_containers": self.moved_containers,
-            "imbalance_after": self.imbalance_after,
-            "skipped_commands": self.skipped_commands,
-            "failed_commands": self.failed_commands,
-            "command_retries": self.command_retries,
-            "retry_delay_seconds": self.retry_delay_seconds,
-            "machine_failures": list(self.machine_failures),
-            "rungs": list(self.rungs),
-            "cycle_attempts": self.cycle_attempts,
-            "min_alive_fraction": self.min_alive_fraction,
-            "sla_ok": self.sla_ok,
-            "events": list(self.events),
-            "metrics": self.metrics,
+            name: list(getattr(self, name)) if kind is list else getattr(self, name)
+            for name, kind in _WIRE_FIELDS.items()
         })
 
     @classmethod
     def from_dict(cls, payload: dict) -> "CycleReport":
-        """Deserialize a report written by :meth:`to_dict`."""
+        """Deserialize a report written by :meth:`to_dict`.
+
+        Values are coerced to their field's type; a field an older writer
+        did not know keeps its dataclass default.
+        """
         check_schema(payload, "CycleReport")
-        return cls(
-            cycle=int(payload["cycle"]),
-            action=str(payload["action"]),
-            gained_before=float(payload["gained_before"]),
-            gained_after=float(payload["gained_after"]),
-            moved_containers=int(payload.get("moved_containers", 0)),
-            imbalance_after=float(payload.get("imbalance_after", 0.0)),
-            skipped_commands=int(payload.get("skipped_commands", 0)),
-            failed_commands=int(payload.get("failed_commands", 0)),
-            command_retries=int(payload.get("command_retries", 0)),
-            retry_delay_seconds=float(payload.get("retry_delay_seconds", 0.0)),
-            machine_failures=list(payload.get("machine_failures", [])),
-            rungs=list(payload.get("rungs", [])),
-            cycle_attempts=int(payload.get("cycle_attempts", 1)),
-            min_alive_fraction=float(payload.get("min_alive_fraction", 1.0)),
-            sla_ok=bool(payload.get("sla_ok", True)),
-            events=list(payload.get("events", [])),
-            metrics=dict(payload.get("metrics", {})),
-        )
+        return cls(**{
+            name: kind(payload[name])
+            for name, kind in _WIRE_FIELDS.items()
+            if name in payload
+        })
+
+
+_HINTS = get_type_hints(CycleReport)
+#: Serialized field -> the type its value is coerced to on load.
+_WIRE_FIELDS = {
+    f.name: get_origin(_HINTS[f.name]) or _HINTS[f.name]
+    for f in fields(CycleReport)
+    if f.metadata.get("wire", True)
+}
 
 
 @dataclass

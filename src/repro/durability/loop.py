@@ -111,18 +111,23 @@ def _source_payload(controller: CronJobController) -> dict:
 class DurableControlLoop:
     """Drives a controller to a target cycle count with WAL + checkpoints.
 
-    Built directly around a fresh controller, or by
-    :func:`prepare_resume` (recovery); :meth:`run` then journals each
-    committed cycle, compacts every ``checkpoint_every`` cycles, and
-    honors a :class:`~repro.durability.supervisor.GracefulShutdown` by
-    finishing the in-flight cycle and writing a final checkpoint.
+    The one loop runner: the facade, a service tenant and a resume all
+    drive their controller through :meth:`run`.  Built directly around a
+    fresh controller, or by :func:`prepare_resume` (recovery);
+    :meth:`run` then journals each committed cycle, compacts every
+    ``checkpoint_every`` cycles, and honors a
+    :class:`~repro.durability.supervisor.GracefulShutdown` by finishing
+    the in-flight cycle and writing a final checkpoint.  With
+    ``store=None`` nothing is journaled — :meth:`checkpoint` and the
+    per-cycle commit return at once — and the loop is exactly
+    ``controller.run`` plus the shutdown handling.
     """
 
     def __init__(
         self,
         *,
         controller: CronJobController,
-        store: CheckpointStore,
+        store: CheckpointStore | None,
         spec: LoopSpec,
         total_cycles: int,
         source_payload: dict | None = None,
@@ -133,7 +138,9 @@ class DurableControlLoop:
         #: The tunables the controller was built from (the ``run`` payload).
         self.spec = spec
         #: The world a resume rebuilds (a resume hands its own back).
-        self.source_payload = source_payload or _source_payload(controller)
+        if source_payload is None and store is not None:
+            source_payload = _source_payload(controller)
+        self.source_payload = source_payload
         self.total_cycles = int(total_cycles)
         self.shutdown = shutdown
         #: True when a shutdown request stopped the loop before the target.
@@ -178,12 +185,16 @@ class DurableControlLoop:
 
     def checkpoint(self) -> None:
         """Compact the journal into a fresh snapshot now."""
+        if self.store is None:
+            return
         self.store.write_snapshot(self._snapshot_payload())
         self._since_snapshot = 0
         if self.on_checkpoint is not None:
             self.on_checkpoint()
 
     def _commit_cycle(self, report: CycleReport) -> None:
+        if self.store is None:
+            return
         record = {
             "kind": "cycle",
             "cycle": report.cycle,

@@ -245,20 +245,21 @@ class Supervisor:
                     pass
 
 
-def strip_supervisor_args(argv: list[str]) -> list[str]:
-    """Remove supervisor-only flags from a CLI argv for the child process."""
+def strip_supervisor_args(argv: list[str], flags: dict[str, bool]) -> list[str]:
+    """Remove supervisor-only flags from a CLI argv for the child process.
+
+    ``flags`` maps each supervisor-only option string to whether it takes
+    a value; the CLI derives it from its one declaration of those options.
+    """
     out: list[str] = []
     skip = False
     for arg in argv:
         if skip:
             skip = False
             continue
-        if arg == "--supervise":
-            continue
-        if arg in ("--max-restarts", "--hang-timeout"):
-            skip = True
-            continue
-        if arg.startswith(("--max-restarts=", "--hang-timeout=")):
+        name, inline_value, _ = arg.partition("=")
+        if name in flags:
+            skip = flags[name] and not inline_value
             continue
         out.append(arg)
     return out

@@ -23,11 +23,10 @@ When a :class:`~repro.faults.FaultInjector` is supplied, commands can fail
 or time out; each faulted command is retried under a
 :class:`~repro.core.config.RetryPolicy` (exponential backoff + seeded
 jitter), and a command that exhausts its retries aborts the execution:
-commands already applied in the current step are compensated (inverse-
-applied in reverse order) and the assignment rolls back to the last
-SLA-safe step boundary.  The returned :class:`ExecutionTrace` then reports
-a structured ``outcome`` — ``"completed"``, ``"partial"`` (some steps
-survived), or ``"rolled_back"`` (none did) — instead of raising or
+the half-applied step is discarded and the assignment rolls back to the
+last SLA-safe step boundary.  The returned :class:`ExecutionTrace` then
+reports a structured ``outcome`` — ``"completed"``, ``"partial"`` (some
+steps survived), or ``"rolled_back"`` (none did) — instead of raising or
 silently swallowing the failure.
 """
 
@@ -63,8 +62,8 @@ class ExecutionTrace:
             step boundary (1.0 when nothing was ever offline).
         peak_overcommit: The largest capacity excess observed (0.0 when
             resources were respected throughout).
-        steps_executed: Command sets whose effects survived (after any
-            abort-and-compensate rollback, the safe-boundary step count).
+        steps_executed: Command sets whose effects survived (after an
+            abort, the safe-boundary step count).
         alive_fractions: Per-step minimum alive fraction, for plotting.
         outcome: ``"completed"`` when every step applied, ``"partial"``
             when a fault aborted execution after at least one safe step,
@@ -180,8 +179,8 @@ class MigrationExecutor:
         tracer = get_tracer()
         logger = get_logger("migration.executor")
 
-        # Abort-and-compensate bookkeeping: the last step boundary at which
-        # both invariants held, and the placement at that boundary.
+        # Abort bookkeeping: the last step boundary at which both
+        # invariants held, and the placement at that boundary.
         safe_x = x.copy()
         safe_steps = 0
         outcome = OUTCOME_COMPLETED
@@ -196,7 +195,6 @@ class MigrationExecutor:
                 with tracer.span(
                     "migration.execute.step", index=step_index, commands=len(step)
                 ) as step_span:
-                    applied: list = []
                     aborted = False
                     for command in step:
                         fate = self._attempt_command(command, injector)
@@ -225,13 +223,10 @@ class MigrationExecutor:
                             x[s, m] -= 1
                         else:
                             x[s, m] += 1
-                        applied.append((command.action, s, m))
 
                     if aborted:
-                        # Compensate the half-applied step, then roll back to
-                        # the last boundary where both invariants held.
-                        for action, s, m in reversed(applied):
-                            x[s, m] += 1 if action is CommandAction.DELETE else -1
+                        # Discard the half-applied step: roll back to the last
+                        # boundary where both invariants held.
                         x = safe_x
                         outcome = (
                             OUTCOME_PARTIAL if safe_steps > 0 else OUTCOME_ROLLED_BACK

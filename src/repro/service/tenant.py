@@ -206,35 +206,32 @@ class Tenant:
         )
         self._lock = threading.Lock()
         self._folded = 0
-        self.durable = resumed
-        if resumed is not None:
-            self.controller: "CronJobController" = resumed.controller
-            self.hub: TelemetryHub = self.controller.telemetry
-            saved_events = resumed.extra_payload.get("events")
-            if saved_events:
-                self.events.restore_state(saved_events)
-        else:
-            self.hub = TelemetryHub()
-            self.controller = build_controller(
-                spec, spec.source, telemetry=self.hub
-            )
-            if self.checkpoint_dir is not None:
-                self.durable = DurableControlLoop(
-                    controller=self.controller,
-                    store=CheckpointStore(self.checkpoint_dir),
-                    spec=spec,
-                    total_cycles=0,
-                )
-        if self.durable is not None:
-            # Persist the audit log and the tenant's own settings through
-            # the checkpoint's ``extra`` payload.
-            self.durable.extra_state = lambda: {
-                "events": self.events.state_payload(),
-                "tenant_spec": self.spec.service_dict(),
-            }
-            self.durable.on_checkpoint = self._on_checkpoint
-            if resumed is None:
-                self.durable.checkpoint()
+        #: The tenant's one loop runner; it journals iff it has a store.
+        self.loop: DurableControlLoop = resumed or DurableControlLoop(
+            controller=build_controller(
+                spec, spec.source, telemetry=TelemetryHub()
+            ),
+            store=(
+                None if self.checkpoint_dir is None
+                else CheckpointStore(self.checkpoint_dir)
+            ),
+            spec=spec,
+            total_cycles=0,
+        )
+        self.controller: "CronJobController" = self.loop.controller
+        self.hub: TelemetryHub = self.controller.telemetry
+        saved_events = self.loop.extra_payload.get("events")
+        if saved_events:
+            self.events.restore_state(saved_events)
+        # Persist the audit log and the tenant's own settings through the
+        # checkpoint's ``extra`` payload.
+        self.loop.extra_state = lambda: {
+            "events": self.events.state_payload(),
+            "tenant_spec": self.spec.service_dict(),
+        }
+        self.loop.on_checkpoint = self._on_checkpoint
+        if resumed is None:
+            self.loop.checkpoint()
         self._fold_new_reports()
 
     # ------------------------------------------------------------------
@@ -282,12 +279,12 @@ class Tenant:
     def run_cycles(self, cycles: int) -> list[CycleReport]:
         """Run ``cycles`` more cycles on the calling (pool worker) thread.
 
-        Durable tenants run through their
-        :class:`~repro.durability.loop.DurableControlLoop` so every
-        committed cycle is journaled; the loop's target is bumped by
-        ``cycles`` each trigger, which is what makes three one-cycle
-        triggers produce the same checkpoint state as one three-cycle
-        run.
+        Every tenant runs through its
+        :class:`~repro.durability.loop.DurableControlLoop`, which
+        journals each committed cycle when the tenant has a checkpoint
+        directory; the loop's target is bumped by ``cycles`` each
+        trigger, which is what makes three one-cycle triggers produce
+        the same checkpoint state as one three-cycle run.
         """
         if cycles < 1:
             raise ProblemValidationError(f"cycles must be >= 1, got {cycles}")
@@ -297,13 +294,8 @@ class Tenant:
             trace_id=current_trace_id(),
             detail={"requested": int(cycles)},
         )
-        if self.durable is not None:
-            target = len(self.controller.history) + cycles
-            self.durable.total_cycles = target
-            history = self.durable.run()
-            new = history[-cycles:]
-        else:
-            new = self.controller.run(cycles)
+        self.loop.total_cycles = len(self.controller.history) + cycles
+        new = self.loop.run()[-cycles:]
         for report in new:
             self._record_cycle_events(report)
         self._fold_new_reports()
@@ -388,9 +380,8 @@ class Tenant:
         return len(parsed)
 
     def checkpoint(self) -> None:
-        """Write a final snapshot now (no-op for non-durable tenants)."""
-        if self.durable is not None:
-            self.durable.checkpoint()
+        """Write a final snapshot now (no-op without a checkpoint directory)."""
+        self.loop.checkpoint()
 
     # ------------------------------------------------------------------
     def _on_checkpoint(self) -> None:
@@ -444,7 +435,7 @@ class Tenant:
                 "num_services": problem.num_services,
                 "num_machines": problem.num_machines,
                 "schedule_seconds": self.spec.schedule_seconds,
-                "durable": self.durable is not None,
+                "durable": self.checkpoint_dir is not None,
                 "checkpoint_dir": (
                     None if self.checkpoint_dir is None else str(self.checkpoint_dir)
                 ),

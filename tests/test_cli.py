@@ -294,3 +294,144 @@ def test_supervise_requires_checkpoint_dir(event_trace_path, capsys):
     code = main(["replay", str(event_trace_path), "--supervise"])
     assert code == 1
     assert "--supervise requires --checkpoint-dir" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# One declaration per loop tunable: surface, flag table, error mapping
+# ----------------------------------------------------------------------
+def _load_data_module(name):
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).parent / "data" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_cli_surface_matches_parent():
+    """Flags, dests, types, choices, nargs, positional order and the
+    effective ``LoopSpec`` of bare loop commands equal the parent's.
+
+    ``cli_surface.json`` was written by ``make_cli_surface.py`` running on
+    ac883fe, whose ``cli.py`` typed every loop flag three times by hand.
+    """
+    import json
+
+    maker = _load_data_module("make_cli_surface")
+    pinned = json.loads(maker.SURFACE.read_text())
+    current = json.loads(json.dumps(maker.compute_surface(), sort_keys=True))
+    assert current == pinned
+
+
+def test_loop_flags_cover_loopspec():
+    """A new ``LoopSpec`` field must be given a flag or named facade-only."""
+    from dataclasses import fields
+
+    from repro.cli import LOOP_FLAGS
+    from repro.core.config import LoopSpec
+
+    facade_only = {"config", "retry", "rollback_imbalance"}
+    flagged = [flag.field for flag in LOOP_FLAGS]
+    assert len(flagged) == len(set(flagged))
+    assert set(flagged) | facade_only == {f.name for f in fields(LoopSpec)}
+    assert not set(flagged) & facade_only
+
+
+def test_design_field_table_lists_the_loop_flags():
+    """DESIGN §12's "CLI flag" column is ``LOOP_FLAGS``, row for row."""
+    import re
+    from pathlib import Path
+
+    from repro.cli import LOOP_FLAGS
+
+    design = (Path(__file__).parents[1] / "DESIGN.md").read_text()
+    documented = dict(
+        re.findall(r"^\| `(\w+)` \| (?:`(--[\w-]+)`|—) \|", design, flags=re.M)
+    )
+    assert {f: o for f, o in documented.items() if o} == {
+        flag.field: flag.option for flag in LOOP_FLAGS
+    }
+    assert sorted(f for f, o in documented.items() if not o) == [
+        "config", "retry", "rollback_imbalance"
+    ]
+
+
+#: command line (TRACE = a generated cluster) -> what stderr must name.
+#: Each row ended in a bare traceback (or, ``--checkpoint-every 0``, ran
+#: with 16) on the parent commit.
+BAD_INPUT = [
+    (["cron", "TRACE", "--sla-floor", "2"], "sla_floor"),
+    (["cron", "TRACE", "--time-limit", "-1"], "time_limit"),
+    (["cron", "TRACE", "--checkpoint-every", "-3"], "checkpoint_every"),
+    (["cron", "TRACE", "--checkpoint-every", "0"], "checkpoint_every"),
+    (["tenant", "register", "t0", "TRACE", "--slo", "{bad"], "--slo"),
+    (["tenant", "push", "t0", "nofile.json"], "nofile.json"),
+    (["tenant", "schedule", "t0", "soon"], "seconds"),
+]
+
+
+@pytest.mark.parametrize("argv,named", BAD_INPUT, ids=lambda v: " ".join(v[:4]))
+def test_bad_input_is_an_error_line_not_a_traceback(
+    argv, named, trace_path, capsys, monkeypatch
+):
+    # No service is listening: input must be rejected before any request.
+    monkeypatch.setattr(
+        "repro.service.client.ServiceClient._request",
+        lambda *a, **k: pytest.fail("reached the network"),
+    )
+    argv = [str(trace_path) if a == "TRACE" else a for a in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and named in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_workers_zero_is_an_error_line(trace_path, capsys):
+    assert main(["cron", str(trace_path), "--workers", "0"]) == 1
+    assert capsys.readouterr().err == "error: --workers must be >= 1\n"
+
+
+def test_abbreviated_supervisor_flag_is_a_usage_error(
+    event_trace_path, tmp_path, capsys, monkeypatch
+):
+    """``--superv`` once re-executed itself without bound: argparse took it
+    for ``--supervise`` while the child's argv kept the abbreviation."""
+    from repro.durability.supervisor import Supervisor
+
+    monkeypatch.setattr(
+        Supervisor, "run", lambda self: pytest.fail("spawned a child")
+    )
+    argv = ["replay", str(event_trace_path), "--checkpoint-dir",
+            str(tmp_path / "ck")]
+    for abbreviated in (["--superv"], ["--supervise", "--max-rest", "1"],
+                        ["--supervise", "--hang-t", "5"]):
+        with pytest.raises(SystemExit) as usage:
+            main(argv + abbreviated)
+        assert usage.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_supervise_runs_one_child_without_the_supervisor_flags(
+    event_trace_path, tmp_path, monkeypatch
+):
+    import sys
+
+    from repro.durability.supervisor import Supervisor
+
+    seen = []
+    monkeypatch.setattr(
+        Supervisor, "run", lambda self: seen.append(self) or 0
+    )
+    ck = str(tmp_path / "ck")
+    assert main(["replay", str(event_trace_path), "--cycles", "2",
+                 "--supervise", "--max-restarts", "0", "--hang-timeout=9",
+                 "--checkpoint-dir", ck]) == 0
+    (supervisor,) = seen
+    assert supervisor.argv == [
+        sys.executable, "-m", "repro.cli", "replay", str(event_trace_path),
+        "--cycles", "2", "--checkpoint-dir", ck,
+    ]
+    assert supervisor.policy.max_restarts == 0
+    assert supervisor.policy.hang_timeout == 9.0

@@ -280,6 +280,29 @@ def test_durable_replay_matches_plain_run(demo_trace, tmp_path):
     assert _stripped(durable) == _stripped(ref)
 
 
+def test_storeless_loop_is_controller_run(demo_trace, monkeypatch):
+    """``DurableControlLoop(store=None)`` — the facade's and a tenant's
+    runner without a checkpoint directory — journals nothing: no live
+    capture, no checkpoint callback, the reports of ``controller.run``."""
+    from repro.cluster.cronjob import build_controller
+    from repro.core.config import LoopSpec
+    from repro.durability import loop as durable_loop
+
+    monkeypatch.setattr(
+        durable_loop, "capture_live", lambda c: pytest.fail("captured")
+    )
+    spec = LoopSpec()
+    ref = build_controller(spec, demo_trace.cursor()).run(4)
+    loop = durable_loop.DurableControlLoop(
+        controller=build_controller(spec, demo_trace.cursor()),
+        store=None, spec=spec, total_cycles=4,
+    )
+    loop.on_checkpoint = lambda: pytest.fail("checkpointed")
+    loop.checkpoint()
+    assert _stripped(loop.run()) == _stripped(ref)
+    assert loop.source_payload is None and not loop.interrupted
+
+
 def test_resume_after_partial_run_is_bit_identical(demo_trace, tmp_path):
     ck = tmp_path / "ck"
     ref = api.replay_trace(demo_trace, cycles=6)
@@ -607,7 +630,11 @@ def test_strip_supervisor_args():
         "replay", "t.gz", "--supervise", "--max-restarts", "3",
         "--hang-timeout=5", "--checkpoint-dir", "ck", "--cycles", "9",
     ]
-    assert strip_supervisor_args(argv) == [
+    # option -> takes a value; the CLI derives this from its one
+    # declaration of the supervisor options (tests/test_cli.py checks the
+    # child argv it produces).
+    flags = {"--supervise": False, "--max-restarts": True, "--hang-timeout": True}
+    assert strip_supervisor_args(argv, flags) == [
         "replay", "t.gz", "--checkpoint-dir", "ck", "--cycles", "9",
     ]
 

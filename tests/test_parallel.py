@@ -358,6 +358,7 @@ def test_effective_workers_resolution():
 
 def test_cli_parallel_flags():
     from repro.cli import _scheduler_config, build_parser
+    from repro.exceptions import ProblemValidationError
 
     args = build_parser().parse_args(
         ["optimize", "trace.json", "--workers", "3", "--parallel"]
@@ -366,7 +367,8 @@ def test_cli_parallel_flags():
     assert config.workers == 3
     assert config.parallel is True
 
+    # An input error like any other: main() turns it into ``error:`` + exit 1.
     bad = build_parser().parse_args(["optimize", "trace.json", "--workers", "0"])
-    with pytest.raises(SystemExit):
+    with pytest.raises(ProblemValidationError, match="--workers must be >= 1"):
         _scheduler_config(bad)
 

@@ -492,6 +492,27 @@ def test_replay_reports_carry_event_descriptions(small_trace):
     assert CycleReport.from_dict(payload).events == reports[-1].events
 
 
+def test_every_chaos_replay_report_round_trips(small_trace):
+    """``to_dict``/``from_dict`` derive from the dataclass fields: every
+    report of a chaos replay (rungs, retries, flaps, events set) comes
+    back equal, and the payload is the fields in order minus ``trace_id``."""
+    import dataclasses
+    import json
+
+    chaos = {"seed": 11, "command_failure_rate": 0.3,
+             "machine_failure_rate": 0.2, "stale_snapshot_rate": 0.2}
+    reports = api.replay_trace(
+        small_trace, time_limit=None, faults=chaos, traffic_jitter_sigma=0.05
+    )
+    assert any(r.rungs for r in reports) and any(r.events for r in reports)
+    assert any(r.machine_failures for r in reports)
+    wire = [f.name for f in dataclasses.fields(CycleReport) if f.name != "trace_id"]
+    for report in reports:
+        payload = report.to_dict()
+        assert list(payload) == ["schema_version", *wire] and len(wire) == 17
+        assert CycleReport.from_dict(json.loads(json.dumps(payload))) == report
+
+
 def test_replay_recovers_from_scale_and_traffic_churn(small_cluster):
     problem = small_cluster.problem
     busiest = problem.affinity.services_by_total_affinity()[0][0]
