@@ -13,8 +13,7 @@ real CLI in real processes:
    following cycle, exercising every crash window (mid-WAL-append,
    between append and compaction, mid-compaction).
 3. Resume with the same CLI command and ``--report-out``; the resumed
-   report sequence must be bit-identical to the reference (modulo the
-   process-local ``metrics`` field).
+   report sequence must be bit-identical to the reference.
 
 Scenarios: fault-free, under a seeded chaos plan, and (unless
 ``--quick``) the chaos plan with 4 solve workers.  A separate case
@@ -65,15 +64,6 @@ FAULT_PLAN = {
     "stale_snapshot_rate": 0.1,
     "snapshot_drop_fraction": 0.05,
 }
-
-
-def _stripped(report_dicts: list[dict]) -> list[dict]:
-    out = []
-    for entry in report_dicts:
-        d = dict(entry)
-        d.pop("metrics", None)
-        out.append(d)
-    return out
 
 
 def _completed_cycles(checkpoint_dir: Path) -> int:
@@ -151,7 +141,7 @@ def run_scenario(name: str, *, trace_path: Path, trace, cycles: int,
     reference = api.replay_trace(
         trace, cycles=cycles, faults=faults, config=config,
     )
-    ref_payload = _stripped([r.to_dict() for r in reference])
+    ref_payload = [r.to_dict() for r in reference]
 
     checkpoint_dir = work_dir / f"ck-{name}"
     killed = _kill_child_mid_run(
@@ -172,7 +162,7 @@ def run_scenario(name: str, *, trace_path: Path, trace, cycles: int,
     if code != 0:
         print(f"FAIL {name}: resume exited {code}")
         return False
-    resumed = _stripped(json.loads(report_out.read_text("utf-8")))
+    resumed = json.loads(report_out.read_text("utf-8"))
     if resumed != ref_payload:
         diverged = next(
             (i for i, (a, b) in enumerate(zip(resumed, ref_payload)) if a != b),

@@ -38,7 +38,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -86,14 +85,6 @@ def _peak_rss_bytes() -> int:
             rss *= 1024
         peak = max(peak, rss)
     return int(peak)
-
-
-def strip_report(payload: dict) -> dict:
-    """A report dict minus its wall-clock-noisy metrics snapshot — the
-    unit of bit-identical comparison (same convention as tests)."""
-    stripped = dict(payload)
-    stripped.pop("metrics", None)
-    return stripped
 
 
 def is_churn_cycle(report: dict) -> bool:
@@ -277,7 +268,7 @@ def main(argv: list[str] | None = None) -> int:
             trace, label="determinism-b", cycles=head, faults=None,
             sla_floor=args.sla_floor, seed=args.seed, jsonl_path=None,
         )
-        if list(map(strip_report, first)) != list(map(strip_report, second)):
+        if first != second:
             failures.append(
                 f"determinism: two replays of the first {head} cycles "
                 f"with seed {args.seed} diverged"

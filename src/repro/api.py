@@ -75,7 +75,7 @@ from repro.faults import FaultInjector, FaultPlan, coerce_injector
 from repro.migration.executor import ExecutionTrace, MigrationExecutor
 from repro.migration.path import MigrationPathBuilder
 from repro.migration.plan import MigrationPlan
-from repro.obs import JsonlStreamWriter, TelemetryHub, TelemetryServer, get_metrics
+from repro.obs import JsonlStreamWriter, TelemetryHub, TelemetryServer
 from repro.service.app import OptimizerService, ServiceConfig
 from repro.service.client import ServiceClient
 
@@ -431,9 +431,10 @@ def resume_control_loop(
     :func:`replay_trace` invocation (with ``checkpoint_dir``) left behind,
     rebuilds the world from the checkpoint's embedded source, restores the
     live state, and runs the remaining cycles.  The returned history —
-    restored cycles followed by freshly run ones — is bit-identical
-    (modulo the process-local ``metrics`` field) to what the uninterrupted
-    run would have returned, no matter where the previous process died.
+    restored cycles followed by freshly run ones — is bit-identical to
+    what the uninterrupted run would have returned, no matter where the
+    previous process died.  Process metrics are not journaled: the
+    resumed process counts from zero, like any restarted exporter.
 
     A torn WAL tail (the record being written at the kill) is detected by
     CRC and recovered by truncating back to the last good record; damage
@@ -451,35 +452,23 @@ def resume_control_loop(
         checkpoint_every: Override the recorded compaction cadence.
         shutdown: Optional graceful-shutdown flag, as in
             :func:`run_control_loop`.
-        (telemetry arguments as in :func:`run_control_loop`; restored
-        cycles are republished to the hub, and ``/healthz`` gains a
-        ``recovery`` block describing the resume.)
+        (telemetry arguments as in :func:`run_control_loop`; ``/cycles``
+        serves the restored cycles too, the cycle stream re-writes them,
+        and ``/healthz`` gains a ``recovery`` block describing the
+        resume.)
 
     Returns:
         The full report history, restored cycles included.
     """
     def build(hub: "TelemetryHub | None") -> "Callable[[], list[CycleReport]]":
-        loop = prepare_resume(
+        return prepare_resume(
             checkpoint_dir,
             cycles=cycles,
             allow_cold_start=allow_cold_start,
             checkpoint_every=checkpoint_every,
             shutdown=shutdown,
             telemetry=hub,
-        )
-        # This loop owns the process, so its counters/gauges survive the
-        # restart via the last report's snapshot (histograms restart empty
-        # — their reservoirs are process-local).  Tenants of a service
-        # share the registry their reports snapshot, so they must not.
-        if loop.controller.history:
-            last = loop.controller.history[-1].metrics
-            get_metrics().merge(
-                {
-                    "counters": dict(last.get("counters", {})),
-                    "gauges": dict(last.get("gauges", {})),
-                }
-            )
-        return loop.run
+        ).run
 
     return _run_observed(
         build,

@@ -86,13 +86,18 @@ class CycleReport:
             the SLA floor.
         events: Descriptions of replay-stream events applied before this
             cycle ran (empty outside replay mode).
-        metrics: Snapshot of the process metrics registry taken when the
-            cycle finished.
         trace_id: Request trace id current while the cycle ran (None when
-            untraced).  Process-local like ``metrics`` — deliberately
-            excluded from :meth:`to_dict` (``wire=False``), so serialized
-            report sequences stay bit-identical whether or not tracing is
-            enabled.
+            untraced).
+        duration_seconds: Measured wall time of the cycle (0.0 when
+            unknown: a cycle restored from a checkpoint); the SLO engine's
+            cycle-latency objective reads it.
+
+    ``trace_id`` and ``duration_seconds`` are process-local: excluded from
+    :meth:`to_dict` (``wire=False``) and from equality, so serialized
+    report sequences stay bit-identical and machine-independent whether
+    or not tracing is enabled.  A report carries no snapshot of the
+    process metrics registry — the registry is process-wide (a service's
+    tenants share it) and is scraped from ``/metrics``, not journaled.
     """
 
     cycle: int
@@ -111,9 +116,11 @@ class CycleReport:
     min_alive_fraction: float = 1.0
     sla_ok: bool = True
     events: list[str] = field(default_factory=list)
-    metrics: dict = field(default_factory=dict)
     trace_id: str | None = field(
         default=None, compare=False, metadata={"wire": False}
+    )
+    duration_seconds: float = field(
+        default=0.0, compare=False, metadata={"wire": False}
     )
 
     # ------------------------------------------------------------------
@@ -135,7 +142,8 @@ class CycleReport:
         """Deserialize a report written by :meth:`to_dict`.
 
         Values are coerced to their field's type; a field an older writer
-        did not know keeps its dataclass default.
+        did not know keeps its dataclass default, and a key this version
+        does not know (an older writer's ``metrics`` snapshot) is ignored.
         """
         check_schema(payload, "CycleReport")
         return cls(**{
@@ -186,18 +194,21 @@ class CronJobController:
             fault-free control loop.
         degradation: The ladder walked when a cycle's migration aborts.
         retry: Backoff policy for faulted migration commands.
-        telemetry: Optional :class:`~repro.obs.server.TelemetryHub` each
-            finished cycle is published to (live ``/healthz``/``/cycles``
-            endpoints and the JSONL cycle stream).  A pure observer: it
-            never feeds back into the loop, so attaching one leaves the
-            report sequence bit-identical.
+        telemetry: Optional :class:`~repro.obs.server.TelemetryHub`
+            serving this controller's ``history`` (live ``/healthz`` /
+            ``/cycles``) and streaming each finished cycle to the JSONL
+            cycle stream.  A pure observer: it never feeds back into the
+            loop, so attaching one leaves the report sequence
+            bit-identical.
         stream: Optional replay cursor
             (:class:`~repro.cluster.replay.EventStreamCursor`).  When set,
             every cycle first applies all trace events due at the current
             simulated clock, then runs the normal collect→solve→migrate
             body against the churned world.  The cursor must wrap the same
             :class:`ClusterState` object as ``state``.
-        history: Reports of every cycle run so far.
+        history: Reports of every cycle run so far — the loop's one cycle
+            log: the telemetry hub serves it, the durable loop journals it,
+            a service tenant folds it into its metrics.
         last_plan: The most recent migration plan a cycle built (dry-run
             cycles leave it untouched; None before any cycle migrated) —
             the payload behind the service's ``GET .../plan`` endpoint.
@@ -218,6 +229,10 @@ class CronJobController:
     stream: "EventStreamCursor | None" = None
     history: list[CycleReport] = field(default_factory=list)
     last_plan: MigrationPlan | None = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.telemetry is not None:
+            self.telemetry.history = self.history
 
     # ------------------------------------------------------------------
     def run_once(self) -> CycleReport:
@@ -241,9 +256,8 @@ class CronJobController:
             span.set_tag("gained_after", report.gained_after)
             span.set_tag("moved_containers", report.moved_containers)
         report.events = events
-        report.metrics = get_metrics().snapshot()
         report.trace_id = current_trace_id()
-        duration = time.perf_counter() - started
+        report.duration_seconds = time.perf_counter() - started
         logger.info(
             "cycle done %s",
             kv(
@@ -255,7 +269,7 @@ class CronJobController:
         )
         self.history.append(report)
         if self.telemetry is not None:
-            self.telemetry.publish_cycle(report, duration_seconds=duration)
+            self.telemetry.publish_cycle(report)
         return report
 
     def _run_cycle(self, cycle: int, tracer, logger) -> CycleReport:
@@ -518,8 +532,12 @@ class CronJobController:
                 crash during the callback re-runs nothing.
             should_stop: Optional predicate checked between cycles; a True
                 return ends the run early (graceful shutdown).
+
+        Returns:
+            The reports of the cycles this call ran (the tail of
+            :attr:`history`).
         """
-        reports = []
+        first = len(self.history)
         for _ in range(cycles):
             if should_stop is not None and should_stop():
                 break
@@ -527,8 +545,7 @@ class CronJobController:
             self.state.advance(self.interval_seconds)
             if on_cycle is not None:
                 on_cycle(report)
-            reports.append(report)
-        return reports
+        return self.history[first:]
 
     # ------------------------------------------------------------------
     def _inject_machine_faults(self, cycle: int, tracer, logger) -> list[str]:

@@ -79,8 +79,10 @@ class RASAResult:
             incumbent history (offset by the solve's start time), restoring
             the paper's Fig. 10 anytime-curve resolution.  Timestamps are
             non-decreasing even when parallel workers finish out of order.
-        metrics: Snapshot of the process metrics registry taken when the
-            run finished (solver counters, per-phase duration histograms).
+
+    The run's solver counters and per-phase duration histograms go to the
+    process metrics registry (``rasa optimize --metrics-out``, ``/metrics``);
+    the result carries no copy of it.
     """
 
     assignment: Assignment
@@ -89,7 +91,6 @@ class RASAResult:
     reports: list[SubproblemReport] = field(default_factory=list)
     runtime_seconds: float = 0.0
     trajectory: list[tuple[float, float]] = field(default_factory=list)
-    metrics: dict = field(default_factory=dict)
 
     def summary_dict(self) -> dict:
         """JSON-safe, ``schema_version``-tagged summary of the run.
@@ -274,7 +275,6 @@ class RASAScheduler:
             reports=reports,
             runtime_seconds=watch.elapsed,
             trajectory=trajectory,
-            metrics=metrics.snapshot(),
         )
 
     # ------------------------------------------------------------------

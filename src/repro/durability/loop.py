@@ -8,8 +8,8 @@ into an atomic, self-contained snapshot.  After a crash at *any* point,
 :func:`prepare_resume` rebuilds the world from the snapshot's embedded
 source (event trace or problem), fast-forwards the replay cursor, restores
 the live state, and continues the loop — producing a CycleReport sequence
-bit-identical (modulo the process-local ``metrics`` field, the repo's
-established determinism contract) to an uninterrupted run.
+bit-identical to an uninterrupted run.  Process metrics are not part of
+the journal: a restarted process counts from zero.
 
 Why this restores exactly what it does: the solve phase is a pure function
 of the collected problem (the partitioner re-seeds its RNG per call and
@@ -263,8 +263,9 @@ def prepare_resume(
             progress and restart from cycle 0 instead of raising.
         checkpoint_every: Override the recorded compaction cadence.
         shutdown: Optional :class:`GracefulShutdown` to honor.
-        telemetry: Optional hub; restored reports are republished to it
-            and its ``/healthz`` payload gains the recovery status.
+        telemetry: Optional hub; it serves the restored history, restored
+            reports are re-streamed to its cycle stream, and its
+            ``/healthz`` payload gains the recovery status.
 
     Raises:
         DurabilityError: When the directory holds no usable checkpoint.

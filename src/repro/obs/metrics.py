@@ -168,32 +168,27 @@ class Histogram:
                 "max": self.max,
             }
 
-    def fold(self, payload: "dict[str, Any] | list[float]") -> None:
-        """Fold a :meth:`dump` payload (or a legacy raw list) into this one.
+    def fold(self, payload: dict[str, Any]) -> None:
+        """Fold a :meth:`dump` payload into this one.
 
         Exact stats accumulate exactly; the incoming samples run through
         the reservoir, so percentiles stay representative (and remain
-        exact as long as the combined sample count fits the cap).
+        exact as long as the combined sample count fits the cap).  A dump
+        only ever travels from a pool worker to its parent within one
+        run — metrics are never persisted — so there is one payload shape.
         """
-        if isinstance(payload, dict):
-            values = [float(v) for v in payload.get("values", [])]
-            count = int(payload.get("count", len(values)))
-            if count <= 0:
-                return
-            with self._lock:
-                if self.count == 0:
-                    self.min = float(payload.get("min", 0.0))
-                    self.max = float(payload.get("max", 0.0))
-                else:
-                    self.min = min(self.min, float(payload.get("min", self.min)))
-                    self.max = max(self.max, float(payload.get("max", self.max)))
-                self.count += count
-                self.sum += float(payload.get("sum", 0.0))
-                for value in values:
-                    self._sample(value)
+        if payload["count"] <= 0:
             return
-        for value in payload:
-            self.observe(float(value))
+        with self._lock:
+            if self.count == 0:
+                self.min, self.max = payload["min"], payload["max"]
+            else:
+                self.min = min(self.min, payload["min"])
+                self.max = max(self.max, payload["max"])
+            self.count += payload["count"]
+            self.sum += payload["sum"]
+            for value in payload["values"]:
+                self._sample(value)
 
 
 class MetricsRegistry:
@@ -277,9 +272,7 @@ class MetricsRegistry:
 
         Counters accumulate, gauges take the incoming value (last writer
         wins, matching :meth:`Gauge.set` semantics), histograms fold their
-        exact stats and replay their samples through the reservoir.  Both
-        the current dict-shaped histogram payload and the legacy raw
-        sample list are accepted.
+        exact stats and replay their samples through the reservoir.
         """
         for name, value in raw.get("counters", {}).items():
             self.counter(name).inc(value)

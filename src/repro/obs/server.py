@@ -43,13 +43,13 @@ post-mortem, so the CronJob controller can attach a
 * ``GET /trace/otlp`` — the same span forest as an OTLP/JSON trace
   document (:func:`~repro.obs.export.to_otlp`).
 
-State flows through a :class:`TelemetryHub`: the controller calls
-:meth:`TelemetryHub.publish_cycle` as each cycle closes, which also
-appends the report to an optional
-:class:`~repro.obs.export.JsonlStreamWriter`.  The hub and server are
-strictly additive observers — they never feed back into the solve path,
-so an attached server leaves solver output and report sequences
-bit-identical.
+State flows through a :class:`TelemetryHub`: a view over the report
+history of the controller it is attached to (the loop's one cycle log),
+plus an optional :class:`~repro.obs.export.JsonlStreamWriter` the
+controller streams each finished cycle to through
+:meth:`TelemetryHub.publish_cycle`.  The hub and server are strictly
+additive observers — they never feed back into the solve path, so an
+attached server leaves solver output and report sequences bit-identical.
 """
 
 from __future__ import annotations
@@ -84,7 +84,15 @@ MAX_BODY_BYTES = 64 * 1024 * 1024
 
 
 class TelemetryHub:
-    """Thread-safe store of control-loop telemetry the server reads from.
+    """A control loop's live view: its report history and cycle stream.
+
+    The hub stores no cycles of its own.  A
+    :class:`~repro.cluster.cronjob.CronJobController` built with
+    ``telemetry=hub`` binds :attr:`history` to its own ``history`` list,
+    so ``/healthz`` and ``/cycles`` read the loop's one cycle log — the
+    list a restored checkpoint refills and a service tenant folds into
+    its metrics.  The controller only ever appends, and the server only
+    reads, so no lock is needed.
 
     Args:
         stream: Optional JSONL writer that every published cycle report is
@@ -92,30 +100,16 @@ class TelemetryHub:
     """
 
     def __init__(self, stream: JsonlStreamWriter | None = None) -> None:
-        self._lock = threading.Lock()
-        self._cycles: list[dict[str, Any]] = []
-        self._durations: list[float] = []
-        self._recovery: dict[str, Any] | None = None
+        #: The attached controller's report history (empty until bound).
+        self.history: list[CycleReport] = []
         self.stream = stream
+        self._recovery: dict[str, Any] | None = None
 
     # ------------------------------------------------------------------
-    def publish_cycle(
-        self, report: "CycleReport", *, duration_seconds: float = 0.0
-    ) -> None:
-        """Record one finished cycle (and stream it, when configured).
-
-        ``duration_seconds`` is the cycle's measured wall time (0.0 when
-        unknown, e.g. for reports republished during a checkpoint
-        resume); the SLO engine reads it for the cycle-latency
-        objective.  It is deliberately kept *out* of the report payload
-        so report sequences stay machine-independent.
-        """
-        payload = report.to_dict()
-        with self._lock:
-            self._cycles.append(payload)
-            self._durations.append(float(duration_seconds))
+    def publish_cycle(self, report: "CycleReport") -> None:
+        """Stream one finished (or restored) cycle, when a stream is set."""
         if self.stream is not None:
-            self.stream.write({"kind": "cycle", **payload})
+            self.stream.write({"kind": "cycle", **report.to_dict()})
 
     def set_recovery(self, info: dict[str, Any] | None) -> None:
         """Record crash-recovery status surfaced on ``/healthz``.
@@ -124,37 +118,30 @@ class TelemetryHub:
         checkpoint resume (resumed/cold-start cycle counts, WAL recovery
         stats, supervisor restart bookkeeping); None for fresh runs.
         """
-        with self._lock:
-            self._recovery = dict(info) if info is not None else None
+        self._recovery = dict(info) if info is not None else None
 
     def cycles(self, since: int = 0) -> list[dict[str, Any]]:
-        """The published cycle reports from index ``since`` on, in order."""
-        with self._lock:
-            return self._cycles[since:]
-
-    def durations(self) -> list[float]:
-        """Measured wall time of each published cycle (0.0 = unknown)."""
-        with self._lock:
-            return list(self._durations)
+        """The history's cycle reports from index ``since`` on, serialized."""
+        return [report.to_dict() for report in self.history[since:]]
 
     def health(self) -> dict[str, Any]:
-        """Health summary derived from the latest published cycle.
+        """Health summary derived from the latest cycle of the history.
 
         ``status`` is ``"idle"`` before the first cycle, ``"sla_violated"``
         when the latest cycle broke the SLA floor, ``"degraded"`` when it
         held the floor but needed degradation-ladder rungs, and ``"ok"``
         otherwise.
         """
-        with self._lock:
-            latest = self._cycles[-1] if self._cycles else None
-            count = len(self._cycles)
-            recovery = dict(self._recovery) if self._recovery else None
-        if latest is None:
+        history = self.history
+        count = len(history)
+        recovery = dict(self._recovery) if self._recovery else None
+        if not count:
             return {"status": "idle", "cycles": 0, "sla_ok": None,
                     "rungs": [], "action": None, "gained_affinity": None,
                     "recovery": recovery}
-        sla_ok = bool(latest["sla_ok"])
-        rungs = list(latest["rungs"])
+        latest = history[count - 1]
+        sla_ok = bool(latest.sla_ok)
+        rungs = list(latest.rungs)
         if not sla_ok:
             status = "sla_violated"
         elif rungs:
@@ -164,12 +151,12 @@ class TelemetryHub:
         return {
             "status": status,
             "cycles": count,
-            "cycle": latest["cycle"],
+            "cycle": latest.cycle,
             "sla_ok": sla_ok,
             "rungs": rungs,
-            "action": latest["action"],
-            "gained_affinity": latest["gained_after"],
-            "min_alive_fraction": latest["min_alive_fraction"],
+            "action": latest.action,
+            "gained_affinity": latest.gained_after,
+            "min_alive_fraction": latest.min_alive_fraction,
             "recovery": recovery,
         }
 

@@ -11,7 +11,7 @@ control loop, over three objectives evaluated per finished cycle:
   ``gained_affinity_floor`` normalized gained affinity (disabled when
   None).
 
-The :class:`SLOEngine` folds each ``(CycleReport, duration)`` pair into
+The :class:`SLOEngine` folds each finished ``CycleReport`` into
 a sliding window of per-objective compliance bits and evaluates
 **burn rate** — the classic SRE error-budget math, counted in cycles
 rather than wall time because the control plane's unit of work is a
@@ -154,20 +154,18 @@ class SLOEngine:
             enabled.append(("gained_affinity", spec.compliance_target))
         return enabled
 
-    def observe(
-        self, report: "CycleReport", *, duration_seconds: float = 0.0
-    ) -> None:
+    def observe(self, report: "CycleReport") -> None:
         """Fold one finished cycle into the windows.
 
-        ``duration_seconds`` is the cycle's measured wall time; 0.0 (the
-        value used for cycles restored from a checkpoint, whose wall time
-        was not recorded) always counts as latency-compliant.
+        The latency objective reads ``report.duration_seconds``; 0.0 (a
+        cycle restored from a checkpoint, whose wall time was not
+        recorded) always counts as latency-compliant.
         """
         spec = self.spec
         entry = {"sla_ok": bool(report.sla_ok)}
         if spec.cycle_p95_seconds is not None:
             entry["cycle_latency"] = (
-                float(duration_seconds) <= spec.cycle_p95_seconds
+                float(report.duration_seconds) <= spec.cycle_p95_seconds
             )
         if spec.gained_affinity_floor is not None:
             entry["gained_affinity"] = (

@@ -599,7 +599,6 @@ class _ServiceRequestHandler(JsonRequestHandler):
 
     def get_cycles(self, name: str) -> None:
         since = self.int_query("since", 0)
-        # The hub holds each report already serialized, in history order.
         reports = self.owner.tenant(name).hub.cycles(since)
         document = {"tenant": name, "since": since, "reports": reports}
         self.respond_json(200, tag_schema(document))

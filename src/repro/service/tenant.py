@@ -7,14 +7,14 @@ optional wall-clock cron cadence.  A :class:`Tenant` is that spec made
 live — a :class:`~repro.cluster.cronjob.CronJobController` built through
 :func:`repro.cluster.cronjob.build_controller`, i.e. **exactly** the
 wiring :func:`repro.api.run_control_loop` uses, so a tenant's cycle
-reports are bit-identical (modulo the process-local ``metrics`` field) to
-the equivalent single-tenant run.
+reports are bit-identical to the equivalent single-tenant run.
 
 Isolation is structural, not policed:
 
 * each tenant owns its collector, fault injector, degradation ladder,
   telemetry hub, and metrics registry — the only shared mutable state is
-  the process metrics registry, which is advisory;
+  the process metrics registry, which is advisory and never copied into
+  a tenant's reports;
 * each tenant's randomness comes from its own seeded generators (the
   collector's jitter stream and the injector's per-cycle
   ``SeedSequence``), so one tenant's chaos plan can never perturb
@@ -239,8 +239,8 @@ class Tenant:
     def resume(cls, checkpoint_dir: "str | Path") -> "Tenant":
         """Rebuild a tenant from the checkpoint a previous run left behind.
 
-        The restored history is republished to the tenant's telemetry hub
-        and folded into its metrics registry, so ``/healthz`` and
+        The restored history is what the tenant's telemetry hub serves
+        and is folded into its metrics registry, so ``/healthz`` and
         ``/metrics`` pick up where the previous process stopped.
         """
         durable = prepare_resume(checkpoint_dir, telemetry=TelemetryHub())
@@ -294,8 +294,11 @@ class Tenant:
             trace_id=current_trace_id(),
             detail={"requested": int(cycles)},
         )
-        self.loop.total_cycles = len(self.controller.history) + cycles
-        new = self.loop.run()[-cycles:]
+        history = self.controller.history
+        first = len(history)
+        self.loop.total_cycles = first + cycles
+        self.loop.run()
+        new = history[first:]
         for report in new:
             self._record_cycle_events(report)
         self._fold_new_reports()
@@ -461,15 +464,11 @@ class Tenant:
         """
         with self._lock:
             history = self.controller.history
-            folded_before = self._folded
-            fresh = history[folded_before:]
+            fresh = history[self._folded:]
             self._folded = len(history)
-        durations = self.hub.durations()
         reg = self.registry
-        for offset, report in enumerate(fresh):
-            index = folded_before + offset
-            duration = durations[index] if index < len(durations) else 0.0
-            self.slo.observe(report, duration_seconds=duration)
+        for report in fresh:
+            self.slo.observe(report)
             reg.counter("tenant.cycles.total").inc()
             reg.counter(f"tenant.cycles.{report.action}").inc()
             reg.counter("tenant.moved_containers").inc(report.moved_containers)

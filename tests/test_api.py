@@ -75,12 +75,6 @@ def test_execute_plan_accepts_fault_dict(small_cluster):
     assert direct.to_dict() == from_dict.to_dict()
 
 
-def _strip_metrics(report) -> dict:
-    payload = report.to_dict()
-    payload.pop("metrics")
-    return payload
-
-
 def test_run_control_loop_matches_controller(small_cluster):
     # time_limit=None on both sides: run-vs-run equality needs every solve
     # to finish within budget (see test_faults._run_loop).
@@ -100,9 +94,7 @@ def test_run_control_loop_matches_controller(small_cluster):
         retry=RetryPolicy(),
     )
     via_class = controller.run(2)
-    assert [_strip_metrics(r) for r in via_facade] == [
-        _strip_metrics(r) for r in via_class
-    ]
+    assert via_facade == via_class
 
 
 def test_run_control_loop_accepts_bare_problem(small_cluster):
@@ -133,9 +125,7 @@ def test_run_control_loop_with_faults_matches_controller(small_cluster):
         faults=FaultInjector(plan),
     )
     via_class = controller.run(2)
-    assert [_strip_metrics(r) for r in via_facade] == [
-        _strip_metrics(r) for r in via_class
-    ]
+    assert via_facade == via_class
 
 
 # ----------------------------------------------------------------------

@@ -43,14 +43,6 @@ from repro.migration.plan import CommandAction
 # ----------------------------------------------------------------------
 # Helpers
 # ----------------------------------------------------------------------
-def _report_key(report: CycleReport) -> dict:
-    """A report's deterministic payload (the metrics snapshot is a view of
-    the process-global registry and accumulates across runs)."""
-    payload = report.to_dict()
-    payload.pop("metrics")
-    return payload
-
-
 def _run_loop(cluster, plan: FaultPlan | None, cycles: int = 3, **kwargs):
     """A fresh control loop over the shared cluster fixture.
 
@@ -279,7 +271,7 @@ CHAOS_PLAN = FaultPlan(
 def test_same_seed_same_plan_identical_reports(small_cluster):
     _, first = _run_loop(small_cluster, CHAOS_PLAN)
     _, second = _run_loop(small_cluster, CHAOS_PLAN)
-    assert [_report_key(r) for r in first] == [_report_key(r) for r in second]
+    assert first == second
 
 
 @pytest.mark.slow
@@ -293,7 +285,7 @@ def test_determinism_holds_under_workers(small_cluster):
         cycles=2,
         rasa=RASAScheduler(config=RASAConfig(workers=2, parallel=True)),
     )
-    assert [_report_key(r) for r in serial] == [_report_key(r) for r in parallel]
+    assert serial == parallel
 
 
 def test_chaos_invariant_at_twenty_percent(small_cluster):
@@ -321,7 +313,7 @@ def test_zero_rate_plan_matches_no_faults(small_cluster):
     """Differential: injection disabled ⇒ bit-identical control loop."""
     _, without = _run_loop(small_cluster, None)
     _, zeroed = _run_loop(small_cluster, FaultPlan())
-    assert [_report_key(r) for r in without] == [_report_key(r) for r in zeroed]
+    assert without == zeroed
 
 
 def test_machine_flaps_cordon_consistently(small_cluster):
@@ -340,7 +332,7 @@ def test_cycle_report_round_trip(small_cluster):
     _, reports = _run_loop(small_cluster, CHAOS_PLAN, cycles=2)
     for report in reports:
         payload = json.loads(json.dumps(report.to_dict()))
-        assert _report_key(CycleReport.from_dict(payload)) == _report_key(report)
+        assert CycleReport.from_dict(payload) == report
 
 
 # ----------------------------------------------------------------------

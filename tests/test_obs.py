@@ -261,7 +261,7 @@ def test_histogram_rejects_non_positive_cap():
         Histogram(sample_cap=0)
 
 
-def test_registry_merge_accepts_dict_and_legacy_list_payloads():
+def test_registry_merge_folds_worker_dump():
     source = MetricsRegistry()
     source.counter("c").inc(3)
     source.gauge("g").set(7.0)
@@ -280,13 +280,6 @@ def test_registry_merge_accepts_dict_and_legacy_list_payloads():
     assert snap["histograms"]["h"]["sum"] == pytest.approx(16.0)
     assert snap["histograms"]["h"]["min"] == 1.0
     assert snap["histograms"]["h"]["max"] == 10.0
-
-    # A legacy raw-list payload (pre-dict dump shape) folds the same way.
-    legacy = MetricsRegistry()
-    legacy.merge({"histograms": {"h": [5.0, 6.0]}})
-    summary = legacy.snapshot()["histograms"]["h"]
-    assert summary["count"] == 2
-    assert summary["sum"] == pytest.approx(11.0)
 
 
 def test_registry_reset_and_export(tmp_path):
@@ -337,11 +330,13 @@ def test_noop_and_enabled_tracer_produce_identical_results(small_cluster):
     assert names == {"rasa.schedule"}
 
 
-def test_schedule_result_carries_metrics_snapshot(small_cluster):
-    with use_metrics(MetricsRegistry()):
+def test_schedule_records_phase_metrics(small_cluster):
+    with use_metrics(MetricsRegistry()) as registry:
         result = RASAScheduler().schedule(small_cluster.problem, time_limit=6)
-    assert result.metrics["counters"]["rasa.subproblems.solved"] >= 1
-    histograms = result.metrics["histograms"]
+    assert not hasattr(result, "metrics")  # the registry is the one record
+    snapshot = registry.snapshot()
+    assert snapshot["counters"]["rasa.subproblems.solved"] >= 1
+    histograms = snapshot["histograms"]
     for phase in ("partition", "select", "solve", "merge"):
         assert histograms[f"rasa.phase.{phase}.seconds"]["count"] >= 1
 

@@ -35,12 +35,6 @@ from repro.exceptions import ClusterStateError, ProblemValidationError
 from repro.workloads import ClusterSpec
 
 
-def _report_key(report: CycleReport) -> dict:
-    payload = report.to_dict()
-    payload.pop("metrics")
-    return payload
-
-
 @pytest.fixture(scope="module")
 def small_trace() -> EventTrace:
     """A fast, churn-dense trace over a small generated cluster."""
@@ -479,7 +473,7 @@ def test_replay_trace_is_bit_deterministic(small_trace):
     first = api.replay_trace(small_trace, **kwargs)
     second = api.replay_trace(small_trace, **kwargs)
     assert len(first) == 4
-    assert [_report_key(r) for r in first] == [_report_key(r) for r in second]
+    assert first == second
 
 
 def test_replay_reports_carry_event_descriptions(small_trace):
@@ -495,7 +489,8 @@ def test_replay_reports_carry_event_descriptions(small_trace):
 def test_every_chaos_replay_report_round_trips(small_trace):
     """``to_dict``/``from_dict`` derive from the dataclass fields: every
     report of a chaos replay (rungs, retries, flaps, events set) comes
-    back equal, and the payload is the fields in order minus ``trace_id``."""
+    back equal, and the payload is the fields in order minus the
+    process-local ``trace_id`` and ``duration_seconds``."""
     import dataclasses
     import json
 
@@ -506,10 +501,11 @@ def test_every_chaos_replay_report_round_trips(small_trace):
     )
     assert any(r.rungs for r in reports) and any(r.events for r in reports)
     assert any(r.machine_failures for r in reports)
-    wire = [f.name for f in dataclasses.fields(CycleReport) if f.name != "trace_id"]
+    local = {"trace_id", "duration_seconds"}
+    wire = [f.name for f in dataclasses.fields(CycleReport) if f.name not in local]
     for report in reports:
         payload = report.to_dict()
-        assert list(payload) == ["schema_version", *wire] and len(wire) == 17
+        assert list(payload) == ["schema_version", *wire] and len(wire) == 16
         assert CycleReport.from_dict(json.loads(json.dumps(payload))) == report
 
 
@@ -541,7 +537,7 @@ def test_zero_rate_fault_plan_does_not_perturb_replay(small_trace):
     zeroed = api.replay_trace(
         small_trace, cycles=4, time_limit=None, seed=5, faults={"seed": 99}
     )
-    assert [_report_key(r) for r in without] == [_report_key(r) for r in zeroed]
+    assert without == zeroed
 
 
 @pytest.mark.slow
@@ -554,4 +550,4 @@ def test_replay_deterministic_across_worker_counts(small_trace):
         small_trace, cycles=4, time_limit=None, seed=5,
         config=RASAConfig(max_subproblem_services=4, workers=4),
     )
-    assert [_report_key(r) for r in serial] == [_report_key(r) for r in parallel]
+    assert serial == parallel

@@ -42,15 +42,6 @@ def _report(cycle=0, *, sla_ok=True, alive=1.0, before=0.9, after=0.9,
 # ----------------------------------------------------------------------
 # Pure helpers
 # ----------------------------------------------------------------------
-def test_strip_report_drops_metrics_only():
-    payload = _report()
-    payload["metrics"] = {"noise": 1}
-    stripped = soak.strip_report(payload)
-    assert "metrics" not in stripped
-    assert stripped["cycle"] == 0
-    assert "metrics" in payload  # original untouched
-
-
 def test_is_churn_cycle_matches_structural_events_only():
     assert soak.is_churn_cycle(_report(events=["scaled a 3 -> 5"]))
     assert soak.is_churn_cycle(_report(events=["drained m0: evicted 2, re-placed 2"]))

@@ -64,6 +64,20 @@ def test_cycle_report_round_trip_is_tagged():
         CycleReport.from_dict({**payload, SCHEMA_KEY: SCHEMA_VERSION + 1})
 
 
+def test_cycle_report_wire_has_no_process_local_fields():
+    """Trace id, wall time and metrics stay off the wire; a payload from an
+    older writer that still carries a ``metrics`` snapshot loads, minus it."""
+    report = CycleReport(
+        cycle=0, action="dry_run", gained_before=0.4, gained_after=0.4,
+        trace_id="ab" * 16, duration_seconds=1.5,
+    )
+    payload = report.to_dict()
+    assert not {"metrics", "trace_id", "duration_seconds"} & set(payload)
+    legacy = {**payload, "metrics": {"counters": {"rasa.subproblems.solved": 9}}}
+    assert CycleReport.from_dict(legacy) == report
+    assert CycleReport.from_dict(legacy).to_dict() == payload
+
+
 def test_fault_plan_round_trip_is_tagged():
     plan = FaultPlan(seed=9, command_failure_rate=0.2,
                      machine_failure_rate=0.1, machine_flap_cycles=2)

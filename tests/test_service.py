@@ -1,7 +1,6 @@
 """The multi-tenant optimizer service: pool sharding, the REST control
 plane, and the tenancy contract — each tenant's cycle reports must be
-bit-identical (modulo the process-local ``metrics`` field) to the
-equivalent single-tenant :func:`repro.api.run_control_loop`, with one
+bit-identical to the equivalent single-tenant :func:`repro.api.run_control_loop`, with one
 tenant's chaos plan never perturbing another's RNG streams.
 """
 
@@ -44,12 +43,6 @@ def _problem(seed: int, services: int = 12):
     return generate_cluster(_spec(seed, services)).problem
 
 
-def _strip(payload: dict) -> dict:
-    payload = dict(payload)
-    payload.pop("metrics", None)
-    return payload
-
-
 def _raw(base_url: str, method: str, path: str, body=None, headers=None):
     """One request with ``http.client`` (no client-side checks) →
     (response, body bytes)."""
@@ -68,7 +61,7 @@ def _reference_reports(seed: int, cycles: int, faults=None) -> list[dict]:
     reports = api.run_control_loop(
         _problem(seed), cycles=cycles, time_limit=None, faults=faults
     )
-    return [_strip(r.to_dict()) for r in reports]
+    return [r.to_dict() for r in reports]
 
 
 # ----------------------------------------------------------------------
@@ -391,8 +384,8 @@ def test_replay_tenant_rejects_snapshot_push(client):
     assert job["status"] == "done"
     # Replay cycles applied the trace's recorded events.
     reference = api.replay_trace(trace, cycles=2, time_limit=None)
-    assert [_strip(r) for r in client.reports("replayed")] == [
-        _strip(r.to_dict()) for r in reference
+    assert client.reports("replayed") == [
+        r.to_dict() for r in reference
     ]
 
 
@@ -463,19 +456,21 @@ def test_concurrent_tenants_match_single_tenant_runs(client):
         thread.join(timeout=600)
     assert not errors, errors
 
-    assert [_strip(r) for r in client.reports("chaotic")] == reference_faulted
-    assert [_strip(r) for r in client.reports("clean")] == reference_clean
+    assert client.reports("chaotic") == reference_faulted
+    assert client.reports("clean") == reference_clean
 
 
 def test_tenant_alone_matches_tenant_with_neighbors(client):
     """The clean tenant's reports must not depend on who else is hosted —
-    run it alone first, then next to a chaos tenant, same service."""
+    run it alone first, then next to a chaos tenant, same service.  The
+    whole payload is compared: a report carries nothing process-wide (it
+    once carried a metrics snapshot holding every tenant's counters)."""
     client.register_tenant(
         {"name": "alone", "problem": problem_to_dict(_problem(5)),
          "time_limit": None}
     )
     client.trigger_cycles("alone", cycles=3, wait=True)
-    alone = [_strip(r) for r in client.reports("alone")]
+    alone = client.reports("alone")
 
     client.register_tenant(
         {"name": "noisy", "problem": problem_to_dict(_problem(11)),
@@ -492,7 +487,7 @@ def test_tenant_alone_matches_tenant_with_neighbors(client):
     client.trigger_cycles("watched", cycles=3, wait=True)
     noisy.join(timeout=600)
 
-    assert [_strip(r) for r in client.reports("watched")] == alone
+    assert client.reports("watched") == alone
 
 
 # ----------------------------------------------------------------------
@@ -543,8 +538,8 @@ def test_durable_tenants_resume_across_service_restarts(tmp_path):
             assert tenants["dur-b"]["cycles_completed"] == 1
             client.trigger_cycles("dur-a", cycles=3, wait=True)
             client.trigger_cycles("dur-b", cycles=3, wait=True)
-            assert [_strip(r) for r in client.reports("dur-a")] == reference_a
-            assert [_strip(r) for r in client.reports("dur-b")] == reference_b
+            assert client.reports("dur-a") == reference_a
+            assert client.reports("dur-b") == reference_b
         finally:
             svc.stop()
 
@@ -567,7 +562,7 @@ def test_tenant_matches_cli_replay_run(tmp_path, client):
          "--report-out", str(report_path)]
     )
     assert code == 0
-    via_cli = [_strip(r) for r in json.loads(report_path.read_text())]
+    via_cli = json.loads(report_path.read_text())
 
     client.register_tenant(
         {
@@ -584,7 +579,7 @@ def test_tenant_matches_cli_replay_run(tmp_path, client):
         }
     )
     client.trigger_cycles("parity", cycles=3, wait=True)
-    assert [_strip(r) for r in client.reports("parity")] == via_cli
+    assert client.reports("parity") == via_cli
 
 
 # ----------------------------------------------------------------------

@@ -11,9 +11,13 @@ import pytest
 from repro.obs.slo import FAST_BURN, SLOW_BURN, SLOEngine, SLOSpec
 
 
-def _report(*, sla_ok: bool = True, gained: float = 0.5) -> SimpleNamespace:
+def _report(
+    *, sla_ok: bool = True, gained: float = 0.5, duration: float = 0.0
+) -> SimpleNamespace:
     """The slice of a CycleReport the engine reads."""
-    return SimpleNamespace(sla_ok=sla_ok, gained_after=gained)
+    return SimpleNamespace(
+        sla_ok=sla_ok, gained_after=gained, duration_seconds=duration
+    )
 
 
 # ----------------------------------------------------------------------
@@ -59,7 +63,7 @@ def test_healthy_cycles_never_alert():
     engine = SLOEngine(SLOSpec(cycle_p95_seconds=10.0,
                                gained_affinity_floor=0.1))
     for _ in range(40):
-        engine.observe(_report(), duration_seconds=0.01)
+        engine.observe(_report(duration=0.01))
     assert engine.alerts() == []
     rates = engine.burn_rates()
     assert all(v == {"fast": 0.0, "slow": 0.0} for v in rates.values())
@@ -116,12 +120,12 @@ def test_latency_objective_uses_duration_and_forgives_restored_cycles():
     engine = SLOEngine(SLOSpec(cycle_p95_seconds=1.0,
                                compliance_target=0.95))
     for _ in range(5):
-        engine.observe(_report(), duration_seconds=5.0)
+        engine.observe(_report(duration=5.0))
     assert {a["objective"] for a in engine.alerts()} == {"cycle_latency"}
-    # Restored cycles pass duration 0.0 and count as compliant.
+    # Restored cycles carry duration 0.0 and count as compliant.
     fresh = SLOEngine(SLOSpec(cycle_p95_seconds=1.0))
     for _ in range(5):
-        fresh.observe(_report(), duration_seconds=0.0)
+        fresh.observe(_report(duration=0.0))
     assert fresh.alerts() == []
 
 

@@ -53,16 +53,18 @@ def test_hub_idle_before_first_cycle():
 
 
 def test_hub_ok_degraded_and_sla_violated():
+    # The hub serves the history list it is bound to; a controller binds
+    # its own and appends one report per finished cycle.
     hub = TelemetryHub()
-    hub.publish_cycle(_report(0))
+    hub.history.append(_report(0))
     assert hub.health()["status"] == "ok"
 
-    hub.publish_cycle(_report(1, rungs=["retried"], action="retried"))
+    hub.history.append(_report(1, rungs=["retried"], action="retried"))
     health = hub.health()
     assert health["status"] == "degraded"
     assert health["rungs"] == ["retried"]
 
-    hub.publish_cycle(_report(2, sla_ok=False))
+    hub.history.append(_report(2, sla_ok=False))
     health = hub.health()
     assert health["status"] == "sla_violated"
     assert health["cycles"] == 3
@@ -78,6 +80,7 @@ def test_hub_streams_published_cycles(tmp_path):
     hub.publish_cycle(_report(0))
     hub.publish_cycle(_report(1))
     hub.stream.close()
+    assert hub.history == []  # publishing only streams; the log is history
     records = [json.loads(line) for line in path.read_text().splitlines()]
     assert [r["cycle"] for r in records] == [0, 1]
     assert all(r["kind"] == "cycle" for r in records)
@@ -104,12 +107,12 @@ def test_healthz_endpoint_200_ok_and_503_on_sla_violation():
         assert status == 200
         assert json.loads(body)["status"] == "idle"
 
-        hub.publish_cycle(_report(0))
+        hub.history.append(_report(0))
         status, _ctype, body = _get(server.url + "/healthz")
         assert status == 200
         assert json.loads(body)["status"] == "ok"
 
-        hub.publish_cycle(_report(1, sla_ok=False))
+        hub.history.append(_report(1, sla_ok=False))
         status, _ctype, body = _get(server.url + "/healthz")
         assert status == 503
         assert json.loads(body)["status"] == "sla_violated"
@@ -117,8 +120,7 @@ def test_healthz_endpoint_200_ok_and_503_on_sla_violation():
 
 def test_cycles_endpoint_returns_all_reports():
     hub = TelemetryHub()
-    hub.publish_cycle(_report(0))
-    hub.publish_cycle(_report(1, action="dry_run"))
+    hub.history += [_report(0), _report(1, action="dry_run")]
     with TelemetryServer(hub, registry=MetricsRegistry()) as server:
         status, _ctype, body = _get(server.url + "/cycles")
     assert status == 200
@@ -224,6 +226,7 @@ def test_e2e_loop_serves_healthz_and_metrics(small_cluster):
     hub = TelemetryHub()
     with use_metrics(MetricsRegistry()):
         controller = _controller(small_cluster, hub)
+        assert hub.history is controller.history
         with TelemetryServer(hub) as server:
             status, _ctype, body = _get(server.url + "/healthz")
             assert json.loads(body)["status"] == "idle"
@@ -287,14 +290,6 @@ def test_facade_telemetry_port_and_cycle_stream(small_cluster, tmp_path):
 # ----------------------------------------------------------------------
 # Differential: attached telemetry ⇒ bit-identical control loop
 # ----------------------------------------------------------------------
-def _report_key(report: CycleReport) -> dict:
-    """A report's deterministic payload (the metrics snapshot is a view of
-    the process-global registry and accumulates across runs)."""
-    payload = report.to_dict()
-    payload.pop("metrics")
-    return payload
-
-
 def test_telemetry_attached_loop_is_bit_identical(small_cluster, tmp_path):
     with use_metrics(MetricsRegistry()):
         plain = run_control_loop(small_cluster.problem, cycles=2,
@@ -307,4 +302,4 @@ def test_telemetry_attached_loop_is_bit_identical(small_cluster, tmp_path):
             telemetry_port=0,
             cycle_stream=str(tmp_path / "cycles.jsonl"),
         )
-    assert [_report_key(r) for r in plain] == [_report_key(r) for r in observed]
+    assert plain == observed
