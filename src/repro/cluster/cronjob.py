@@ -5,7 +5,8 @@ Orchestrates the full optimization loop every cycle:
 1. trigger the data collector → cluster snapshot,
 2. run the RASA algorithm on the snapshot,
 3. *dry-run gate*: skip execution unless gained affinity improves by more
-   than 3 % (churn control),
+   than 3 % (churn control) — decided without step 2 when the bound on
+   gained affinity or an unchanged snapshot already settles it,
 4. compute the migration path and reallocate containers,
 5. *rollback guard*: if the reallocation skewed machine utilization past a
    threshold, restore the previous placement, re-place via the default
@@ -35,8 +36,8 @@ from repro.cluster.replay import EventStreamCursor, EventTrace
 from repro.cluster.scheduler import DefaultScheduler
 from repro.cluster.state import ClusterState
 from repro.core.config import DegradationPolicy, LoopSpec, RetryPolicy
-from repro.core.problem import RASAProblem
-from repro.core.rasa import RASAScheduler
+from repro.core.problem import RASAProblem, problem_digest
+from repro.core.rasa import RASAResult, RASAScheduler
 from repro.core.solution import Assignment
 from repro.exceptions import ClusterStateError
 from repro.faults import FaultInjector, attempt_with_retry, coerce_injector
@@ -50,6 +51,10 @@ from repro.workloads.trace_io import problem_from_dict
 
 #: The paper's churn gate: execute only on > 3 % gained-affinity improvement.
 IMPROVEMENT_GATE = 0.03
+
+#: Floating-point slack of the solver-free bound: a computed normalized
+#: gained affinity may exceed its exact value (at most 1) by summation error.
+BOUND_SLACK = 1e-9
 
 #: Three days, in seconds — the unschedulable tag duration after a rollback.
 UNSCHEDULABLE_SECONDS = 3 * 24 * 3600.0
@@ -229,6 +234,7 @@ class CronJobController:
     stream: "EventStreamCursor | None" = None
     history: list[CycleReport] = field(default_factory=list)
     last_plan: MigrationPlan | None = field(default=None, repr=False)
+    _dry_run_digest: bytes | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.telemetry is not None:
@@ -338,7 +344,10 @@ class CronJobController:
     def _attempt_cycle(
         self, cycle: int, tracer, logger
     ) -> tuple[CycleReport | None, _ApplyOutcome]:
-        """One attempt of the cycle body: collect → schedule → gate → migrate.
+        """One attempt of the cycle body: collect → decide → migrate.
+
+        The decision (:meth:`_gate`) runs the RASA solve only when no
+        solver-free rule already settles the cycle as a dry run.
 
         Returns ``(report, outcome)``; the report is None when the
         migration aborted and the degradation ladder must decide.
@@ -348,28 +357,14 @@ class CronJobController:
         current = Assignment(problem, problem.current_assignment)
         gained_before = current.gained_affinity(normalized=True)
 
-        result = self.rasa.schedule(problem, time_limit=self.time_limit)
-        gained_new = result.gained_affinity
-
-        improvement = gained_new - gained_before
-        relative = improvement / gained_before if gained_before > 0 else np.inf
-        gated = gained_new <= gained_before or (
-            gained_before > 0 and relative <= IMPROVEMENT_GATE
-        )
-        tracer.event(
-            "cron.gate",
-            executed=not gated,
-            gained_before=gained_before,
-            gained_new=gained_new,
-            relative_improvement=relative if np.isfinite(relative) else None,
-        )
-        if gated:
+        decision, result = self._gate(problem, gained_before, tracer)
+        if result is None:
             logger.info(
                 "dry run %s",
                 kv(
                     cycle=cycle,
+                    decision=decision,
                     gained_before=f"{gained_before:.4f}",
-                    gained_new=f"{gained_new:.4f}",
                     gate=IMPROVEMENT_GATE,
                 ),
             )
@@ -434,6 +429,69 @@ class CronJobController:
             ),
             outcome,
         )
+
+    def _gate(
+        self, problem: RASAProblem, gained_before: float, tracer
+    ) -> tuple[str, RASAResult | None]:
+        """Decide the cycle: ``(decision, result)``, the result None on a dry run.
+
+        Two decisions need no solver, and both are exact — the dry run they
+        decide is the one a solve would have gated to, report for report:
+
+        * ``bound``: normalized gained affinity is at most 1 (under Eq. 3
+          each edge gains ``sum_m min(x_sm/d_s, x_tm/d_t) <= sum_m x_sm/d_s
+          = 1`` of its weight), so once ``gained_before * (1 + gate)``
+          reaches 1 no placement can clear the gate.
+        * ``unchanged``: the problem has the digest of the last one a solve
+          gated to a dry run.  A solve without a wall-clock budget is a
+          pure function of its problem (the partitioner seeds a fresh RNG
+          per call), so it would gate again.  Budgeted solves (a
+          ``time_limit`` or a local-search polish) keep no digest.
+
+        Otherwise (``solved``) RASA runs and the 3 % gate decides.  Each
+        decision tags the ``cron.gate`` event; the solver-free ones also
+        count ``cron.gate.bound`` / ``cron.gate.unchanged``.
+        """
+        if gained_before * (1.0 + IMPROVEMENT_GATE) >= 1.0 + BOUND_SLACK:
+            decision = "bound"
+        elif (
+            self._dry_run_digest is not None
+            and problem_digest(problem) == self._dry_run_digest
+        ):
+            decision = "unchanged"
+        else:
+            return "solved", self._solve(problem, gained_before, tracer)
+        get_metrics().counter(f"cron.gate.{decision}").inc()
+        tracer.event(
+            "cron.gate", decision=decision, executed=False,
+            gained_before=gained_before,
+        )
+        return decision, None
+
+    def _solve(
+        self, problem: RASAProblem, gained_before: float, tracer
+    ) -> RASAResult | None:
+        """Run RASA and the 3 % gate: the result to execute, or None."""
+        result = self.rasa.schedule(problem, time_limit=self.time_limit)
+        gained_new = result.gained_affinity
+        improvement = gained_new - gained_before
+        relative = improvement / gained_before if gained_before > 0 else np.inf
+        gated = gained_new <= gained_before or (
+            gained_before > 0 and relative <= IMPROVEMENT_GATE
+        )
+        tracer.event(
+            "cron.gate",
+            decision="solved",
+            executed=not gated,
+            gained_before=gained_before,
+            gained_new=gained_new,
+            relative_improvement=relative if np.isfinite(relative) else None,
+        )
+        if not gated:
+            return result
+        if self.time_limit is None and not self.rasa.config.local_search_seconds:
+            self._dry_run_digest = problem_digest(problem)
+        return None
 
     def _degrade(
         self,

@@ -12,6 +12,7 @@ well-formed instance.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -350,3 +351,35 @@ class RASAProblem:
             f"RASAProblem(services={self.num_services}, machines={self.num_machines}, "
             f"containers={self.num_containers}, edges={self.affinity.num_edges})"
         )
+
+
+def problem_digest(problem: RASAProblem) -> bytes:
+    """SHA-256 over every input :class:`RASAProblem` was constructed from.
+
+    Two problems with the same digest hand every solver the same instance,
+    order included: services (name, demand, requests, priority), machines
+    (name, capacity, spec), the affinity edges in ``items()`` order, the
+    anti-affinity rules, the resource types, and the bytes of the
+    schedulability matrix and the current assignment.  Floats enter by
+    ``repr``, which round-trips, so a one-ulp change changes the digest.
+    """
+    sha = hashlib.sha256()
+
+    def feed(*parts) -> None:
+        sha.update(repr(parts).encode())
+
+    feed(problem.resource_types)
+    for svc in problem.services:
+        feed(svc.name, svc.demand, tuple(svc.requests.items()), svc.priority)
+    for mach in problem.machines:
+        feed(mach.name, tuple(mach.capacity.items()), mach.spec)
+    feed(tuple(problem.affinity.items()))
+    for rule in problem.anti_affinity:
+        feed(sorted(rule.services), rule.limit)
+    for matrix in (problem.schedulable, problem.current_assignment):
+        if matrix is None:
+            feed(None)
+        else:
+            feed(matrix.dtype.str, matrix.shape)
+            sha.update(np.ascontiguousarray(matrix).tobytes())
+    return sha.digest()

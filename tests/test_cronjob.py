@@ -2,11 +2,30 @@
 
 from __future__ import annotations
 
+import importlib.util
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro import api
 from repro.cluster import ClusterState, CronJobController, DataCollector
-from repro.core import Assignment, RASAConfig, RASAScheduler
+from repro.cluster.cronjob import IMPROVEMENT_GATE, CycleReport
+from repro.cluster.replay import EventTrace, TrafficShift
+from repro.core import Machine, RASAConfig, RASAProblem, RASAScheduler, Service
+from repro.faults import FaultPlan, coerce_injector
+from repro.obs import MetricsRegistry, Tracer, use_metrics, use_tracer
+from repro.service.tenant import Tenant, TenantSpec
+from repro.workloads.trace_io import problem_to_dict
+
+_DATA_DIR = Path(__file__).resolve().parent / "data"
+
+_spec = importlib.util.spec_from_file_location(
+    "make_reference_week_digests", _DATA_DIR / "make_reference_week_digests.py"
+)
+make_reference_week_digests = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(make_reference_week_digests)
 
 
 def _controller(cluster, **kwargs) -> CronJobController:
@@ -79,3 +98,180 @@ def test_history_accumulates(small_cluster):
     controller.run(3)
     assert len(controller.history) == 3
     assert [r.cycle for r in controller.history] == [0, 1, 2]
+
+
+# ----------------------------------------------------------------------
+# Deciding the cycle before solving it
+# ----------------------------------------------------------------------
+def _pairs_world(w_ab: float, w_cd: float, *, colocated: bool) -> RASAProblem:
+    """Pairs a–b and c–d, one container each; a and b always share m0.
+
+    ``colocated`` puts d beside c on m0 too (every edge gained), otherwise
+    on m1; either way m0 fits all four containers, so the optimum is 1.0.
+    """
+    services = [Service(name, 1, {"cpu": 1.0}) for name in "abcd"]
+    machines = [Machine(f"m{i}", {"cpu": 4.0}) for i in range(2)]
+    current = np.array([[1, 0], [1, 0], [1, 0], [1, 0] if colocated else [0, 1]])
+    return RASAProblem(
+        services, machines, affinity={("a", "b"): w_ab, ("c", "d"): w_cd},
+        current_assignment=current,
+    )
+
+
+def _stuck_world() -> RASAProblem:
+    """Gained affinity 0.9 and optimal: a and b never fit one machine.
+
+    m2 is empty and changes nothing when it is schedulable.
+    """
+    services = [
+        Service("a", 1, {"cpu": 2.0}), Service("b", 1, {"cpu": 2.0}),
+        Service("c", 1, {"cpu": 0.5}), Service("d", 1, {"cpu": 0.5}),
+    ]
+    machines = [Machine(f"m{i}", {"cpu": 3.0}) for i in range(3)]
+    current = np.array([[1, 0, 0], [0, 1, 0], [1, 0, 0], [1, 0, 0]])
+    return RASAProblem(
+        services, machines, affinity={("a", "b"): 1.0, ("c", "d"): 9.0},
+        current_assignment=current,
+    )
+
+
+def _loop(problem: RASAProblem, *, jitter: float = 0.0, **kwargs) -> CronJobController:
+    return CronJobController(
+        state=ClusterState(problem),
+        collector=DataCollector(
+            dict(problem.affinity.items()), traffic_jitter_sigma=jitter
+        ),
+        time_limit=None,
+        **kwargs,
+    )
+
+
+@pytest.fixture
+def solves(monkeypatch) -> list:
+    """Every ``RASAScheduler.schedule`` call made while the test runs."""
+    calls = []
+    original = RASAScheduler.schedule
+
+    def counted(self, problem, time_limit=None):
+        calls.append(problem)
+        return original(self, problem, time_limit=time_limit)
+
+    monkeypatch.setattr(RASAScheduler, "schedule", counted)
+    return calls
+
+
+def _gate_decisions(tracer: Tracer) -> list[str]:
+    decisions = []
+
+    def walk(span):
+        decisions.extend(
+            tags["decision"] for _ts, name, tags in span.events if name == "cron.gate"
+        )
+        for child in span.children:
+            walk(child)
+
+    for root in tracer.finished_roots():
+        walk(root)
+    return decisions
+
+
+def test_world_at_full_affinity_never_solves(solves):
+    controller = _loop(_pairs_world(1.0, 3.0, colocated=True))
+    registry = MetricsRegistry()
+    with use_tracer(Tracer()) as tracer, use_metrics(registry):
+        reports = controller.run(3)
+    assert solves == []
+    imbalance = controller.state.utilization_imbalance()
+    assert reports == [
+        CycleReport(cycle, "dry_run", 1.0, 1.0, imbalance_after=imbalance)
+        for cycle in range(3)
+    ]
+    assert _gate_decisions(tracer) == ["bound"] * 3
+    assert registry.snapshot()["counters"]["cron.gate.bound"] == 3
+
+
+def test_bound_is_tight_at_the_gate(solves):
+    gate = 1.0 / (1.0 + IMPROVEMENT_GATE)
+    below = _loop(_pairs_world(gate - 1e-6, 1.0 - gate + 1e-6, colocated=False))
+    report = below.run_once()
+    assert len(solves) == 1
+    assert report.action == "executed" and report.gained_after == 1.0
+
+    # Just above the gate the bound decides, and a solve agrees with it.
+    problem = _pairs_world(gate + 1e-6, 1.0 - gate - 1e-6, colocated=False)
+    report = _loop(problem).run_once()
+    assert len(solves) == 1
+    assert report.action == "dry_run"
+    gained_new = RASAScheduler().schedule(problem).gained_affinity
+    assert gained_new == 1.0
+    assert gained_new - report.gained_before <= IMPROVEMENT_GATE * report.gained_before
+
+
+def test_unchanged_world_solves_once(solves):
+    registry = MetricsRegistry()
+    with use_tracer(Tracer()) as tracer, use_metrics(registry):
+        reports = _loop(_stuck_world()).run(3)
+    assert len(solves) == 1
+    assert [r.action for r in reports] == ["dry_run"] * 3
+    assert {r.gained_before for r in reports} == {0.9}
+    assert _gate_decisions(tracer) == ["solved", "unchanged", "unchanged"]
+    assert registry.snapshot()["counters"]["cron.gate.unchanged"] == 2
+
+
+def test_budgeted_solves_keep_no_digest(solves):
+    controller = _loop(_stuck_world())
+    controller.time_limit = 30.0
+    controller.run(2)
+    assert len(solves) == 2
+
+
+def test_traffic_shift_forces_a_resolve(solves):
+    trace = EventTrace(
+        base=_stuck_world(),
+        events=[TrafficShift(at_seconds=3600.0, u="c", v="d", factor=2.0)],
+    )
+    reports = api.replay_trace(trace, cycles=4, time_limit=None)
+    assert [len(r.events) for r in reports] == [0, 0, 1, 0]
+    assert len(solves) == 2
+
+
+def test_pushed_snapshot_forces_a_resolve(solves):
+    tenant = Tenant(
+        TenantSpec(name="steady", problem=problem_to_dict(_stuck_world()), time_limit=None)
+    )
+    tenant.run_cycles(2)
+    assert len(solves) == 1
+    tenant.push_snapshot([["a", "b", 1.0], ["c", "d", 9.5]])
+    tenant.run_cycles(2)
+    assert len(solves) == 2
+
+
+def test_expired_unschedulable_tag_forces_a_resolve(solves):
+    controller = _loop(_stuck_world())
+    controller.state.mark_unschedulable("m2", until=2700.0)
+    controller.run(3)  # clocks 0 and 1800 tagged, 3600 not
+    assert len(solves) == 2
+    assert solves[0].schedulable[:, 2].sum() == 0
+    assert solves[1].schedulable.all()
+
+
+def test_stale_snapshot_reuses_the_decision(solves):
+    # Jitter makes every fresh snapshot new; a stale one is the last one.
+    _loop(_stuck_world(), jitter=0.05).run(3)
+    assert len(solves) == 3
+    stale = coerce_injector(FaultPlan(stale_snapshot_rate=1.0))
+    reports = _loop(_stuck_world(), jitter=0.05, faults=stale).run(3)
+    assert len(solves) == 4
+    assert [r.action for r in reports] == ["dry_run"] * 3
+
+
+def test_reference_week_reports_match_the_solve_every_cycle_parent():
+    """The 24-cycle reference week replays to the bytes 39b0b74 wrote.
+
+    ``reference_week_digests.json`` was written by
+    ``make_reference_week_digests.py`` at 39b0b74, which solved every cycle
+    before gating it; equal digests mean no solver-free decision changed a
+    report — clean or under chaos.
+    """
+    pinned = json.loads((_DATA_DIR / "reference_week_digests.json").read_text())
+    assert make_reference_week_digests.compute_digests() == pinned

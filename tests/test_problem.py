@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
 from repro.core import AntiAffinityRule, Machine, RASAProblem, Service
+from repro.core.problem import problem_digest
 from repro.exceptions import ProblemValidationError
 
 
@@ -141,3 +145,77 @@ def test_problem_requires_services_and_machines():
         RASAProblem([], [Machine("m", {"cpu": 1.0})])
     with pytest.raises(ProblemValidationError):
         RASAProblem([Service("a", 1, {"cpu": 1.0})], [])
+
+
+# ----------------------------------------------------------------------
+# Digest: one cell or one ulp of any constructor input changes it
+# ----------------------------------------------------------------------
+def _inputs(problem: RASAProblem) -> dict:
+    """The constructor arguments that rebuild ``problem``."""
+    return dict(
+        services=problem.services,
+        machines=problem.machines,
+        affinity=dict(problem.affinity.items()),
+        anti_affinity=problem.anti_affinity,
+        schedulable=problem.schedulable,
+        resource_types=problem.resource_types,
+        current_assignment=problem.current_assignment,
+    )
+
+
+def _up(value: float) -> float:
+    return float(np.nextafter(value, np.inf))
+
+
+def _flipped(matrix: np.ndarray) -> np.ndarray:
+    flipped = matrix.copy()
+    flipped[0, 0] = not flipped[0, 0] if matrix.dtype == bool else flipped[0, 0] + 1
+    return flipped
+
+
+def _replace_first(items, **changes):
+    return [dataclasses.replace(items[0], **changes), *items[1:]]
+
+
+#: Constructor parameter -> edits of that input alone, each of which must
+#: move the digest.  A parameter without an entry fails the test below.
+_EDITS = {
+    "services": {
+        "demand": lambda p: _replace_first(p.services, demand=p.services[0].demand + 1),
+        "requests": lambda p: _replace_first(p.services, requests={
+            **p.services[0].requests, "cpu": _up(p.services[0].requests["cpu"]),
+        }),
+        "priority": lambda p: _replace_first(p.services, priority=_up(1.0)),
+    },
+    "machines": {
+        "capacity": lambda p: _replace_first(p.machines, capacity={
+            **p.machines[0].capacity, "memory": _up(p.machines[0].capacity["memory"]),
+        }),
+    },
+    "affinity": {
+        "weight": lambda p: {
+            pair: _up(w) if i == 0 else w
+            for i, (pair, w) in enumerate(p.affinity.items())
+        },
+    },
+    "anti_affinity": {
+        "limit": lambda p: [dataclasses.replace(p.anti_affinity[0], limit=3)],
+    },
+    "schedulable": {"cell": lambda p: _flipped(p.schedulable)},
+    "resource_types": {"types": lambda p: ("cpu",)},
+    "current_assignment": {"cell": lambda p: _flipped(p.current_assignment)},
+}
+
+
+def test_problem_digest_covers_every_constructor_input(constrained_problem):
+    parameters = set(inspect.signature(RASAProblem.__init__).parameters) - {"self"}
+    assert set(_EDITS) == parameters, "hash the new input in problem_digest"
+    inputs = _inputs(constrained_problem)
+    inputs["current_assignment"] = np.array([[2, 0, 4], [0, 1, 1], [1, 1, 1]])
+    base = RASAProblem(**inputs)
+    digest = problem_digest(base)
+    assert problem_digest(RASAProblem(**_inputs(base))) == digest
+    for name, edits in _EDITS.items():
+        for label, edit in edits.items():
+            changed = RASAProblem(**{**inputs, name: edit(base)})
+            assert problem_digest(changed) != digest, f"{name}: {label}"
