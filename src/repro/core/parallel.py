@@ -126,6 +126,7 @@ class TaskOutcome:
     runtime_seconds: float
     objective: float
     trajectory: list[tuple[float, float]] = field(default_factory=list)
+    bound: float | None = None
     spans: list[Span] = field(default_factory=list)
     metrics: dict[str, Any] = field(default_factory=dict)
     started_monotonic: float = 0.0
@@ -139,6 +140,7 @@ class TaskOutcome:
             runtime_seconds=self.runtime_seconds,
             objective=self.objective,
             trajectory=list(self.trajectory),
+            bound=self.bound,
         )
 
 
@@ -221,6 +223,7 @@ def run_task(task: SubproblemTask) -> TaskOutcome:
         runtime_seconds=result.runtime_seconds,
         objective=result.objective,
         trajectory=list(result.trajectory),
+        bound=result.bound,
         spans=tracer.finished_roots(),
         metrics=registry.dump_raw(),
         started_monotonic=started,

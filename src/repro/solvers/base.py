@@ -30,6 +30,9 @@ class SolveResult:
         objective: Gained affinity of ``assignment`` (unnormalized).
         trajectory: Optional ``(elapsed_seconds, objective)`` incumbent
             history for quality-vs-runtime plots (paper Fig. 10).
+        bound: Proven upper bound on the objective any placement of this
+            solve could reach (same scale as ``objective``), or None for
+            algorithms that prove none.
     """
 
     assignment: Assignment
@@ -38,6 +41,7 @@ class SolveResult:
     runtime_seconds: float
     objective: float
     trajectory: list[tuple[float, float]] = field(default_factory=list)
+    bound: float | None = None
 
 
 @runtime_checkable

@@ -96,12 +96,14 @@ def _solve_highs(
         return MILPResult(status="infeasible", x=None, objective=np.inf, bound=np.inf)
     if result.status == 3:
         raise SolverError("MILP is unbounded")
+    nodes = int(getattr(result, "mip_node_count", None) or 0)
     if result.x is None:
         return MILPResult(
             status="no_incumbent",
             x=None,
             objective=np.inf,
             bound=float(result.mip_dual_bound) if result.mip_dual_bound is not None else -np.inf,
+            nodes_explored=nodes,
         )
 
     x = np.asarray(result.x, dtype=float)
@@ -118,5 +120,6 @@ def _solve_highs(
         x=x,
         objective=objective,
         bound=bound,
+        nodes_explored=nodes,
         incumbents=[IncumbentRecord(0.0, objective)],
     )

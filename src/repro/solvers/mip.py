@@ -16,11 +16,21 @@ machine a column-generation pricing call fills
 The objective maximizes total gained affinity; internally the model is
 negated into scipy's minimization convention.
 
+The ``a`` column bounds carry what one machine can hold, which the
+Eq. 7–8 LP relaxation does not see: ``ub[a[e, b]] = w_e · min(1, count_b ·
+ρ(e, b))`` with ``ρ`` from :func:`best_pair_fill`.  It holds for every
+integral solution, so the optimum does not move; only the LP relaxation
+the search bounds with gets tighter.  ``ub[x[s, b]]`` stays ``d_s``: the
+matching capacity cap (:func:`container_fit`) left HiGHS's search
+unchanged on most shards and, together with the ``a`` bound, lengthened
+it on some.  Pricing applies it, where a single machine is the bin.
+
 The emission order is a contract — HiGHS breaks ties by it, so reordering
 moves solutions: ``x`` cells service-major then ``a`` cells edge-major;
 Eq. 4 rows bin-major/resource-minor, Eq. 5 rule-major/bin-minor, Eq. 7–8
 in ``a_index`` order with endpoint ``s`` before ``t`` and the ``a`` entry
-before the ``x`` entry.  ``tests/data/model_digests.json`` pins the bytes.
+before the ``x`` entry.  ``tests/data/model_digests.json`` pins the bytes:
+the structure (every array but ``ub``) and the bounds separately.
 """
 
 from __future__ import annotations
@@ -38,6 +48,10 @@ from repro.solvers.branch_and_bound import MILPResult
 from repro.solvers.greedy import GreedyAlgorithm
 from repro.solvers.lp import LinearModel
 from repro.solvers.milp_backend import GAP_TOLERANCE, solve_milp
+
+#: Slack added to ``capacity / request`` before flooring it to a container
+#: count, so a request that divides the capacity exactly still fits.
+FIT_SLACK = 1e-9
 
 
 class MIPAlgorithm:
@@ -79,6 +93,7 @@ class MIPAlgorithm:
                 status="no_variables",
                 runtime_seconds=watch.elapsed,
                 objective=0.0,
+                bound=0.0,
             )
         milp_result = solve_milp(
             model,
@@ -103,6 +118,12 @@ class MIPAlgorithm:
             assignment = greedy.assignment
             objective = greedy.objective
             status = f"{status}+greedy"
+        # The backend's dual bound covers every placement of the model; the
+        # greedy floor may return one outside it (a partial placement).
+        bound = max(-milp_result.bound, objective)
+        if milp_result.has_solution:
+            gap = (bound - objective) / max(abs(objective), 1e-12)
+            metrics.histogram("solver.mip.gap").observe(gap)
         metrics.histogram("solver.mip.seconds").observe(watch.elapsed)
         return SolveResult(
             assignment=assignment,
@@ -111,6 +132,7 @@ class MIPAlgorithm:
             runtime_seconds=watch.elapsed,
             objective=objective,
             trajectory=[(r.elapsed_seconds, -r.objective) for r in milp_result.incumbents],
+            bound=bound,
         )
 
 
@@ -190,8 +212,14 @@ def build_rasa_model(
     for (s, _b), idx in layout.x_index.items():
         ub[idx] = float(problem.demands[s])
         integrality[idx] = True
-    for (e, _b), idx in layout.a_index.items():
-        ub[idx] = layout.edges[e][2]
+    if layout.num_a:
+        e, b = np.array(list(layout.a_index), dtype=np.int64).T
+        ends = np.array([edge[:2] for edge in layout.edges], dtype=np.int64)
+        weights = np.array([edge[2] for edge in layout.edges], dtype=float)
+        fit = container_fit(problem, layout.capacities)
+        rho = best_pair_fill(problem, ends[e, 0], ends[e, 1], b, layout.capacities, fit)
+        counts = np.asarray(layout.counts, dtype=float)
+        ub[layout.num_x:] = weights[e] * np.minimum(1.0, counts[b] * rho)
 
     rows_eq: list[int] = []
     cols_eq: list[int] = []
@@ -289,6 +317,81 @@ def build_rasa_model(
         integrality=integrality,
     )
     return model, layout
+
+
+def container_fit(problem: RASAProblem, capacities: np.ndarray) -> np.ndarray:
+    """How many containers of each service one machine of each bin holds.
+
+    ``fit[s, b]`` is the largest ``k`` with ``k · R[s] <= capacity[b]`` on
+    every resource (Eq. 4) and ``k <= h`` for every anti-affinity rule that
+    contains ``s`` (Eq. 5); ``inf`` when nothing limits it.  Schedulability
+    is not applied here: the layout only makes cells where it holds.
+
+    Args:
+        problem: The instance.
+        capacities: Per-machine capacity of each bin, shape ``(B, R)``.
+
+    Returns:
+        Array of shape ``(N, B)``.
+    """
+    fit = np.maximum(_whole_fits(capacities[None, :, :], problem.requests_matrix[:, None, :]), 0.0)
+    for rule in problem.anti_affinity:
+        for name in rule.services:
+            s = problem.service_index(name)
+            fit[s] = np.minimum(fit[s], rule.limit)
+    return fit
+
+
+def best_pair_fill(
+    problem: RASAProblem,
+    s: np.ndarray,
+    t: np.ndarray,
+    b: np.ndarray,
+    capacities: np.ndarray,
+    fit: np.ndarray,
+) -> np.ndarray:
+    """``ρ``: the best ``min(x_s/d_s, x_t/d_t)`` one machine of a bin holds.
+
+    For every cell ``i`` — services ``s[i]`` and ``t[i]`` on bin ``b[i]`` —
+    an exact scan over the count of ``s``: each count leaves room for at
+    most so many ``t`` containers under capacity, both services'
+    :func:`container_fit` and the joint limit of every anti-affinity rule
+    containing both.  All cells are scanned at once.
+
+    Args:
+        problem: The instance.
+        s: First endpoint per cell, shape ``(P,)``.
+        t: Second endpoint per cell.
+        b: Bin per cell.
+        capacities: Per-machine capacity of each bin, shape ``(B, R)``.
+        fit: :func:`container_fit` of the same bins.
+
+    Returns:
+        Array of shape ``(P,)`` with values in ``[0, 1]``.
+    """
+    demands = problem.demands.astype(float)
+    requests = problem.requests_matrix
+    joint = np.full(len(s), np.inf)
+    for rule in problem.anti_affinity:
+        members = np.zeros(problem.num_services, dtype=bool)
+        members[[problem.service_index(name) for name in rule.services]] = True
+        both = members[s] & members[t]
+        joint[both] = np.minimum(joint[both], rule.limit)
+    most_s = np.minimum(fit[s, b], demands[s])[:, None]
+    xs = np.arange(most_s.max(initial=0.0) + 1.0)[None, :]
+    room = capacities[b][:, None, :] - xs[:, :, None] * requests[s][:, None, :]
+    xt = np.minimum(np.minimum(fit[t, b], demands[t])[:, None], joint[:, None] - xs)
+    xt = np.minimum(xt, _whole_fits(room, requests[t][:, None, :]))
+    fill = np.minimum(xs / demands[s][:, None], np.maximum(xt, 0.0) / demands[t][:, None])
+    return np.where(xs <= most_s, fill, 0.0).max(axis=1, initial=0.0)
+
+
+def _whole_fits(room: np.ndarray, requests: np.ndarray) -> np.ndarray:
+    """Whole containers of ``requests`` that fit in ``room`` on every
+    resource they use (last axis); ``inf`` when they use none."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(requests > 0, room / requests, np.inf)
+    return np.floor(ratio.min(axis=-1, initial=np.inf) + FIT_SLACK)
 
 
 def extract_assignment(

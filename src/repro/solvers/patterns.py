@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.core.problem import RASAProblem
 from repro.solvers.milp_backend import GAP_TOLERANCE, solve_milp
-from repro.solvers.mip import build_rasa_model
+from repro.solvers.mip import build_rasa_model, container_fit
 
 
 @dataclass(frozen=True)
@@ -173,8 +173,9 @@ def price_pattern_mip(
 
     The model is :func:`~repro.solvers.mip.build_rasa_model` over one bin —
     a single machine of the group — without the demand rows; pricing's own
-    part is the duals as ``x`` costs and the per-service bound (0 where the
-    group bars the service, else what demand and capacity allow).
+    part is the duals as ``x`` costs and the per-service bound (0 where
+    the group bars the service, else what demand and
+    :func:`~repro.solvers.mip.container_fit` allow).
 
     Args:
         problem: The instance.
@@ -192,19 +193,10 @@ def price_pattern_mip(
     machine = replace(
         group, machine_indices=group.machine_indices[:1], schedulable=(True,) * n
     )
-    model, _layout = build_rasa_model(problem, [machine], sla=False)
+    model, layout = build_rasa_model(problem, [machine], sla=False)
     model.c[:n] = duals
-    capacity = np.asarray(group.capacity)
-    for s in range(n):
-        if not group.schedulable[s]:
-            model.ub[s] = 0.0
-            continue
-        cap_bound = np.inf
-        for r in range(len(problem.resource_types)):
-            req = problem.requests_matrix[s, r]
-            if req > 0:
-                cap_bound = min(cap_bound, capacity[r] / req)
-        model.ub[s] = min(float(problem.demands[s]), np.floor(cap_bound + 1e-9))
+    fit = container_fit(problem, layout.capacities)[:, 0]
+    model.ub[:n] = np.where(group.schedulable, np.minimum(model.ub[:n], fit), 0.0)
     result = solve_milp(model, time_limit=time_limit, backend=backend, gap_tolerance=GAP_TOLERANCE)
     if result.x is None:
         return None

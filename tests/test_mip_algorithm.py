@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from repro.core import Assignment, Machine, RASAProblem, Service
+from repro.obs import MetricsRegistry, use_metrics
 from repro.solvers import MIPAlgorithm, build_rasa_model
+from repro.solvers.milp_backend import GAP_TOLERANCE
 from repro.solvers.mip import ModelLayout
 
 _DATA_DIR = Path(__file__).resolve().parent / "data"
@@ -20,6 +22,12 @@ _spec = importlib.util.spec_from_file_location(
 )
 make_model_digests = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(make_model_digests)
+
+
+@pytest.fixture(scope="module")
+def digests():
+    """Both digest halves of the current builder, computed once."""
+    return make_model_digests.compute_digests()
 
 
 def test_layout_skips_unschedulable_cells(constrained_problem):
@@ -42,16 +50,27 @@ def test_model_dimensions(tiny_problem):
     assert (model.c != 0).sum() == layout.num_a
 
 
-def test_models_match_three_builder_parent_byte_for_byte():
-    """The flat, aggregated and pricing models are the ones bdf4fd7 built.
+def test_models_match_three_builder_parent_byte_for_byte(digests):
+    """Every column, row and coefficient is the one bdf4fd7 emitted.
 
-    ``model_digests.json`` was written by ``make_model_digests.py`` running
-    on bdf4fd7, which had one builder per model; equal digests mean HiGHS is
-    handed the same bytes, so solutions cannot move.
+    The ``structure`` half of ``model_digests.json`` (every array but
+    ``ub``) was written by ``make_model_digests.py`` running on 23d536c,
+    whose models were still byte-for-byte those of bdf4fd7, the tree with
+    one builder per model.  Only the column bounds may move since.
     """
     pinned = json.loads((_DATA_DIR / "model_digests.json").read_text())
-    assert any(len(entry["pricing"]) > 1 for entry in pinned.values())
-    assert make_model_digests.compute_digests() == pinned
+    assert any(len(entry["pricing"]) > 1 for entry in pinned["structure"].values())
+    assert digests["structure"] == pinned["structure"]
+
+
+def test_model_bounds_match_pinned_digests(digests):
+    """The column bounds are the ones the pinned builder derived.
+
+    The ``ub`` half of ``model_digests.json`` moves only with a deliberate
+    change to ``container_fit`` / ``best_pair_fill``, which rewrites it.
+    """
+    pinned = json.loads((_DATA_DIR / "model_digests.json").read_text())
+    assert digests["ub"] == pinned["ub"]
 
 
 def test_mip_finds_full_affinity_optimum(tiny_problem):
@@ -70,6 +89,20 @@ def test_mip_respects_all_constraints(constrained_problem):
     assert result.objective > 0
 
 
+@pytest.mark.parametrize("backend", ["highs", "bnb"])
+@pytest.mark.parametrize("fixture", ["tiny_problem", "constrained_problem"])
+def test_mip_bound_covers_objective_within_gap(fixture, backend, request):
+    """An unbudgeted optimal solve reports a dual bound at or above its
+    objective, no further than the gap it was solved to."""
+    problem = request.getfixturevalue(fixture)
+    with use_metrics(MetricsRegistry()) as registry:
+        result = MIPAlgorithm(backend=backend).solve(problem)
+    assert result.status in ("optimal", "optimal+greedy")
+    assert result.bound >= result.objective
+    assert result.bound - result.objective <= GAP_TOLERANCE * result.objective + 1e-6
+    assert registry.snapshot()["histograms"]["solver.mip.gap"]["count"] == 1
+
+
 def test_mip_bnb_backend_agrees_with_highs(tiny_problem):
     highs = MIPAlgorithm(backend="highs").solve(tiny_problem, time_limit=30)
     bnb = MIPAlgorithm(backend="bnb").solve(tiny_problem, time_limit=30)
@@ -85,6 +118,7 @@ def test_mip_handles_no_schedulable_machines():
     result = MIPAlgorithm().solve(problem, time_limit=5)
     assert result.status == "no_variables"
     assert result.assignment.x.sum() == 0
+    assert result.bound == 0.0
 
 
 def test_mip_greedy_floor_never_worse_than_greedy(small_cluster):

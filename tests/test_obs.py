@@ -321,9 +321,9 @@ def test_kv_renders_pairs_in_order():
 def test_noop_and_enabled_tracer_produce_identical_results(small_cluster):
     problem = small_cluster.problem
     with use_metrics(MetricsRegistry()):
-        baseline = RASAScheduler().schedule(problem, time_limit=6)
+        baseline = RASAScheduler().schedule(problem, time_limit=None)
     with use_metrics(MetricsRegistry()), use_tracer(Tracer()) as tracer:
-        traced = RASAScheduler().schedule(problem, time_limit=6)
+        traced = RASAScheduler().schedule(problem, time_limit=None)
     assert traced.gained_affinity == pytest.approx(baseline.gained_affinity)
     assert (traced.assignment.x == baseline.assignment.x).all()
     names = {span.name for span in tracer.finished_roots()}

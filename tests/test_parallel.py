@@ -34,7 +34,7 @@ from repro.core.parallel import (
     run_task,
 )
 from repro.obs import MetricsRegistry, Tracer, use_metrics, use_tracer
-from repro.selection.selector import HeuristicSelector
+from repro.selection.selector import FixedSelector, HeuristicSelector
 from repro.solvers.base import SolveResult
 
 #: Shard size that splits the 40-service ``small_cluster`` into 3 shards.
@@ -312,6 +312,22 @@ def test_run_task_roundtrip(shards):
     assert result.assignment.problem is subproblem.problem
     assert result.objective == outcome.objective
     assert result.status == outcome.status
+
+
+def test_run_task_carries_the_mip_bound(shards):
+    """A worker's MIP solve returns its dual bound to the parent."""
+    subproblem = shards[0]
+    task = SubproblemTask(
+        index=0,
+        subproblem=subproblem,
+        selector=FixedSelector("mip"),
+        algorithm_factory=DefaultAlgorithmFactory(),
+        budget=None,
+    )
+    outcome = run_task(task)
+    result = outcome.to_solve_result(subproblem.problem)
+    assert result.bound == outcome.bound
+    assert result.bound >= result.objective
 
 
 def test_dispatcher_maps_crash_to_failure(shards):

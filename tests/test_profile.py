@@ -160,10 +160,10 @@ def test_schedule_without_profile_leaves_spans_untagged(small_cluster):
 def test_profile_off_and_on_produce_identical_assignments(small_cluster):
     problem = small_cluster.problem
     with use_metrics(MetricsRegistry()):
-        baseline = RASAScheduler().schedule(problem, time_limit=6)
+        baseline = RASAScheduler().schedule(problem, time_limit=None)
     with use_metrics(MetricsRegistry()):
         profiled = RASAScheduler(config=RASAConfig(profile=True)).schedule(
-            problem, time_limit=6)
+            problem, time_limit=None)
     assert profiled.gained_affinity == pytest.approx(baseline.gained_affinity)
     assert (profiled.assignment.x == baseline.assignment.x).all()
 

@@ -29,10 +29,10 @@ from repro.solvers.greedy import PackingState, repair_unplaced
 # Strategies
 # ----------------------------------------------------------------------
 @st.composite
-def problems(draw) -> RASAProblem:
+def problems(draw, max_services: int = 6, max_machines: int = 4) -> RASAProblem:
     """Small random RASA instances with enough capacity to be feasible."""
-    num_services = draw(st.integers(2, 6))
-    num_machines = draw(st.integers(2, 4))
+    num_services = draw(st.integers(2, max_services))
+    num_machines = draw(st.integers(2, max_machines))
     services = []
     for i in range(num_services):
         demand = draw(st.integers(1, 4))
@@ -56,10 +56,10 @@ def problems(draw) -> RASAProblem:
 
 
 @st.composite
-def constrained_problems(draw) -> RASAProblem:
+def constrained_problems(draw, max_services: int = 6, max_machines: int = 4) -> RASAProblem:
     """:func:`problems` plus 0–2 anti-affinity rules and a few unschedulable
     cells (every service keeps at least one machine)."""
-    base = draw(problems())
+    base = draw(problems(max_services, max_machines))
     names = base.service_names()
     rules = [
         AntiAffinityRule(

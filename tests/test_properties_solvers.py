@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from test_migration import _rule_pair
+from test_properties import constrained_problems
 
 from repro.core import Machine, RASAProblem, Service
 from repro.solvers import ColumnGenerationAlgorithm, MIPAlgorithm
 from repro.solvers.milp_backend import solve_milp
-from repro.solvers.mip import build_rasa_model
+from repro.solvers.mip import build_rasa_model, container_fit
 from repro.solvers.patterns import (
+    MachineGroup,
     group_machines,
     pattern_is_feasible,
     price_pattern_greedy,
@@ -114,3 +120,59 @@ def test_exact_pricing_dominates_greedy_pricing(data):
         exact_net = exact.value - float(duals @ exact.counts)
         greedy_net = greedy.value - float(duals @ greedy.counts)
         assert exact_net >= greedy_net - 1e-6
+
+
+# ----------------------------------------------------------------------
+# The model's column bounds against enumeration
+# ----------------------------------------------------------------------
+def machine_fills(problem: RASAProblem, m: int) -> np.ndarray:
+    """Every count vector machine ``m`` alone can hold, one per row."""
+    machine = MachineGroup(
+        key=m,
+        machine_indices=(m,),
+        capacity=tuple(problem.capacities_matrix[m]),
+        schedulable=tuple(problem.schedulable[:, m]),
+    )
+    vectors = itertools.product(*(range(int(d) + 1) for d in problem.demands))
+    return np.array(
+        [v for v in vectors if pattern_is_feasible(problem, machine, np.array(v))]
+    )
+
+
+@given(problem=constrained_problems(max_services=4, max_machines=3))
+@example(problem=quota_split_loss_problem())
+@example(problem=_rule_pair()[0])
+def test_column_bounds_are_exact_per_machine_maxima(problem):
+    """``min(d_s, fit)`` is the most containers of ``s`` any feasible fill
+    of the machine holds and ``ub[a]`` the most ``w·min(x_s/d_s, x_t/d_t)``
+    any does: no fill exceeds a bound, and some fill reaches it."""
+    model, layout = build_rasa_model(problem)
+    demands = problem.demands.astype(float)
+    fit = container_fit(problem, layout.capacities)
+    fills = [machine_fills(problem, m) for m in range(problem.num_machines)]
+    for (s, m), idx in layout.x_index.items():
+        assert fills[m][:, s].max() == min(demands[s], fit[s, m])
+        assert fills[m][:, s].max() <= model.ub[idx]
+    for (e, m), idx in layout.a_index.items():
+        s, t, w = layout.edges[e]
+        pair = w * np.minimum(fills[m][:, s] / demands[s], fills[m][:, t] / demands[t])
+        assert pair.max() <= model.ub[idx] + 1e-12 * w
+        assert pair.max() == pytest.approx(model.ub[idx], rel=1e-12, abs=1e-12)
+
+
+@given(problem=constrained_problems(max_services=4, max_machines=3))
+@example(problem=quota_split_loss_problem())
+@example(problem=_rule_pair()[0])
+def test_tightened_bounds_keep_the_optimum(problem):
+    """HiGHS reaches the same optimum with the bounds reset to ``(d_s, w_e)``."""
+    model, layout = build_rasa_model(problem)
+    loose = model.ub.copy()
+    for (s, _m), idx in layout.x_index.items():
+        loose[idx] = float(problem.demands[s])
+    for (e, _m), idx in layout.a_index.items():
+        loose[idx] = layout.edges[e][2]
+    tight = solve_milp(model)
+    plain = solve_milp(replace(model, ub=loose))
+    assert tight.status == plain.status
+    if plain.has_solution:
+        assert tight.objective == pytest.approx(plain.objective, rel=2e-6, abs=1e-9)
