@@ -26,7 +26,6 @@ class POPAlgorithm:
 
     Args:
         max_subproblem_services: Shard size of the random partition.
-        backend: MILP backend for the per-shard solves.
         seed: Partitioning seed.
     """
 
@@ -35,18 +34,16 @@ class POPAlgorithm:
     def __init__(
         self,
         max_subproblem_services: int = 48,
-        backend: str = "highs",
         seed: int = 0,
     ) -> None:
         self.max_subproblem_services = max_subproblem_services
-        self.backend = backend
         self.seed = seed
 
     def solve(self, problem: RASAProblem, time_limit: float | None = None) -> SolveResult:
         """Partition randomly, solve each shard with MIP, merge."""
         watch = Stopwatch(time_limit)
         scheduler = RASAScheduler(
-            config=RASAConfig(backend=self.backend, seed=self.seed),
+            config=RASAConfig(seed=self.seed),
             partitioner=RandomPartitioner(
                 max_subproblem_services=self.max_subproblem_services,
                 seed=self.seed,

@@ -56,6 +56,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from collections import Counter
@@ -326,15 +327,16 @@ def _make_client(args: argparse.Namespace) -> api.ServiceClient:
 
 
 def _scheduler_config(args: argparse.Namespace) -> RASAConfig:
-    """Build the scheduler config from the parallelism/profiling CLI flags."""
-    config = RASAConfig(profile=getattr(args, "profile", False))
-    if args.workers is not None:
-        if args.workers < 1:
-            raise ProblemValidationError("--workers must be >= 1")
-        config.workers = args.workers
-    if args.parallel:
-        config.parallel = True
-    return config
+    """Build the scheduler config from the parallelism/profiling CLI flags.
+
+    ``--parallel`` without ``--workers`` means one worker per CPU.
+    """
+    workers = args.workers
+    if workers is None:
+        workers = (os.cpu_count() or 1) if args.parallel else 1
+    if workers < 1:
+        raise ProblemValidationError("--workers must be >= 1")
+    return RASAConfig(workers=workers, profile=getattr(args, "profile", False))
 
 
 def _make_output(args: argparse.Namespace) -> Callable[[str], None]:

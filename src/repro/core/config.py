@@ -27,13 +27,6 @@ class RASAConfig:
             None selects the paper's ``45 * ln^0.66(N) / N``.
         max_subproblem_services: Size threshold that triggers balanced
             partitioning of a crucial service set.
-        partition_samples: Cap on the BFS partition samples per split.
-        backend: MILP backend (``"highs"`` or ``"bnb"``).
-        min_subproblem_budget: Time floor (seconds) granted to every
-            subproblem even when the overall budget is tight.
-        repair_unplaced: Whether to greedily place containers that solvers
-            failed to deploy (stands in for the cluster's default scheduler
-            picking up failed deployments, paper IV-B5).
         local_search_seconds: Budget for an optional local-search polish of
             the merged placement (0 disables it).  An extension beyond the
             paper's pipeline; see DESIGN.md ablations.
@@ -43,37 +36,19 @@ class RASAConfig:
             independent subproblems to a process pool (see
             :mod:`repro.core.parallel`) while preserving the deterministic
             affinity-descending merge order.
-        parallel: Tri-state parallelism switch: None (auto) parallelizes
-            iff ``workers > 1``; True forces parallel mode, defaulting
-            ``workers`` to the CPU count when left at 1; False forces
-            sequential mode regardless of ``workers``.
-        worker_timeout_factor: Multiplier on a task's solver budget used
-            for its wall-clock deadline in parallel mode (hung-worker
-            backstop; see :class:`~repro.core.parallel.ParallelDispatcher`).
-        worker_timeout_margin: Constant slack (seconds) added to every
-            parallel task deadline.
         profile: Opt-in per-span cProfile capture (CLI ``--profile``):
             partitioning and subproblem-solve spans gain a top-N
             cumulative-time hotspot table (see :mod:`repro.obs.profile`).
             Off by default — cProfile instruments every Python call, so
             expect 1.3–2x overhead on solver-heavy spans when enabled.
-        profile_top: Rows kept in each span's hotspot table.
     """
 
     master_ratio: float | None = None
     max_subproblem_services: int = 48
-    partition_samples: int = 32
-    backend: str = "highs"
-    min_subproblem_budget: float = 0.5
-    repair_unplaced: bool = True
     local_search_seconds: float = 0.0
     seed: int = 0
     workers: int = 1
-    parallel: bool | None = None
-    worker_timeout_factor: float = 2.0
-    worker_timeout_margin: float = 5.0
     profile: bool = False
-    profile_top: int = 10
 
 
 @dataclass(frozen=True)
@@ -96,12 +71,7 @@ class RetryPolicy:
     jitter: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ProblemValidationError(
-                f"RetryPolicy.max_attempts must be >= 1, got {self.max_attempts}"
-            )
-        if self.base_delay < 0 or self.max_delay < 0 or self.jitter < 0:
-            raise ProblemValidationError("RetryPolicy delays must be non-negative")
+        _check_fields(vars(self), _RULES[RetryPolicy], "RetryPolicy")
 
     def delay(self, retry_index: int, jitter_draw: float = 0.0) -> float:
         """Backoff delay before retry ``retry_index`` (0-based)."""
@@ -141,11 +111,7 @@ class DegradationPolicy:
     tag_seconds: float = 3 * 24 * 3600.0
 
     def __post_init__(self) -> None:
-        if self.cycle_retries < 0:
-            raise ProblemValidationError(
-                f"DegradationPolicy.cycle_retries must be >= 0, "
-                f"got {self.cycle_retries}"
-            )
+        _check_fields(vars(self), _RULES[DegradationPolicy], "DegradationPolicy")
 
     @classmethod
     def parse(cls, spec: str) -> "DegradationPolicy":
@@ -188,8 +154,9 @@ class DegradationPolicy:
         return ",".join(rungs) or "none"
 
 
-#: The scalar :class:`LoopSpec` fields: type, lowest value, whether the
-#: lowest value itself is allowed, highest value, whether None is allowed.
+#: The scalar :class:`LoopSpec` fields, each with its rule: type, lowest
+#: value, whether the lowest value itself is allowed, highest value,
+#: whether None is allowed.
 _SCALARS = {
     "time_limit": (Real, 0.0, False, math.inf, True),
     "interval_seconds": (Real, 0.0, False, math.inf, True),
@@ -200,6 +167,51 @@ _SCALARS = {
     "checkpoint_every": (Integral, 1, True, math.inf, False),
 }
 
+#: The rule of a boolean field.
+_FLAG = (bool, False, True, True, False)
+
+#: The field rules of the typed objects behind the structured
+#: :class:`LoopSpec` fields (the fault plan checks itself).
+_RULES = {
+    RASAConfig: {
+        "master_ratio": (Real, 0.0, False, 1.0, True),
+        "max_subproblem_services": (Integral, 1, True, math.inf, False),
+        "local_search_seconds": (Real, 0.0, True, math.inf, False),
+        "seed": (Integral, 0, True, math.inf, False),
+        "workers": (Integral, 1, True, math.inf, False),
+        "profile": _FLAG,
+    },
+    RetryPolicy: {
+        "max_attempts": (Integral, 1, True, math.inf, False),
+        "base_delay": (Real, 0.0, True, math.inf, False),
+        "backoff_factor": (Real, 0.0, True, math.inf, False),
+        "max_delay": (Real, 0.0, True, math.inf, False),
+        "jitter": (Real, 0.0, True, math.inf, False),
+    },
+    DegradationPolicy: {
+        "cycle_retries": (Integral, 0, True, math.inf, False),
+        "greedy_residual": _FLAG,
+        "skip_and_tag": _FLAG,
+        "tag_seconds": (Real, 0.0, True, math.inf, False),
+    },
+}
+
+#: Retired :class:`RASAConfig` fields that older checkpoints and clients
+#: still send, with the value the pipeline now always uses: a retired key
+#: holding it is ignored, any other value is refused.  ``parallel`` is
+#: ignored at any value (``_ANY``) — a worker count never changes a report.
+_ANY = object()
+_RETIRED_CONFIG = {
+    "backend": "highs",
+    "partition_samples": 32,
+    "min_subproblem_budget": 0.5,
+    "repair_unplaced": True,
+    "parallel": _ANY,
+    "worker_timeout_factor": 2.0,
+    "worker_timeout_margin": 5.0,
+    "profile_top": 10,
+}
+
 #: The typed object behind each structured :class:`LoopSpec` field.
 _STRUCTURED = {
     "config": RASAConfig,
@@ -207,6 +219,34 @@ _STRUCTURED = {
     "degradation": DegradationPolicy,
     "retry": RetryPolicy,
 }
+
+
+def _check_fields(values: dict, rules: dict, owner: str) -> None:
+    """Raise, naming ``owner.field``, unless every value meets its rule."""
+    for name, value in values.items():
+        kind, low, low_ok, high, optional = rules[name]
+        if value is None and optional:
+            continue
+        if kind is bool:
+            if isinstance(value, bool):
+                continue
+            expected = "a boolean"
+        elif (
+            not isinstance(value, bool)
+            and isinstance(value, kind)
+            and (low <= value if low_ok else low < value)
+            and value <= high
+        ):
+            continue
+        else:
+            expected = (
+                f"{'an integer' if kind is Integral else 'a number'} in "
+                f"{'[' if low_ok else '('}{low}, {high}]"
+            )
+        raise ProblemValidationError(
+            f"{owner}.{name} must be {expected}"
+            f"{' or null' if optional else ''}, got {value!r}"
+        )
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -267,22 +307,9 @@ class LoopSpec:
             if is_dataclass(value):
                 object.__setattr__(self, name, asdict(value))
             self.typed(name)
-        for name, (kind, low, low_ok, high, optional) in _SCALARS.items():
-            value = getattr(self, name)
-            if value is None and optional:
-                continue
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, kind)
-                or not (low <= value if low_ok else low < value)
-                or not value <= high
-            ):
-                raise ProblemValidationError(
-                    f"LoopSpec.{name} must be "
-                    f"{'an integer' if kind is Integral else 'a number'} in "
-                    f"{'[' if low_ok else '('}{low}, {high}]"
-                    f"{' or null' if optional else ''}, got {value!r}"
-                )
+        _check_fields(
+            {name: getattr(self, name) for name in _SCALARS}, _SCALARS, "LoopSpec"
+        )
 
     def typed(self, name: str):
         """The typed object behind a structured field, built from its plain data.
@@ -291,6 +318,8 @@ class LoopSpec:
         :class:`DegradationPolicy`, ``"retry"`` a :class:`RetryPolicy` —
         the defaults where the field is None — and ``"faults"`` a
         :class:`~repro.faults.FaultPlan`, or None for the fault-free path.
+        Every value is checked against its field's rule, and a retired
+        ``config`` key is dropped if it holds the value now hard-wired.
         """
         cls, payload = _STRUCTURED[name], getattr(self, name)
         if payload is None:
@@ -299,17 +328,27 @@ class LoopSpec:
             raise ProblemValidationError(
                 f"LoopSpec.{name} must be an object, got {type(payload).__name__}"
             )
-        try:
-            if cls is FaultPlan:
+        if cls is FaultPlan:
+            try:
                 return FaultPlan.from_dict(payload)  # strict about keys itself
-            unknown = set(payload) - {f.name for f in fields(cls)}
-            if unknown:
+            except (TypeError, ValueError) as exc:
+                raise ProblemValidationError(f"invalid LoopSpec.faults: {exc}") from exc
+        rules = _RULES[cls]
+        retired = _RETIRED_CONFIG if cls is RASAConfig else {}
+        unknown = set(payload) - set(rules) - set(retired)
+        if unknown:
+            raise ProblemValidationError(
+                f"unknown LoopSpec.{name} fields: {sorted(unknown)}"
+            )
+        for key in set(payload) & set(retired):
+            if retired[key] is not _ANY and payload[key] != retired[key]:
                 raise ProblemValidationError(
-                    f"unknown LoopSpec.{name} fields: {sorted(unknown)}"
+                    f"LoopSpec.config.{key} is retired: only "
+                    f"{retired[key]!r} is accepted, got {payload[key]!r}"
                 )
-            return cls(**payload)
-        except (TypeError, ValueError) as exc:
-            raise ProblemValidationError(f"invalid LoopSpec.{name}: {exc}") from exc
+        kept = {key: value for key, value in payload.items() if key in rules}
+        _check_fields(kept, rules, f"LoopSpec.{name}")
+        return cls(**kept)
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:

@@ -60,23 +60,20 @@ from repro.selection.selector import AlgorithmSelector
 from repro.solvers.base import SchedulingAlgorithm, SolveResult, Stopwatch
 
 
-@dataclass(frozen=True)
 class DefaultAlgorithmFactory:
-    """Maps a selector label to a configured algorithm instance.
+    """Maps a selector label to an algorithm instance.
 
-    A frozen dataclass (rather than a closure) so tasks can pickle it into
-    worker processes.
+    A module-level class (rather than a closure) so tasks can pickle it
+    into worker processes.
     """
-
-    backend: str = "highs"
 
     def __call__(self, label: str) -> SchedulingAlgorithm:
         from repro.solvers.column_generation import ColumnGenerationAlgorithm
         from repro.solvers.mip import MIPAlgorithm
 
         if label == "mip":
-            return MIPAlgorithm(backend=self.backend)
-        return ColumnGenerationAlgorithm(backend=self.backend)
+            return MIPAlgorithm()
+        return ColumnGenerationAlgorithm()
 
 
 @dataclass
@@ -95,7 +92,6 @@ class SubproblemTask:
         profile: Capture a cProfile hotspot table on the worker's solve
             span (see :mod:`repro.obs.profile`); the table rides the span
             tree back to the parent through ``TaskOutcome.spans``.
-        profile_top: Rows kept in the worker's hotspot tables.
     """
 
     index: int
@@ -105,7 +101,6 @@ class SubproblemTask:
     budget: float | None = None
     collect_spans: bool = False
     profile: bool = False
-    profile_top: int = 10
 
 
 @dataclass
@@ -207,9 +202,7 @@ def run_task(task: SubproblemTask) -> TaskOutcome:
     started = time.monotonic()
     tracer = Tracer() if task.collect_spans else NullTracer()
     registry = MetricsRegistry()
-    profiler = (
-        SpanProfiler(top=task.profile_top) if task.profile else NullProfiler()
-    )
+    profiler = SpanProfiler() if task.profile else NullProfiler()
     with use_tracer(tracer), use_metrics(registry), use_profiler(profiler):
         label, result = select_and_solve(
             task.subproblem, task.selector, task.algorithm_factory, task.budget

@@ -10,7 +10,7 @@ The solve phase is one loop over the subproblems in affinity-descending
 order.  Each shard is solved in-process at its merge turn; when a shard
 finishes under its proportional budget, the unspent time is redistributed
 across the shards still unsolved.  The process pool
-(:mod:`repro.core.parallel`, ``workers>1`` or ``parallel=True``) is an
+(:mod:`repro.core.parallel`, ``workers > 1``) is an
 optional first pass over the same shards: what it delivers is merged at
 the shard's turn instead of being solved there, and what it does not
 deliver (a failed, crashed or timed-out worker) is simply still unsolved
@@ -20,7 +20,6 @@ merge, and sequential mode is the same loop with an empty pool.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +49,10 @@ from repro.partitioning.multistage import MultiStagePartitioner
 from repro.selection.selector import AlgorithmSelector, HeuristicSelector
 from repro.solvers.base import SolveResult, Stopwatch
 from repro.solvers.greedy import repair_unplaced
+
+#: Time floor (seconds) granted to every subproblem even when the overall
+#: budget is tight.
+MIN_SUBPROBLEM_BUDGET = 0.5
 
 
 @dataclass
@@ -164,7 +167,6 @@ class RASAScheduler:
         self.partitioner = partitioner or MultiStagePartitioner(
             master_ratio=self.config.master_ratio,
             max_subproblem_services=self.config.max_subproblem_services,
-            max_samples=self.config.partition_samples,
             seed=self.config.seed,
         )
         self.selector = selector or HeuristicSelector()
@@ -190,7 +192,7 @@ class RASAScheduler:
             return self._schedule(problem, time_limit)
         # Opt-in hotspot attribution: install a span profiler for the run
         # so partition/solve spans carry top-N cProfile tables.
-        with use_profiler(SpanProfiler(top=self.config.profile_top)):
+        with use_profiler(SpanProfiler()):
             return self._schedule(problem, time_limit)
 
     def _schedule(
@@ -234,13 +236,14 @@ class RASAScheduler:
                 reports, watch, workers, run_span,
             )
 
-            if self.config.repair_unplaced:
-                with tracer.span("rasa.repair"):
-                    repaired = repair_unplaced(problem, assignment.x)
-                    assignment = Assignment(problem, repaired)
-                _append_point(
-                    trajectory, watch.elapsed, assignment.gained_affinity(normalized=True)
-                )
+            # Containers the solvers left unplaced go to the cluster's
+            # default scheduler (paper IV-B5); the greedy packer stands in.
+            with tracer.span("rasa.repair"):
+                repaired = repair_unplaced(problem, assignment.x)
+                assignment = Assignment(problem, repaired)
+            _append_point(
+                trajectory, watch.elapsed, assignment.gained_affinity(normalized=True)
+            )
 
             if self.config.local_search_seconds > 0:
                 from repro.solvers.local_search import LocalSearchImprover
@@ -305,7 +308,7 @@ class RASAScheduler:
         tracer = get_tracer()
         metrics = get_metrics()
         logger = get_logger("core.rasa")
-        factory = DefaultAlgorithmFactory(self.config.backend)
+        factory = DefaultAlgorithmFactory()
         pooled = workers > 1 and len(order) > 1
         outcomes: dict[int, TaskOutcome | TaskFailure] = {}
         if pooled:
@@ -381,9 +384,7 @@ class RASAScheduler:
         for position, i in enumerate(order):
             budget = budgets[position]
             if remaining is not None:
-                budget = max(
-                    self.config.min_subproblem_budget, min(budget, remaining)
-                )
+                budget = max(MIN_SUBPROBLEM_BUDGET, min(budget, remaining))
             tasks.append(
                 SubproblemTask(
                     index=i,
@@ -395,14 +396,9 @@ class RASAScheduler:
                     # profiling in workers requires span collection.
                     collect_spans=tracer.enabled or self.config.profile,
                     profile=self.config.profile,
-                    profile_top=self.config.profile_top,
                 )
             )
-        dispatcher = ParallelDispatcher(
-            workers=workers,
-            timeout_factor=self.config.worker_timeout_factor,
-            timeout_margin=self.config.worker_timeout_margin,
-        )
+        dispatcher = ParallelDispatcher(workers=workers)
         with tracer.span("rasa.dispatch", workers=workers, tasks=len(tasks)):
             return dispatcher.run(tasks)
 
@@ -439,14 +435,8 @@ class RASAScheduler:
         return assignment
 
     def _effective_workers(self) -> int:
-        """Resolve the ``workers``/``parallel`` pair into a worker count."""
-        config = self.config
-        if config.parallel is False:
-            return 1
-        workers = config.workers
-        if config.parallel and workers <= 1:
-            workers = os.cpu_count() or 1
-        return max(1, workers)
+        """The solve phase's worker count: ``workers``, at least 1."""
+        return max(1, self.config.workers)
 
     def _next_budget(self, pending: list[Subproblem], watch: Stopwatch) -> float:
         """Budget for the first of the still-queued shards.
@@ -459,7 +449,7 @@ class RASAScheduler:
         budget = self._budgets(pending, watch)[0]
         remaining = watch.remaining
         if remaining is not None:
-            budget = max(self.config.min_subproblem_budget, min(budget, remaining))
+            budget = max(MIN_SUBPROBLEM_BUDGET, min(budget, remaining))
         return budget
 
     @staticmethod
@@ -495,7 +485,7 @@ class RASAScheduler:
     def _budgets(self, subproblems: list[Subproblem], watch: Stopwatch) -> list[float]:
         """Split the remaining budget proportionally to shard affinity.
 
-        Every shard is guaranteed ``min_subproblem_budget``; shares above
+        Every shard is guaranteed ``MIN_SUBPROBLEM_BUDGET``; shares above
         the floor are renormalized to the budget left after the floored
         shards take theirs, so the summed budgets never overcommit the
         overall limit (unless the floors alone already exceed it).
@@ -507,7 +497,7 @@ class RASAScheduler:
         if weights.sum() == 0 or not subproblems:
             return [remaining] * len(subproblems)
         shares = weights / weights.sum()
-        floor = self.config.min_subproblem_budget
+        floor = MIN_SUBPROBLEM_BUDGET
         budgets = np.full(len(subproblems), floor)
         floored = np.zeros(len(subproblems), dtype=bool)
         # Waterfilling: repeatedly pin shards whose renormalized share falls

@@ -28,6 +28,10 @@ from repro.partitioning.stages import (
 from repro.solvers.base import Stopwatch
 from repro.solvers.greedy import PackingState
 
+#: Cap on sampled partitions per balanced split (the paper samples ``|E|``
+#: times; capping keeps the <10 % overhead budget).
+PARTITION_SAMPLES = 32
+
 
 def _affinity_components(graph, block: list[str]) -> list[list[str]]:
     """Affinity components of a block; edge-free services become singletons."""
@@ -252,8 +256,6 @@ class MultiStagePartitioner:
             the paper's ``45 * ln^0.66(N) / N``.
         max_subproblem_services: Crucial sets larger than this are split by
             loss-minimization balanced partitioning.
-        max_samples: Cap on sampled partitions per balanced split (the paper
-            samples ``|E|`` times; capping keeps the <10 % overhead budget).
         seed: RNG seed for the balanced-partition sampling.
     """
 
@@ -263,12 +265,10 @@ class MultiStagePartitioner:
         self,
         master_ratio: float | None = None,
         max_subproblem_services: int = 48,
-        max_samples: int = 32,
         seed: int = 0,
     ) -> None:
         self.master_ratio = master_ratio
         self.max_subproblem_services = max_subproblem_services
-        self.max_samples = max_samples
         self.seed = seed
 
     def partition(self, problem: RASAProblem) -> PartitionResult:
@@ -321,7 +321,7 @@ class MultiStagePartitioner:
                             component,
                             num_parts,
                             rng,
-                            max_samples=self.max_samples,
+                            max_samples=PARTITION_SAMPLES,
                         )
                     )
                 crucial_sets.extend(

@@ -43,17 +43,14 @@ class LabeledExample:
 def label_subproblem(
     subproblem: Subproblem,
     time_limit: float = 5.0,
-    backend: str = "highs",
 ) -> LabeledExample:
     """Race CG and MIP on one subproblem and label it with the winner.
 
     Ties on objective go to CG (the cheaper algorithm at scale), mirroring
     the paper's preference for efficiency when quality is equal.
     """
-    cg = ColumnGenerationAlgorithm(backend=backend).solve(
-        subproblem.problem, time_limit=time_limit
-    )
-    mip = MIPAlgorithm(backend=backend).solve(subproblem.problem, time_limit=time_limit)
+    cg = ColumnGenerationAlgorithm().solve(subproblem.problem, time_limit=time_limit)
+    mip = MIPAlgorithm().solve(subproblem.problem, time_limit=time_limit)
     label = "mip" if mip.objective > cg.objective + TIE_MARGIN else "cg"
     return LabeledExample(
         graph=build_feature_graph(subproblem),
@@ -94,7 +91,6 @@ def build_training_set(
     clusters: list[GeneratedCluster],
     per_cluster: int = 8,
     time_limit: float = 3.0,
-    backend: str = "highs",
     seed: int = 0,
 ) -> list[LabeledExample]:
     """Sample subproblems from ``clusters`` and label them by racing.
@@ -103,7 +99,4 @@ def build_training_set(
         Labeled examples ready for classifier training.
     """
     subproblems = sample_subproblems(clusters, per_cluster=per_cluster, seed=seed)
-    return [
-        label_subproblem(sp, time_limit=time_limit, backend=backend)
-        for sp in subproblems
-    ]
+    return [label_subproblem(sp, time_limit=time_limit) for sp in subproblems]

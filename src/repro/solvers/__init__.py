@@ -5,8 +5,9 @@ Public surface:
 * :class:`~repro.solvers.mip.MIPAlgorithm` — exact MIP-based algorithm.
 * :class:`~repro.solvers.column_generation.ColumnGenerationAlgorithm` — CG.
 * :class:`~repro.solvers.greedy.GreedyAlgorithm` — fast feasible packer.
-* :func:`~repro.solvers.milp_backend.solve_milp` — MILP backend facade.
-* :class:`~repro.solvers.branch_and_bound.BranchAndBoundSolver` — own B&B.
+* :func:`~repro.solvers.milp_backend.solve_milp` — the pipeline's MILP engine (HiGHS).
+* :class:`~repro.solvers.branch_and_bound.BranchAndBoundSolver` — own B&B,
+  the independent oracle tests check HiGHS against.
 """
 
 from repro.solvers.base import SchedulingAlgorithm, SolveResult, Stopwatch

@@ -52,17 +52,15 @@ class ColumnGenerationAlgorithm:
     """Solver-based RASA algorithm with sub-optimal quality but good scaling.
 
     Args:
-        backend: MILP backend for pricing and final rounding.
         pricing: ``"mip"`` for exact pricing, ``"greedy"`` for the fast
             heuristic pricer (ablation point).
     """
 
     name = "cg"
 
-    def __init__(self, backend: str = "highs", pricing: str = "mip") -> None:
+    def __init__(self, pricing: str = "mip") -> None:
         if pricing not in ("mip", "greedy"):
             raise ValueError(f"pricing must be 'mip' or 'greedy', got {pricing!r}")
-        self.backend = backend
         self.pricing = pricing
 
     # ------------------------------------------------------------------
@@ -132,8 +130,7 @@ class ColumnGenerationAlgorithm:
         rounding_limit = watch.remaining
         with tracer.span("cg.rounding"):
             rounded = _round_master(
-                problem, groups, columns, backend=self.backend,
-                time_limit=rounding_limit,
+                problem, groups, columns, time_limit=rounding_limit
             )
         if rounded is not None:
             repaired = repair_unplaced(problem, rounded)
@@ -162,11 +159,7 @@ class ColumnGenerationAlgorithm:
         if self.pricing == "greedy":
             return price_pattern_greedy(problem, group, duals)
         return price_pattern_mip(
-            problem,
-            group,
-            duals,
-            time_limit=PRICING_TIME_LIMIT,
-            backend=self.backend,
+            problem, group, duals, time_limit=PRICING_TIME_LIMIT
         )
 
 
@@ -238,7 +231,6 @@ def _round_master(
     problem: RASAProblem,
     groups: list[MachineGroup],
     columns: dict[int, list[Pattern]],
-    backend: str,
     time_limit: float | None,
 ) -> np.ndarray | None:
     """Solve the integral restricted master and decode it to machines.
@@ -251,7 +243,7 @@ def _round_master(
     if master.model.num_variables == 0:
         return None
     result = solve_milp(
-        master.model, time_limit=time_limit, backend=backend, gap_tolerance=GAP_TOLERANCE
+        master.model, time_limit=time_limit, gap_tolerance=GAP_TOLERANCE
     )
     if result.x is None:
         return None

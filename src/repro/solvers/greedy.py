@@ -19,6 +19,10 @@ from repro.core.problem import RASAProblem
 from repro.core.solution import Assignment
 from repro.solvers.base import SolveResult, Stopwatch
 
+#: Weight of the best-fit tiebreak relative to the affinity delta; small so
+#: affinity dominates.
+BIN_PACKING_WEIGHT = 1e-6
+
 
 class PackingState:
     """Mutable machine-load bookkeeping shared by greedy placement loops.
@@ -246,8 +250,6 @@ class GreedyAlgorithm:
     and the repair pass for partial placements.
 
     Args:
-        bin_packing_weight: Weight of the best-fit tiebreak relative to the
-            affinity delta.  Small by default so affinity dominates.
         strategies: Subset of ``("fill", "proportional", "group")`` to try
             (ablation point; default all three).
     """
@@ -255,14 +257,11 @@ class GreedyAlgorithm:
     name = "greedy"
 
     def __init__(
-        self,
-        bin_packing_weight: float = 1e-6,
-        strategies: tuple[str, ...] = ("fill", "proportional", "group"),
+        self, strategies: tuple[str, ...] = ("fill", "proportional", "group")
     ) -> None:
         unknown = set(strategies) - {"fill", "proportional", "group"}
         if unknown:
             raise ValueError(f"unknown greedy strategies: {sorted(unknown)}")
-        self.bin_packing_weight = bin_packing_weight
         self.strategies = strategies
 
     def solve(self, problem: RASAProblem, time_limit: float | None = None) -> SolveResult:
@@ -315,7 +314,7 @@ class GreedyAlgorithm:
                 delta = state.affinity_delta(s, neighbors[s])
                 # Best-fit tiebreak: prefer machines with less free capacity.
                 fullness = 1.0 - (state.free / capacity_scale).mean(axis=1)
-                score = delta + self.bin_packing_weight * fullness
+                score = delta + BIN_PACKING_WEIGHT * fullness
                 score[~mask] = -np.inf
                 state.place(s, int(np.argmax(score)))
 

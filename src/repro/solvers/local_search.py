@@ -18,21 +18,18 @@ from repro.solvers.base import SolveResult, Stopwatch
 from repro.solvers.greedy import PackingState, neighbor_table
 
 
-class LocalSearchImprover:
-    """Strict-improvement hill climbing over single-container moves.
+#: Full passes over the candidate containers per call.
+MAX_ROUNDS = 3
 
-    Args:
-        max_rounds: Full passes over candidate containers per call.
-        candidate_services: Optional cap on how many services (by total
-            affinity, descending) are considered movable — the skew means
-            the head services carry nearly all improvable affinity.
-    """
+#: How many services (by total affinity, descending) are movable — the
+#: skew means the head services carry nearly all improvable affinity.
+CANDIDATE_SERVICES = 64
+
+
+class LocalSearchImprover:
+    """Strict-improvement hill climbing over single-container moves."""
 
     name = "local-search"
-
-    def __init__(self, max_rounds: int = 3, candidate_services: int | None = 64) -> None:
-        self.max_rounds = max_rounds
-        self.candidate_services = candidate_services
 
     def improve(
         self,
@@ -59,13 +56,11 @@ class LocalSearchImprover:
                 key=lambda item: -item[1],
             )
             if neighbors[s]
-        ]
-        if self.candidate_services is not None:
-            movable = movable[: self.candidate_services]
+        ][:CANDIDATE_SERVICES]
 
         improved = True
         rounds = 0
-        while improved and rounds < self.max_rounds and not watch.expired:
+        while improved and rounds < MAX_ROUNDS and not watch.expired:
             improved = False
             rounds += 1
             for s in movable:

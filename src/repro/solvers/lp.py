@@ -10,8 +10,8 @@ conventional *minimization* form used by ``scipy.optimize.linprog``::
 
 RASA objectives are maximizations; callers negate the objective and the
 reported value (helpers are provided).  The same container, plus an
-integrality mask, feeds the MILP backends in
-:mod:`repro.solvers.milp_backend` and the branch-and-bound solver in
+integrality mask, feeds HiGHS through :mod:`repro.solvers.milp_backend`
+and the reference branch-and-bound solver in
 :mod:`repro.solvers.branch_and_bound`.
 """
 

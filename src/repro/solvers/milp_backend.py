@@ -1,17 +1,15 @@
-"""Backend abstraction over MILP engines.
+"""The pipeline's MILP engine: HiGHS through ``scipy.optimize.milp``.
 
-The paper ran its MIP-based algorithm on Gurobi 9.5 (an off-the-shelf
-commercial solver).  This repository substitutes two interchangeable
-backends behind one function:
+The paper ran its MIP-based algorithm on Gurobi 9.5, one off-the-shelf
+commercial solver; HiGHS (open source, vendored by scipy) plays that role
+here, for the flat MIP, column-generation pricing and master rounding
+alike.  :func:`solve_milp` takes a :class:`~repro.solvers.lp.LinearModel`
+(minimization form) and returns a
+:class:`~repro.solvers.branch_and_bound.MILPResult`.
 
-* ``"highs"`` — ``scipy.optimize.milp`` (the open-source HiGHS solver),
-  playing the role of the off-the-shelf engine.
-* ``"bnb"`` — our own :class:`~repro.solvers.branch_and_bound.BranchAndBoundSolver`,
-  a pure-Python substrate that only needs an LP oracle and exposes the
-  incumbent-over-time trajectory.
-
-Both accept the same :class:`~repro.solvers.lp.LinearModel` (minimization
-form) and return a :class:`~repro.solvers.branch_and_bound.MILPResult`.
+:class:`~repro.solvers.branch_and_bound.BranchAndBoundSolver` returns the
+same result type from a search of our own; it is not a pipeline path but
+the independent oracle the tests check HiGHS's answers against.
 """
 
 from __future__ import annotations
@@ -20,15 +18,8 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.exceptions import SolverError
-from repro.solvers.branch_and_bound import (
-    BranchAndBoundSolver,
-    IncumbentRecord,
-    MILPResult,
-)
+from repro.solvers.branch_and_bound import IncumbentRecord, MILPResult
 from repro.solvers.lp import LinearModel
-
-#: Recognized backend identifiers.
-BACKENDS = ("highs", "bnb")
 
 #: Relative optimality gap the RASA algorithms (flat MIP, pricing, master
 #: rounding) accept as optimal.
@@ -38,40 +29,21 @@ GAP_TOLERANCE = 1e-4
 def solve_milp(
     model: LinearModel,
     time_limit: float | None = None,
-    backend: str = "highs",
     gap_tolerance: float = 1e-6,
-    warm_start: np.ndarray | None = None,
 ) -> MILPResult:
-    """Minimize a mixed-integer linear model with the chosen backend.
+    """Minimize a mixed-integer linear model with HiGHS.
 
     Args:
         model: The model, in minimization form with integrality flags.
         time_limit: Wall-clock budget in seconds; None means unlimited.
-        backend: ``"highs"`` or ``"bnb"``.
         gap_tolerance: Relative optimality gap accepted as optimal.
-        warm_start: Optional integral feasible point (``"bnb"`` only; HiGHS
-            ignores it).
 
     Returns:
         The best solution found, in minimization scale.
 
     Raises:
-        SolverError: For unknown backends or unexpected solver failures.
+        SolverError: For an unbounded model.
     """
-    if backend == "bnb":
-        solver = BranchAndBoundSolver(gap_tolerance=gap_tolerance)
-        return solver.solve(model, time_limit=time_limit, warm_start=warm_start)
-    if backend != "highs":
-        raise SolverError(f"unknown MILP backend {backend!r}; expected one of {BACKENDS}")
-    return _solve_highs(model, time_limit=time_limit, gap_tolerance=gap_tolerance)
-
-
-def _solve_highs(
-    model: LinearModel,
-    time_limit: float | None,
-    gap_tolerance: float,
-) -> MILPResult:
-    """Run ``scipy.optimize.milp`` and adapt its result."""
     constraints = []
     if model.a_ub is not None and model.b_ub is not None and model.a_ub.shape[0] > 0:
         constraints.append(LinearConstraint(model.a_ub, -np.inf, model.b_ub))

@@ -57,23 +57,17 @@ FIT_SLACK = 1e-9
 class MIPAlgorithm:
     """Exact solver-based RASA algorithm.
 
-    Guarantees optimality (within the backend's gap) but has exponential
-    worst-case runtime, so the selection layer routes it toward small
-    subproblems with significant total affinity.
-
-    Args:
-        backend: MILP backend identifier (``"highs"`` or ``"bnb"``).
+    Guarantees optimality (within :data:`GAP_TOLERANCE`) but has
+    exponential worst-case runtime, so the selection layer routes it toward
+    small subproblems with significant total affinity.
     """
 
     name = "mip"
 
-    def __init__(self, backend: str = "highs") -> None:
-        self.backend = backend
-
     def solve(self, problem: RASAProblem, time_limit: float | None = None) -> SolveResult:
         """Solve the instance; falls back to an empty placement on failure.
 
-        If the backend cannot produce any incumbent inside the budget, the
+        If HiGHS cannot produce any incumbent inside the budget, the
         result carries a zero assignment with status ``"no_incumbent"`` —
         the caller (partition pipeline) treats those containers as handled
         by the cluster's default scheduler.
@@ -96,10 +90,7 @@ class MIPAlgorithm:
                 bound=0.0,
             )
         milp_result = solve_milp(
-            model,
-            time_limit=time_limit,
-            backend=self.backend,
-            gap_tolerance=GAP_TOLERANCE,
+            model, time_limit=time_limit, gap_tolerance=GAP_TOLERANCE
         )
         metrics.counter("solver.mip.nodes").inc(milp_result.nodes_explored)
         for record in milp_result.incumbents:
@@ -118,7 +109,7 @@ class MIPAlgorithm:
             assignment = greedy.assignment
             objective = greedy.objective
             status = f"{status}+greedy"
-        # The backend's dual bound covers every placement of the model; the
+        # The solver's dual bound covers every placement of the model; the
         # greedy floor may return one outside it (a partial placement).
         bound = max(-milp_result.bound, objective)
         if milp_result.has_solution:

@@ -167,7 +167,6 @@ def price_pattern_mip(
     group: MachineGroup,
     duals: np.ndarray,
     time_limit: float | None = None,
-    backend: str = "highs",
 ) -> Pattern | None:
     """Exact pricing: maximize ``value(p) - duals @ p`` over feasible patterns.
 
@@ -182,7 +181,6 @@ def price_pattern_mip(
         group: Machine group to price for.
         duals: Coverage dual prices ``pi_s`` (length N).
         time_limit: Budget for the pricing MILP.
-        backend: MILP backend identifier.
 
     Returns:
         The best pattern found, or None if the solve produced nothing.
@@ -197,7 +195,7 @@ def price_pattern_mip(
     model.c[:n] = duals
     fit = container_fit(problem, layout.capacities)[:, 0]
     model.ub[:n] = np.where(group.schedulable, np.minimum(model.ub[:n], fit), 0.0)
-    result = solve_milp(model, time_limit=time_limit, backend=backend, gap_tolerance=GAP_TOLERANCE)
+    result = solve_milp(model, time_limit=time_limit, gap_tolerance=GAP_TOLERANCE)
     if result.x is None:
         return None
     counts = np.rint(result.x[:n]).astype(np.int64)

@@ -11,7 +11,7 @@ from repro.baselines import (
     OriginalAlgorithm,
     POPAlgorithm,
 )
-from repro.core import Assignment, RASAConfig, RASAScheduler
+from repro.core import Assignment, RASAScheduler
 from repro.partitioning import NoPartitioner
 from repro.selection import FixedSelector
 
@@ -95,13 +95,6 @@ def test_rasa_no_partition_on_tiny(tiny_problem):
     scheduler = RASAScheduler(partitioner=NoPartitioner())
     result = scheduler.schedule(tiny_problem, time_limit=20)
     assert result.gained_affinity == pytest.approx(1.0)
-
-
-def test_rasa_repair_disabled_leaves_gaps_possible(small_cluster):
-    config = RASAConfig(repair_unplaced=False)
-    result = RASAScheduler(config=config).schedule(small_cluster.problem, time_limit=6)
-    # Non-master services are never placed without repair.
-    assert result.assignment.x.sum() <= small_cluster.problem.num_containers
 
 
 def test_pop_trajectory_present(small_cluster):

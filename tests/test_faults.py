@@ -283,7 +283,7 @@ def test_determinism_holds_under_workers(small_cluster):
         small_cluster,
         CHAOS_PLAN,
         cycles=2,
-        rasa=RASAScheduler(config=RASAConfig(workers=2, parallel=True)),
+        rasa=RASAScheduler(config=RASAConfig(workers=2)),
     )
     assert serial == parallel
 

@@ -76,7 +76,7 @@ def test_bnb_matches_highs_on_random_milps():
         capacity = float(weights.sum() * 0.5)
         model = _knapsack_model(values, weights, capacity)
         ours = BranchAndBoundSolver().solve(model)
-        highs = solve_milp(model, backend="highs")
+        highs = solve_milp(model)
         assert ours.status == "optimal"
         assert ours.objective == pytest.approx(highs.objective, abs=1e-6)
 
@@ -138,15 +138,9 @@ def test_bnb_gap_property():
     assert result.gap <= 1e-6
 
 
-def test_milp_backend_rejects_unknown_name():
-    model = _knapsack_model([1], [1], 1)
-    with pytest.raises(SolverError):
-        solve_milp(model, backend="gurobi")
-
-
 def test_highs_backend_solves_knapsack():
     model = _knapsack_model([10, 13, 8], [5, 6, 4], 10)
-    result = solve_milp(model, backend="highs")
+    result = solve_milp(model)
     assert result.status == "optimal"
     assert -result.objective == pytest.approx(21.0)
 
@@ -158,7 +152,7 @@ def test_highs_backend_reports_infeasible():
         b_ub=np.array([-1.0]),
         integrality=np.array([True]),
     )
-    assert solve_milp(model, backend="highs").status == "infeasible"
+    assert solve_milp(model).status == "infeasible"
 
 
 def test_highs_backend_equality_constraints():
@@ -170,5 +164,5 @@ def test_highs_backend_equality_constraints():
         ub=np.array([5.0, 5.0]),
         integrality=np.array([True, True]),
     )
-    result = solve_milp(model, backend="highs")
+    result = solve_milp(model)
     assert result.objective == pytest.approx(2.0)

@@ -10,6 +10,7 @@ import pytest
 
 from repro.cli import main
 from repro.core import RASAScheduler
+from repro.core.rasa import MIN_SUBPROBLEM_BUDGET
 from repro.obs import (
     MetricsRegistry,
     NullTracer,
@@ -378,11 +379,11 @@ def _fake_subproblems(weights):
 def test_budgets_do_not_overcommit_with_many_shards():
     scheduler = RASAScheduler()
     # One dominant shard plus 19 tiny ones under a tight limit: the seed
-    # implementation floored every tiny share at min_subproblem_budget
+    # implementation floored every tiny share at MIN_SUBPROBLEM_BUDGET
     # without renormalizing, overcommitting the overall limit.
     weights = [100.0] + [0.01] * 19
     budgets = scheduler._budgets(_fake_subproblems(weights), Stopwatch(12.0))
-    floor = scheduler.config.min_subproblem_budget
+    floor = MIN_SUBPROBLEM_BUDGET
     assert len(budgets) == 20
     assert all(b >= floor - 1e-9 for b in budgets)
     assert sum(budgets) <= 12.0 + 1e-6
@@ -400,7 +401,7 @@ def test_budgets_proportional_when_limit_is_loose():
 
 def test_budgets_all_floor_when_limit_below_floors():
     scheduler = RASAScheduler()
-    floor = scheduler.config.min_subproblem_budget
+    floor = MIN_SUBPROBLEM_BUDGET
     budgets = scheduler._budgets(_fake_subproblems([1.0] * 20), Stopwatch(1.0))
     assert budgets == [pytest.approx(floor)] * 20
 

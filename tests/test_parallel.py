@@ -18,6 +18,7 @@ running outside the parent process, so the in-process retry succeeds.
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 
@@ -198,13 +199,15 @@ def test_one_bad_shard_keeps_other_workers_results(small_cluster, seq):
 
 
 @pytest.mark.slow
-def test_hung_worker_times_out_and_retries(small_cluster, seq):
+def test_hung_worker_times_out_and_retries(small_cluster, seq, monkeypatch):
     """A wedged worker trips the per-task deadline; no shard is lost."""
     target = seq.reports[-1].subproblem.service_names[0]
     selector = WorkerPoisonedSelector("hang", target_service=target, hang_seconds=8.0)
-    config = _config(
-        workers=2, worker_timeout_factor=1.0, worker_timeout_margin=1.0
+    monkeypatch.setattr(
+        "repro.core.rasa.ParallelDispatcher",
+        functools.partial(ParallelDispatcher, timeout_factor=1.0, timeout_margin=1.0),
     )
+    config = _config(workers=2)
     result, metrics = _run(
         small_cluster.problem, config, selector=selector, time_limit=9.0
     )
@@ -224,10 +227,10 @@ def test_hung_worker_times_out_and_retries(small_cluster, seq):
 def test_sequential_budgets_redistribute_unspent_time(small_cluster, monkeypatch):
     factory = RecordingFactory()
     monkeypatch.setattr(
-        "repro.core.rasa.DefaultAlgorithmFactory", lambda backend=None: factory
+        "repro.core.rasa.DefaultAlgorithmFactory", lambda: factory
     )
     limit = 8.0
-    config = _config(repair_unplaced=False)
+    config = _config()
     RASAScheduler(config=config).schedule(small_cluster.problem, time_limit=limit)
     budgets = factory.budgets
     assert len(budgets) == 3
@@ -241,10 +244,10 @@ def test_sequential_budgets_redistribute_unspent_time(small_cluster, monkeypatch
 def test_parallel_retry_budgets_redistribute(small_cluster, monkeypatch):
     factory = RecordingFactory()
     monkeypatch.setattr(
-        "repro.core.rasa.DefaultAlgorithmFactory", lambda backend=None: factory
+        "repro.core.rasa.DefaultAlgorithmFactory", lambda: factory
     )
     selector = WorkerPoisonedSelector("raise")  # all shards retry in-process
-    config = _config(workers=2, repair_unplaced=False)
+    config = _config(workers=2)
     _, metrics = _run(
         small_cluster.problem, config, selector=selector, time_limit=8.0
     )
@@ -366,10 +369,7 @@ def test_dispatcher_maps_hang_to_timeout(shards):
 def test_effective_workers_resolution():
     assert RASAScheduler(config=RASAConfig())._effective_workers() == 1
     assert RASAScheduler(config=RASAConfig(workers=4))._effective_workers() == 4
-    off = RASAConfig(workers=4, parallel=False)
-    assert RASAScheduler(config=off)._effective_workers() == 1
-    auto = RASAScheduler(config=RASAConfig(parallel=True))._effective_workers()
-    assert auto == (os.cpu_count() or 1)
+    assert RASAScheduler(config=RASAConfig(workers=0))._effective_workers() == 1
 
 
 def test_cli_parallel_flags():
@@ -379,9 +379,12 @@ def test_cli_parallel_flags():
     args = build_parser().parse_args(
         ["optimize", "trace.json", "--workers", "3", "--parallel"]
     )
-    config = _scheduler_config(args)
-    assert config.workers == 3
-    assert config.parallel is True
+    assert _scheduler_config(args).workers == 3
+    # ``--parallel`` alone is one worker per CPU, resolved at parse time.
+    args = build_parser().parse_args(["optimize", "trace.json", "--parallel"])
+    assert _scheduler_config(args).workers == (os.cpu_count() or 1)
+    args = build_parser().parse_args(["optimize", "trace.json"])
+    assert _scheduler_config(args).workers == 1
 
     # An input error like any other: main() turns it into ``error:`` + exit 1.
     bad = build_parser().parse_args(["optimize", "trace.json", "--workers", "0"])

@@ -18,7 +18,7 @@ from repro.obs import (
     use_profiler,
     use_tracer,
 )
-from repro.obs.profile import HOTSPOTS_TAG, hotspot_table
+from repro.obs.profile import DEFAULT_TOP, HOTSPOTS_TAG, hotspot_table
 
 
 def _busy(n: int = 20000) -> float:
@@ -128,7 +128,7 @@ def _profiled_spans(root):
 
 
 def test_schedule_with_profile_tags_solver_and_partition_spans(small_cluster):
-    config = RASAConfig(profile=True, profile_top=4)
+    config = RASAConfig(profile=True)
     with use_metrics(MetricsRegistry()), use_tracer(Tracer()) as tracer:
         RASAScheduler(config=config).schedule(small_cluster.problem,
                                               time_limit=6)
@@ -137,7 +137,7 @@ def test_schedule_with_profile_tags_solver_and_partition_spans(small_cluster):
     assert "rasa.partition" in tagged
     assert "rasa.solve" in tagged
     for span in _profiled_spans(root):
-        assert len(span.tags[HOTSPOTS_TAG]) <= 4
+        assert len(span.tags[HOTSPOTS_TAG]) <= DEFAULT_TOP
 
 
 @pytest.mark.slow

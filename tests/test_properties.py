@@ -250,5 +250,5 @@ def test_bnb_agrees_with_highs_on_random_models(data):
         integrality=np.ones(n, dtype=bool),
     )
     ours = BranchAndBoundSolver().solve(model)
-    reference = solve_milp(model, backend="highs")
+    reference = solve_milp(model)
     assert ours.objective == pytest.approx(reference.objective, abs=1e-6)

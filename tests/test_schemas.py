@@ -175,6 +175,53 @@ def test_loop_spec_round_trip_and_strictness():
             LoopSpec.from_dict(bad)
 
 
+def test_loop_spec_loads_retired_config_keys():
+    """A parent checkpoint's 14-key ``config`` loads; a retired key is
+    accepted only at the value the pipeline now hard-wires (``parallel`` at
+    any value), and refused by name otherwise."""
+    import json
+    from pathlib import Path
+
+    from repro.core.config import LoopSpec, RASAConfig
+
+    snapshot = Path(__file__).parent / "data/checkpoint_parent/cron/snapshot.json"
+    parent = json.loads(snapshot.read_text())["run"]["config"]
+    assert len(parent) == 14
+    assert LoopSpec(config=parent).typed("config") == RASAConfig()
+    assert LoopSpec(config={"parallel": True}).typed("config") == RASAConfig()
+    for bad, field in [
+        ({"backend": "bnb"}, "LoopSpec.config.backend"),
+        ({"repair_unplaced": False}, "LoopSpec.config.repair_unplaced"),
+        ({**parent, "profile_top": 4}, "LoopSpec.config.profile_top"),
+    ]:
+        with pytest.raises(ProblemValidationError, match=field):
+            LoopSpec(config=bad)
+
+
+def test_retired_config_values_are_the_hard_wired_ones():
+    """Each retired key's accepted value is the constant the code uses."""
+    import inspect
+
+    from repro.core.config import _RETIRED_CONFIG
+    from repro.core.parallel import ParallelDispatcher
+    from repro.core.rasa import MIN_SUBPROBLEM_BUDGET
+    from repro.obs.profile import DEFAULT_TOP
+    from repro.partitioning.multistage import PARTITION_SAMPLES
+
+    dispatcher = inspect.signature(ParallelDispatcher).parameters
+    assert {
+        key: value for key, value in _RETIRED_CONFIG.items() if key != "parallel"
+    } == {
+        "backend": "highs",
+        "partition_samples": PARTITION_SAMPLES,
+        "min_subproblem_budget": MIN_SUBPROBLEM_BUDGET,
+        "repair_unplaced": True,
+        "worker_timeout_factor": dispatcher["timeout_factor"].default,
+        "worker_timeout_margin": dispatcher["timeout_margin"].default,
+        "profile_top": DEFAULT_TOP,
+    }
+
+
 def test_event_trace_round_trip(small_cluster):
     from repro.cluster.replay import EventTrace, TrafficShift
 

@@ -269,6 +269,32 @@ def test_service_error_paths(client):
     assert document["schema_version"] == 1 and "PUT" in document["error"]
 
 
+@pytest.mark.parametrize("field, value, name", [
+    ("config", {"workers": "x"}, "LoopSpec.config.workers"),
+    ("config", {"max_subproblem_services": 0},
+     "LoopSpec.config.max_subproblem_services"),
+    ("config", {"seed": -1}, "LoopSpec.config.seed"),
+    ("config", {"backend": "bnb"}, "LoopSpec.config.backend"),
+    ("retry", {"max_attempts": 2.5}, "LoopSpec.retry.max_attempts"),
+    ("degradation", {"cycle_retries": 1.5}, "LoopSpec.degradation.cycle_retries"),
+])
+def test_bad_value_inside_a_structured_loop_field_is_a_400(client, field, value, name):
+    """A value of the wrong type or range inside ``config``/``retry``/
+    ``degradation`` is refused up front, naming the field — not a 201
+    whose first cycle raises or silently runs on it."""
+    from repro.core.config import LoopSpec
+
+    with pytest.raises(ProblemValidationError, match=re.escape(name)):
+        LoopSpec(**{field: value})
+    with pytest.raises(ServiceError) as excinfo:
+        client.register_tenant(
+            {"name": "c", "problem": problem_to_dict(_problem(7)), field: value}
+        )
+    assert excinfo.value.status == 400
+    assert name in excinfo.value.payload["error"], excinfo.value.payload
+    assert client.list_tenants() == []
+
+
 def _route_templates(handler, **groups) -> list[tuple[str, str]]:
     """``(verb, path)`` per route row, ``<key>`` standing for its group."""
     rows = []
