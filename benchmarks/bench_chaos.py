@@ -37,7 +37,7 @@ def test_chaos_sweep(benchmark):
         reports = api.run_control_loop(
             ClusterState(cluster.problem),
             cycles=CYCLES,
-            collector=DataCollector(cluster.qps, traffic_jitter_sigma=0.0),
+            collector=DataCollector(cluster.qps),
             time_limit=TIME_LIMIT,
             faults=faults,
         )

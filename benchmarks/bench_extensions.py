@@ -45,9 +45,7 @@ def test_extension_dynamic_churn(benchmark, datasets):
         cursor = trace.cursor()
         once = [
             report.gained_after
-            for report in api.run_control_loop(
-                cursor.state, cycles=1, time_limit=TIME_LIMIT, stream=cursor
-            )
+            for report in api.run_control_loop(cursor, cycles=1, time_limit=TIME_LIMIT)
         ]
         for _ in range(6):
             cursor.advance_to(cursor.state.clock)

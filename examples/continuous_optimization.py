@@ -19,7 +19,8 @@ from repro.cluster import (
     NetworkSimulator,
     relative_improvement,
 )
-from repro.core import Assignment, RASAScheduler
+from repro.core import Assignment
+from repro.core.config import LoopSpec
 from repro.workloads import ClusterSpec, generate_cluster
 
 
@@ -40,12 +41,12 @@ def main() -> None:
     print(f"initial gained affinity: {baseline.gained_affinity(normalized=True):.2%}")
 
     state = ClusterState(problem)
+    # The loop's tunables are one LoopSpec; the cycle period defaults to
+    # the paper's half hour.
     controller = CronJobController(
         state=state,
         collector=DataCollector(cluster.qps, traffic_jitter_sigma=0.05),
-        rasa=RASAScheduler(),
-        interval_seconds=1800.0,
-        time_limit=10.0,
+        spec=LoopSpec(time_limit=10.0),
     )
 
     print("\nrunning 6 half-hourly CronJob cycles:")

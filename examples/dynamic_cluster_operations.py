@@ -45,9 +45,7 @@ def build_trace(problem, qps) -> EventTrace:
 def optimize_once(trace: EventTrace) -> list[float]:
     """One control-loop cycle up front, then the events alone."""
     cursor = trace.cursor()
-    (first,) = api.run_control_loop(
-        cursor.state, cycles=1, time_limit=TIME_LIMIT, stream=cursor
-    )
+    (first,) = api.run_control_loop(cursor, cycles=1, time_limit=TIME_LIMIT)
     series = [first.gained_after]
     for _ in range(CYCLES - 1):
         cursor.advance_to(cursor.state.clock)

@@ -40,18 +40,22 @@ A control-loop tunable is declared once, as a field of
 The signatures of :func:`run_control_loop` / :func:`replay_trace` below
 name the same fields as keywords and take their defaults from the spec
 (``sla_floor: float = LoopSpec.sla_floor``) — only ``run_control_loop``'s
-``time_limit`` and ``interval_seconds`` defaults are its own — and the
+``time_limit=10.0`` is its own, and its ``interval_seconds`` is the
+paper's half hour (:data:`~repro.core.config.CYCLE_SECONDS`, which
+``LoopSpec``'s None also resolves to outside a replay) — and the
 ``rasa`` command line derives its loop flags from the field names
 (:data:`repro.cli.LOOP_FLAGS`).  A loop run builds one ``LoopSpec`` (in
 :func:`run_control_loop`, which :func:`replay_trace` calls), hands it to
 :func:`~repro.cluster.cronjob.build_controller`, and drives the
 controller with the one loop runner,
 :class:`~repro.durability.loop.DurableControlLoop` (which journals iff
-``checkpoint_dir`` is set); the service's tenant payload and the durable
-checkpoint's ``run`` payload are that same record (DESIGN §12 has the
-field table).  Runtime objects — a custom ``collector``, a ready
-``FaultInjector``, ``stream``, ``shutdown``, the telemetry arguments —
-are arguments of the call, not fields of the spec.
+``checkpoint_dir`` is set) — the controller keeps that spec and reads
+every tunable from it, and the loop journals it; the service's tenant
+payload and the durable checkpoint's ``run`` payload are that same
+record (DESIGN §12 has the field table).  Runtime objects — a custom
+``collector``, a ready ``FaultInjector``, a replay cursor as the world,
+``shutdown``, the telemetry arguments — are arguments of the call, not
+fields of the spec.
 """
 
 from __future__ import annotations
@@ -65,7 +69,13 @@ from repro.cluster.collector import DataCollector
 from repro.cluster.cronjob import CycleReport, build_controller
 from repro.cluster.replay import EventStreamCursor, EventTrace
 from repro.cluster.state import ClusterState
-from repro.core.config import DegradationPolicy, LoopSpec, RASAConfig, RetryPolicy
+from repro.core.config import (
+    CYCLE_SECONDS,
+    DegradationPolicy,
+    LoopSpec,
+    RASAConfig,
+    RetryPolicy,
+)
 from repro.core.problem import RASAProblem
 from repro.core.rasa import RASAResult, RASAScheduler
 from repro.core.solution import Assignment
@@ -160,7 +170,7 @@ def plan_migration(
     start: "Assignment | np.ndarray",
     target: "Assignment | np.ndarray",
     *,
-    sla_floor: float = 0.75,
+    sla_floor: float = LoopSpec.sla_floor,
 ) -> MigrationPlan:
     """Compute an SLA-safe migration path from ``start`` to ``target``.
 
@@ -216,16 +226,16 @@ def execute_plan(
 
 
 def run_control_loop(
-    state: "ClusterState | RASAProblem",
+    state: "ClusterState | RASAProblem | EventStreamCursor",
     *,
     cycles: int,
     config: RASAConfig | None = None,
     faults: "FaultPlan | FaultInjector | dict | None" = None,
     collector: DataCollector | None = None,
     time_limit: float | None = 10.0,
-    interval_seconds: float | None = 1800.0,
+    interval_seconds: float | None = CYCLE_SECONDS,
     sla_floor: float = LoopSpec.sla_floor,
-    rollback_imbalance: float | None = None,
+    rollback_imbalance: float | None = LoopSpec.rollback_imbalance,
     degradation: DegradationPolicy | None = None,
     retry: RetryPolicy | None = None,
     traffic_jitter_sigma: float = LoopSpec.traffic_jitter_sigma,
@@ -234,7 +244,6 @@ def run_control_loop(
     telemetry_host: str = "127.0.0.1",
     cycle_stream: "str | None" = None,
     on_telemetry_start: "Callable[[TelemetryServer], None] | None" = None,
-    stream: "EventStreamCursor | None" = None,
     checkpoint_dir: "str | Path | None" = None,
     checkpoint_every: int = LoopSpec.checkpoint_every,
     shutdown=None,
@@ -242,16 +251,21 @@ def run_control_loop(
     """Drive the CronJob control plane for ``cycles`` cycles.
 
     Args:
-        state: A live :class:`ClusterState`, or a :class:`RASAProblem` to
-            wrap in one (using its recorded current assignment).
+        state: A live :class:`ClusterState`, a :class:`RASAProblem` to
+            wrap in one (using its recorded current assignment), or a
+            replay cursor (:class:`~repro.cluster.replay.EventStreamCursor`)
+            whose state the loop drives, each cycle first applying the
+            trace events due at the simulated clock
+            (:func:`replay_trace` wires this up for you).
         cycles: Number of half-hourly cycles to run.
         config: Scheduler tunables for the per-cycle RASA solve.
         faults: Optional chaos source (see :func:`execute_plan`).
         collector: Custom data collector; None builds one from the
             problem's affinity weights as ground-truth traffic.
         time_limit: Per-cycle solver budget (seconds); None is unlimited.
-        interval_seconds: Simulated time between cycles; None uses the
-            replayed ``stream``'s recorded cadence.
+        interval_seconds: Simulated time between cycles (default: the
+            paper's half hour); None uses the replayed cursor's recorded
+            cadence.
         sla_floor: Alive-fraction floor enforced during migrations.
         rollback_imbalance: Utilization-skew rollback threshold; None
             disables the guard.
@@ -272,11 +286,6 @@ def run_control_loop(
         on_telemetry_start: Callback invoked with the running
             :class:`~repro.obs.server.TelemetryServer` right after it
             binds — the way to learn an ephemeral port.
-        stream: Optional replay cursor
-            (:class:`~repro.cluster.replay.EventStreamCursor`); each cycle
-            first applies the trace events due at the simulated clock.
-            Must wrap the same :class:`ClusterState` passed as ``state``
-            (:func:`replay_trace` wires this up for you).
         checkpoint_dir: When set, journal every committed cycle to a
             CRC-guarded write-ahead log in this directory and compact it
             into an atomic snapshot every ``checkpoint_every`` cycles —
@@ -316,7 +325,7 @@ def run_control_loop(
     def build(hub):
         controller = build_controller(
             spec,
-            stream if stream is not None else state,
+            state,
             collector=collector,
             injector=injector,
             telemetry=hub,
@@ -327,7 +336,6 @@ def run_control_loop(
                 None if checkpoint_dir is None
                 else CheckpointStore(checkpoint_dir)
             ),
-            spec=spec,
             total_cycles=cycles,
             shutdown=shutdown,
         ).run
@@ -343,10 +351,10 @@ def replay_trace(
     cycles: int | None = None,
     config: RASAConfig | None = None,
     faults: "FaultPlan | FaultInjector | dict | None" = None,
-    time_limit: float | None = None,
-    interval_seconds: float | None = None,
+    time_limit: float | None = LoopSpec.time_limit,
+    interval_seconds: float | None = LoopSpec.interval_seconds,
     sla_floor: float = LoopSpec.sla_floor,
-    rollback_imbalance: float | None = None,
+    rollback_imbalance: float | None = LoopSpec.rollback_imbalance,
     degradation: DegradationPolicy | None = None,
     retry: RetryPolicy | None = None,
     traffic_jitter_sigma: float = LoopSpec.traffic_jitter_sigma,
@@ -388,9 +396,8 @@ def replay_trace(
         trace = EventTrace.load(trace)
     if cycles is None:
         cycles = trace.num_cycles(interval_seconds)
-    cursor = trace.cursor()
     return run_control_loop(
-        cursor.state,
+        trace.cursor(),
         cycles=cycles,
         config=config,
         faults=faults,
@@ -406,7 +413,6 @@ def replay_trace(
         telemetry_host=telemetry_host,
         cycle_stream=cycle_stream,
         on_telemetry_start=on_telemetry_start,
-        stream=cursor,
         checkpoint_dir=checkpoint_dir,
         checkpoint_every=checkpoint_every,
         shutdown=shutdown,

@@ -32,10 +32,9 @@ from repro.cluster.scheduler import (
     least_allocated_score,
     spread_score,
 )
-from repro.cluster.state import ClusterSnapshot, ClusterState
+from repro.cluster.state import ClusterState
 
 __all__ = [
-    "ClusterSnapshot",
     "ClusterState",
     "CronJobController",
     "CycleReport",

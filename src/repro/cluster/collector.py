@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.cluster.state import ClusterState
 from repro.core.affinity import AffinityGraph
+from repro.core.config import LoopSpec
 from repro.core.problem import RASAProblem
 from repro.faults import SNAPSHOT_FAULT_STALE, FaultInjector
 from repro.obs import get_logger, kv
@@ -45,8 +46,8 @@ class DataCollector:
     def __init__(
         self,
         qps: dict[tuple[str, str], float] | None = None,
-        traffic_jitter_sigma: float = 0.05,
-        seed: int = 0,
+        traffic_jitter_sigma: float = LoopSpec.traffic_jitter_sigma,
+        seed: int = LoopSpec.seed,
         stream=None,
     ) -> None:
         if qps is None and stream is None:

@@ -35,7 +35,13 @@ from repro.cluster.collector import DataCollector
 from repro.cluster.replay import EventStreamCursor, EventTrace
 from repro.cluster.scheduler import DefaultScheduler
 from repro.cluster.state import ClusterState
-from repro.core.config import DegradationPolicy, LoopSpec, RetryPolicy
+from repro.core.config import (
+    CYCLE_SECONDS,
+    UNSCHEDULABLE_SECONDS,
+    DegradationPolicy,
+    LoopSpec,
+    RetryPolicy,
+)
 from repro.core.problem import RASAProblem, problem_digest
 from repro.core.rasa import RASAResult, RASAScheduler
 from repro.core.solution import Assignment
@@ -55,9 +61,6 @@ IMPROVEMENT_GATE = 0.03
 #: Floating-point slack of the solver-free bound: a computed normalized
 #: gained affinity may exceed its exact value (at most 1) by summation error.
 BOUND_SLACK = 1e-9
-
-#: Three days, in seconds — the unschedulable tag duration after a rollback.
-UNSCHEDULABLE_SECONDS = 3 * 24 * 3600.0
 
 
 @dataclass
@@ -187,18 +190,21 @@ class _ApplyOutcome:
 class CronJobController:
     """Periodic optimizer driving a simulated cluster.
 
+    Every loop tunable is read from ``spec`` (a
+    :class:`~repro.core.config.LoopSpec`, the same record the facade, a
+    service tenant and a durable checkpoint carry), so a controller cannot
+    disagree with the spec it was built from.  The typed objects behind
+    the spec's structured fields are built once, here.
+
     Attributes:
         state: The live cluster.
         collector: Data collector supplying RASA inputs.
-        rasa: The RASA scheduler instance.
-        interval_seconds: Cycle period (paper: every half hour).
-        time_limit: Per-cycle solver budget.
-        rollback_imbalance: Utilization-std threshold that triggers rollback;
-            None disables the guard.
-        faults: Optional fault injector; None (the default) runs the exact
-            fault-free control loop.
-        degradation: The ladder walked when a cycle's migration aborts.
-        retry: Backoff policy for faulted migration commands.
+        spec: The loop's tunables (solver budget, SLA floor, rollback
+            threshold, ladder, retry policy, pipeline config, fault plan,
+            cycle period).
+        faults: A ready fault injector; None builds one from
+            ``spec.faults``, which is None — the exact fault-free control
+            loop — by default.
         telemetry: Optional :class:`~repro.obs.server.TelemetryHub`
             serving this controller's ``history`` (live ``/healthz`` /
             ``/cycles``) and streaming each finished cycle to the JSONL
@@ -217,26 +223,48 @@ class CronJobController:
         last_plan: The most recent migration plan a cycle built (dry-run
             cycles leave it untouched; None before any cycle migrated) —
             the payload behind the service's ``GET .../plan`` endpoint.
+        rasa: The RASA scheduler, built from ``spec.config``.
+        degradation: The ladder walked when a cycle's migration aborts
+            (``spec.degradation``).
+        retry: Backoff policy for faulted migration commands
+            (``spec.retry``).
+        interval_seconds: The cycle period: ``spec.interval_seconds``,
+            else the replayed trace's cadence, else the paper's half hour.
+        default_scheduler: The greedy scheduler that re-places containers
+            a plan, a rollback or a flap left unplaced.
     """
 
     state: ClusterState
     collector: DataCollector
-    rasa: RASAScheduler = field(default_factory=RASAScheduler)
-    default_scheduler: DefaultScheduler = field(default_factory=DefaultScheduler)
-    interval_seconds: float = 1800.0
-    time_limit: float | None = 10.0
-    rollback_imbalance: float | None = None
-    sla_floor: float = 0.75
+    spec: LoopSpec = field(default_factory=LoopSpec)
     faults: FaultInjector | None = None
-    degradation: DegradationPolicy = field(default_factory=DegradationPolicy)
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
     telemetry: "TelemetryHub | None" = None
     stream: "EventStreamCursor | None" = None
     history: list[CycleReport] = field(default_factory=list)
     last_plan: MigrationPlan | None = field(default=None, repr=False)
+    rasa: RASAScheduler = field(init=False, repr=False)
+    degradation: DegradationPolicy = field(init=False, repr=False)
+    retry: RetryPolicy = field(init=False, repr=False)
+    interval_seconds: float = field(init=False)
+    default_scheduler: DefaultScheduler = field(
+        default_factory=DefaultScheduler, init=False, repr=False
+    )
     _dry_run_digest: bytes | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
+        self.rasa = RASAScheduler(config=self.spec.typed("config"))
+        self.degradation = self.spec.typed("degradation")
+        self.retry = self.spec.typed("retry")
+        if self.faults is None:
+            self.faults = coerce_injector(self.spec.typed("faults"))
+        interval = self.spec.interval_seconds
+        if interval is None:
+            interval = (
+                self.stream.trace.interval_seconds
+                if self.stream is not None
+                else CYCLE_SECONDS
+            )
+        self.interval_seconds = float(interval)
         if self.telemetry is not None:
             self.telemetry.history = self.history
 
@@ -336,9 +364,7 @@ class CronJobController:
         report.command_retries = totals.retries
         report.retry_delay_seconds = totals.retry_delay
         report.min_alive_fraction = totals.min_alive
-        report.sla_ok = (
-            totals.boundaries_safe and report.sla_ok and self._sla_satisfied()
-        )
+        report.sla_ok = totals.boundaries_safe and self._sla_satisfied()
         return report
 
     def _attempt_cycle(
@@ -380,7 +406,7 @@ class CronJobController:
             )
 
         before_placement = self.state.placement
-        plan = MigrationPathBuilder(sla_floor=self.sla_floor).build(
+        plan = MigrationPathBuilder(sla_floor=self.spec.sla_floor).build(
             problem, current, result.assignment
         )
         self.last_plan = plan
@@ -390,12 +416,13 @@ class CronJobController:
             return None, outcome
 
         imbalance = self.state.utilization_imbalance()
-        if self.rollback_imbalance is not None and imbalance > self.rollback_imbalance:
+        threshold = self.spec.rollback_imbalance
+        if threshold is not None and imbalance > threshold:
             skewed = self._skewed_machines()
             tracer.event(
                 "cron.rollback",
                 imbalance=imbalance,
-                threshold=self.rollback_imbalance,
+                threshold=threshold,
                 tagged_machines=len(skewed),
             )
             logger.warning(
@@ -403,7 +430,7 @@ class CronJobController:
                 kv(
                     cycle=cycle,
                     imbalance=f"{imbalance:.4f}",
-                    threshold=self.rollback_imbalance,
+                    threshold=threshold,
                     tagged_machines=len(skewed),
                 ),
             )
@@ -415,8 +442,7 @@ class CronJobController:
             self.default_scheduler.place_missing(self.state)
             return (
                 self._finish_report(
-                    cycle, "rolled_back", gained_before, plan.moved_containers,
-                    outcome,
+                    cycle, "rolled_back", gained_before, plan.moved_containers
                 ),
                 outcome,
             )
@@ -425,7 +451,7 @@ class CronJobController:
         self.default_scheduler.place_missing(self.state)
         return (
             self._finish_report(
-                cycle, "executed", gained_before, plan.moved_containers, outcome
+                cycle, "executed", gained_before, plan.moved_containers
             ),
             outcome,
         )
@@ -472,7 +498,7 @@ class CronJobController:
         self, problem: RASAProblem, gained_before: float, tracer
     ) -> RASAResult | None:
         """Run RASA and the 3 % gate: the result to execute, or None."""
-        result = self.rasa.schedule(problem, time_limit=self.time_limit)
+        result = self.rasa.schedule(problem, time_limit=self.spec.time_limit)
         gained_new = result.gained_affinity
         improvement = gained_new - gained_before
         relative = improvement / gained_before if gained_before > 0 else np.inf
@@ -489,7 +515,7 @@ class CronJobController:
         )
         if not gated:
             return result
-        if self.time_limit is None and not self.rasa.config.local_search_seconds:
+        if self.spec.time_limit is None and not self.rasa.config.local_search_seconds:
             self._dry_run_digest = problem_digest(problem)
         return None
 
@@ -529,7 +555,7 @@ class CronJobController:
             if self._sla_satisfied():
                 return self._finish_report(
                     cycle, "degraded_greedy", gained_before,
-                    outcome.moved_at_safe, outcome,
+                    outcome.moved_at_safe,
                 )
 
         rungs.append("skip")
@@ -547,17 +573,16 @@ class CronJobController:
             kv(cycle=cycle, tagged_machines=len(tagged),
                failed_commands=outcome.failed),
         )
-        return self._finish_report(cycle, "skipped", gained_before, 0, outcome)
+        return self._finish_report(cycle, "skipped", gained_before, 0)
 
     def _finish_report(
-        self,
-        cycle: int,
-        action: str,
-        gained_before: float,
-        moved: int,
-        outcome: _ApplyOutcome,
+        self, cycle: int, action: str, gained_before: float, moved: int
     ) -> CycleReport:
-        """Assemble a report for a resolved cycle from the live state."""
+        """Assemble a report for a resolved cycle from the live state.
+
+        The fault counters and ``sla_ok`` are left to :meth:`_run_cycle`,
+        which writes them once from the totals over every attempt.
+        """
         return CycleReport(
             cycle=cycle,
             action=action,
@@ -565,12 +590,6 @@ class CronJobController:
             gained_after=self.state.assignment().gained_affinity(normalized=True),
             moved_containers=moved,
             imbalance_after=self.state.utilization_imbalance(),
-            skipped_commands=outcome.skipped,
-            failed_commands=outcome.failed,
-            command_retries=outcome.retries,
-            retry_delay_seconds=outcome.retry_delay,
-            min_alive_fraction=outcome.min_alive,
-            sla_ok=outcome.boundaries_safe,
         )
 
     def run(
@@ -708,7 +727,7 @@ class CronJobController:
 
     def _sla_satisfied(self) -> bool:
         """Whether the live state meets the integral SLA floor per service."""
-        floor = alive_floor(self.sla_floor, self.state.problem.demands)
+        floor = alive_floor(self.spec.sla_floor, self.state.problem.demands)
         return bool((self.state.books.x.sum(axis=1) >= floor).all())
 
     def _skewed_machines(self, top_fraction: float = 0.1) -> list[str]:
@@ -733,8 +752,8 @@ def build_controller(
     Every supported entry point — the :mod:`repro.api` facade, a service
     tenant, checkpoint resume — builds its controller here, which is what
     makes their cycle reports bit-identical for the same spec and world:
-    same collector defaults, same policy defaults, same injector coercion,
-    in the same order.
+    same world coercion, same default collector, and a controller that
+    reads every other tunable from ``spec`` itself.
 
     Args:
         spec: The loop's tunables.
@@ -746,8 +765,8 @@ def build_controller(
         collector: Custom data collector; None builds the default one
             (ground-truth traffic from the problem's affinity weights, or
             the cursor's live traffic map, jittered per ``spec``).
-        injector: A ready fault injector to use instead of a fresh one
-            over ``spec.faults``.
+        injector: A ready fault injector to use instead of the one the
+            controller builds over ``spec.faults``.
         telemetry: Hub every finished cycle is published to.
         history: Already-completed cycles (checkpoint resume).
     """
@@ -767,29 +786,11 @@ def build_controller(
             seed=spec.seed,
             stream=stream,
         )
-    interval = spec.interval_seconds
-    if interval is None:
-        # A replay keeps its trace's recorded cadence; otherwise the
-        # controller's own default, the paper's half hour.
-        interval = (
-            stream.trace.interval_seconds
-            if stream is not None
-            else CronJobController.interval_seconds
-        )
     return CronJobController(
         state=state,
         collector=collector,
-        rasa=RASAScheduler(config=spec.typed("config")),
-        interval_seconds=float(interval),
-        time_limit=spec.time_limit,
-        rollback_imbalance=spec.rollback_imbalance,
-        sla_floor=spec.sla_floor,
-        faults=(
-            injector if injector is not None
-            else coerce_injector(spec.typed("faults"))
-        ),
-        degradation=spec.typed("degradation"),
-        retry=spec.typed("retry"),
+        spec=spec,
+        faults=injector,
         telemetry=telemetry,
         stream=stream,
         history=[] if history is None else history,

@@ -46,6 +46,7 @@ import numpy as np
 from repro.cluster.scheduler import DefaultScheduler
 from repro.cluster.state import ClusterState
 from repro.core.affinity import AffinityGraph
+from repro.core.config import CYCLE_SECONDS
 from repro.core.problem import AntiAffinityRule, Machine, RASAProblem, Service
 from repro.exceptions import ClusterStateError, ProblemValidationError
 from repro.obs import get_metrics
@@ -603,7 +604,7 @@ class EventTrace:
     events: list[ReplayEvent] = field(default_factory=list)
     name: str = "trace"
     seed: int = 0
-    interval_seconds: float = 1800.0
+    interval_seconds: float = CYCLE_SECONDS
     description: str = ""
 
     def __post_init__(self) -> None:
@@ -658,7 +659,7 @@ class EventTrace:
                 events=[event_from_dict(e) for e in payload.get("events", [])],
                 name=str(payload.get("name", "trace")),
                 seed=int(payload.get("seed", 0)),
-                interval_seconds=float(payload.get("interval_seconds", 1800.0)),
+                interval_seconds=float(payload.get("interval_seconds", CYCLE_SECONDS)),
                 description=str(payload.get("description", "")),
             )
         except (AttributeError, TypeError, ValueError) as exc:
@@ -778,7 +779,7 @@ def synthesize_trace(
     name: str = "synthetic",
     seed: int = 0,
     duration_seconds: float = 7 * 86400.0,
-    interval_seconds: float = 1800.0,
+    interval_seconds: float = CYCLE_SECONDS,
     burst_every: int = 24,
     utilization_ceiling: float = 0.85,
     description: str = "",

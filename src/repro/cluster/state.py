@@ -2,7 +2,7 @@
 
 Wraps a :class:`~repro.core.problem.RASAProblem` with the live container
 placement, and offers the container-level operations the CronJob workflow
-performs (delete/create, snapshots, utilization queries).
+performs (delete/create, restores, utilization queries).
 
 The placement is kept in one :class:`~repro.solvers.greedy.PackingState`
 (``state.books``): the matrix, the free capacity and the anti-affinity
@@ -15,24 +15,12 @@ the migration path builder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.core.problem import RASAProblem
 from repro.core.solution import Assignment
 from repro.exceptions import ClusterStateError
 from repro.solvers.greedy import PackingState
-
-
-@dataclass
-class ClusterSnapshot:
-    """Immutable view of the cluster at one instant (the Data Collector's
-    output: service list, machine list, deployments, traffic metrics)."""
-
-    problem: RASAProblem
-    assignment: Assignment
-    timestamp: float
 
 
 class ClusterState:
@@ -115,14 +103,6 @@ class ClusterState:
     def assignment(self) -> Assignment:
         """Current placement as an :class:`~repro.core.solution.Assignment`."""
         return Assignment(self.problem, self.books.x)
-
-    def snapshot(self) -> ClusterSnapshot:
-        """The Data Collector's output for the current instant."""
-        return ClusterSnapshot(
-            problem=self.problem,
-            assignment=self.assignment(),
-            timestamp=self._clock,
-        )
 
     def free_resources(self) -> np.ndarray:
         """Free capacity per machine, shape ``(M, R)`` (a copy)."""

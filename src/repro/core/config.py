@@ -17,6 +17,13 @@ from numbers import Integral, Real
 from repro.exceptions import ProblemValidationError
 from repro.faults.plan import FaultPlan
 
+#: The paper's CronJob period: one cycle every half hour (seconds).
+CYCLE_SECONDS = 1800.0
+
+#: The paper's churn guard: a machine skewed by a rolled-back cycle (or
+#: behind a skipped one) is unschedulable for three days (seconds).
+UNSCHEDULABLE_SECONDS = 3 * 24 * 3600.0
+
 
 @dataclass
 class RASAConfig:
@@ -108,7 +115,7 @@ class DegradationPolicy:
     cycle_retries: int = 1
     greedy_residual: bool = True
     skip_and_tag: bool = True
-    tag_seconds: float = 3 * 24 * 3600.0
+    tag_seconds: float = UNSCHEDULABLE_SECONDS
 
     def __post_init__(self) -> None:
         _check_fields(vars(self), _RULES[DegradationPolicy], "DegradationPolicy")
@@ -277,7 +284,8 @@ class LoopSpec:
         time_limit: Per-cycle solver budget (seconds).  None — unlimited —
             is what keeps report sequences machine-independent.
         interval_seconds: Simulated time between cycles; None uses the
-            replayed trace's recorded cadence, or the paper's half hour.
+            replayed trace's recorded cadence, or the paper's half hour
+            (:data:`CYCLE_SECONDS`).
         sla_floor: Alive-fraction floor enforced during migrations, in
             (0, 1].
         rollback_imbalance: Utilization-skew rollback threshold; None

@@ -115,7 +115,8 @@ class DurableControlLoop:
     drive their controller through :meth:`run`.  Built directly around a
     fresh controller, or by :func:`prepare_resume` (recovery);
     :meth:`run` then journals each committed cycle, compacts every
-    ``checkpoint_every`` cycles, and honors a
+    ``controller.spec.checkpoint_every`` cycles — the controller's spec is
+    also the snapshot's ``run`` payload — and honors a
     :class:`~repro.durability.supervisor.GracefulShutdown` by finishing
     the in-flight cycle and writing a final checkpoint.  With
     ``store=None`` nothing is journaled — :meth:`checkpoint` and the
@@ -128,15 +129,12 @@ class DurableControlLoop:
         *,
         controller: CronJobController,
         store: CheckpointStore | None,
-        spec: LoopSpec,
         total_cycles: int,
         source_payload: dict | None = None,
         shutdown=None,
     ) -> None:
         self.controller = controller
         self.store = store
-        #: The tunables the controller was built from (the ``run`` payload).
-        self.spec = spec
         #: The world a resume rebuilds (a resume hands its own back).
         if source_payload is None and store is not None:
             source_payload = _source_payload(controller)
@@ -170,7 +168,7 @@ class DurableControlLoop:
             "run": {
                 "mode": "replay" if self.controller.stream is not None else "cron",
                 "cycles": self.total_cycles,
-                **LoopSpec.to_dict(self.spec),
+                **LoopSpec.to_dict(self.controller.spec),
             },
             "source": self.source_payload,
             "cycles_completed": len(self.controller.history),
@@ -203,7 +201,7 @@ class DurableControlLoop:
         }
         self.store.append_cycle(record)
         self._since_snapshot += 1
-        if self._since_snapshot >= self.spec.checkpoint_every:
+        if self._since_snapshot >= self.controller.spec.checkpoint_every:
             self.checkpoint()
 
     def _should_stop(self) -> bool:
@@ -358,7 +356,6 @@ def prepare_resume(
     loop = DurableControlLoop(
         controller=controller,
         store=store,
-        spec=spec,
         total_cycles=total,
         source_payload=source,
         shutdown=shutdown,

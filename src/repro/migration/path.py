@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.config import LoopSpec
 from repro.core.problem import RASAProblem
 from repro.core.solution import Assignment
 from repro.exceptions import MigrationError
@@ -43,7 +44,7 @@ class MigrationPathBuilder:
         sla_floor: Minimum alive fraction per service during migration.
     """
 
-    def __init__(self, sla_floor: float = 0.75) -> None:
+    def __init__(self, sla_floor: float = LoopSpec.sla_floor) -> None:
         if not 0.0 <= sla_floor <= 1.0:
             raise MigrationError(f"sla_floor must be in [0, 1], got {sla_floor}")
         self.sla_floor = sla_floor

@@ -12,6 +12,7 @@ from enum import Enum
 
 import numpy as np
 
+from repro.core.config import LoopSpec
 from repro.schemas import check_schema, tag_schema
 
 
@@ -59,7 +60,7 @@ class MigrationPlan:
 
     steps: list[list[Command]] = field(default_factory=list)
     moved_containers: int = 0
-    sla_floor: float = 0.75
+    sla_floor: float = LoopSpec.sla_floor
     complete: bool = True
 
     @property
@@ -110,7 +111,7 @@ class MigrationPlan:
         """Deserialize a plan written by :meth:`to_dict`."""
         check_schema(payload, "MigrationPlan")
         plan = cls(
-            sla_floor=float(payload.get("sla_floor", 0.75)),
+            sla_floor=float(payload.get("sla_floor", LoopSpec.sla_floor)),
             moved_containers=int(payload.get("moved_containers", 0)),
             complete=bool(payload.get("complete", True)),
         )

@@ -215,7 +215,6 @@ class Tenant:
                 None if self.checkpoint_dir is None
                 else CheckpointStore(self.checkpoint_dir)
             ),
-            spec=spec,
             total_cycles=0,
         )
         self.controller: "CronJobController" = self.loop.controller
@@ -253,7 +252,7 @@ class Tenant:
         # ``run`` holds the loop tunables and ``source`` the world; the
         # tenant's own record only adds what neither has.
         spec = TenantSpec.from_dict(
-            {**durable.spec.to_dict(), **durable.source_payload, **saved}
+            {**durable.controller.spec.to_dict(), **durable.source_payload, **saved}
         )
         return cls(spec, checkpoint_dir=checkpoint_dir, resumed=durable)
 

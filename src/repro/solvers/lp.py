@@ -159,8 +159,3 @@ def solve_lp(model: LinearModel, bounds_override: list[tuple[float, float]] | No
         duals_eq=duals_eq,
         duals_ub=duals_ub,
     )
-
-
-def maximize_objective_value(minimized: float) -> float:
-    """Convert a minimization objective back to the maximization scale."""
-    return -minimized

@@ -8,7 +8,7 @@ import repro
 from repro import api
 from repro.cluster import ClusterState, CronJobController, DataCollector
 from repro.core import Assignment, RASAConfig, RASAScheduler
-from repro.core.config import DegradationPolicy, RetryPolicy
+from repro.core.config import LoopSpec
 from repro.faults import FaultPlan
 from repro.migration import MigrationExecutor, MigrationPathBuilder
 
@@ -82,16 +82,12 @@ def test_run_control_loop_matches_controller(small_cluster):
         ClusterState(small_cluster.problem),
         cycles=2,
         config=RASAConfig(),
-        collector=DataCollector(small_cluster.qps, traffic_jitter_sigma=0.0),
+        collector=DataCollector(small_cluster.qps),
         time_limit=None,
     )
     controller = CronJobController(
         state=ClusterState(small_cluster.problem),
-        collector=DataCollector(small_cluster.qps, traffic_jitter_sigma=0.0),
-        rasa=RASAScheduler(config=RASAConfig()),
-        time_limit=None,
-        degradation=DegradationPolicy(),
-        retry=RetryPolicy(),
+        collector=DataCollector(small_cluster.qps),
     )
     via_class = controller.run(2)
     assert via_facade == via_class
@@ -112,17 +108,14 @@ def test_run_control_loop_with_faults_matches_controller(small_cluster):
     via_facade = api.run_control_loop(
         ClusterState(small_cluster.problem),
         cycles=2,
-        collector=DataCollector(small_cluster.qps, traffic_jitter_sigma=0.0),
+        collector=DataCollector(small_cluster.qps),
         time_limit=None,
         faults=plan,
     )
-    from repro.faults import FaultInjector
-
     controller = CronJobController(
         state=ClusterState(small_cluster.problem),
-        collector=DataCollector(small_cluster.qps, traffic_jitter_sigma=0.0),
-        time_limit=None,
-        faults=FaultInjector(plan),
+        collector=DataCollector(small_cluster.qps),
+        spec=LoopSpec(faults=plan),
     )
     via_class = controller.run(2)
     assert via_facade == via_class
@@ -211,7 +204,7 @@ def test_loop_tunables_have_one_spelling(small_cluster, tmp_path):
 
     tunables = {f.name for f in fields(LoopSpec)}
     runtime = {
-        "cycles", "collector", "stream", "shutdown", "checkpoint_dir",
+        "cycles", "collector", "shutdown", "checkpoint_dir",
         "telemetry_port", "telemetry_host", "cycle_stream",
         "on_telemetry_start",
     }

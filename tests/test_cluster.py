@@ -215,7 +215,7 @@ def test_affinity_score_zero_for_isolated_service(tiny_problem):
 # ----------------------------------------------------------------------
 def test_collector_snapshot_carries_placement_and_traffic(small_cluster):
     state = ClusterState(small_cluster.problem)
-    collector = DataCollector(small_cluster.qps, traffic_jitter_sigma=0.0)
+    collector = DataCollector(small_cluster.qps)
     problem = collector.collect(state)
     assert np.array_equal(problem.current_assignment, state.placement)
     for pair, volume in small_cluster.qps.items():

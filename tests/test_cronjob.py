@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +12,10 @@ import pytest
 
 from repro import api
 from repro.cluster import ClusterState, CronJobController, DataCollector
-from repro.cluster.cronjob import IMPROVEMENT_GATE, CycleReport
+from repro.cluster.cronjob import IMPROVEMENT_GATE, CycleReport, build_controller
 from repro.cluster.replay import EventTrace, TrafficShift
-from repro.core import Machine, RASAConfig, RASAProblem, RASAScheduler, Service
+from repro.core import Machine, RASAProblem, RASAScheduler, Service
+from repro.core.config import CYCLE_SECONDS, LoopSpec
 from repro.faults import FaultPlan, coerce_injector
 from repro.obs import MetricsRegistry, Tracer, use_metrics, use_tracer
 from repro.service.tenant import Tenant, TenantSpec
@@ -28,17 +30,12 @@ make_reference_week_digests = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(make_reference_week_digests)
 
 
-def _controller(cluster, **kwargs) -> CronJobController:
-    state = ClusterState(cluster.problem)
-    collector = DataCollector(cluster.qps, traffic_jitter_sigma=0.0)
-    defaults = dict(
-        state=state,
-        collector=collector,
-        rasa=RASAScheduler(config=RASAConfig()),
-        time_limit=6.0,
+def _controller(cluster, **spec) -> CronJobController:
+    return CronJobController(
+        state=ClusterState(cluster.problem),
+        collector=DataCollector(cluster.qps),
+        spec=LoopSpec(time_limit=6.0, **spec),
     )
-    defaults.update(kwargs)
-    return CronJobController(**defaults)
 
 
 def test_first_cycle_executes_and_improves(small_cluster):
@@ -135,14 +132,16 @@ def _stuck_world() -> RASAProblem:
     )
 
 
-def _loop(problem: RASAProblem, *, jitter: float = 0.0, **kwargs) -> CronJobController:
+def _loop(
+    problem: RASAProblem, *, jitter: float = 0.0, faults=None, **spec
+) -> CronJobController:
     return CronJobController(
         state=ClusterState(problem),
         collector=DataCollector(
             dict(problem.affinity.items()), traffic_jitter_sigma=jitter
         ),
-        time_limit=None,
-        **kwargs,
+        spec=LoopSpec(**spec),
+        faults=faults,
     )
 
 
@@ -219,9 +218,7 @@ def test_unchanged_world_solves_once(solves):
 
 
 def test_budgeted_solves_keep_no_digest(solves):
-    controller = _loop(_stuck_world())
-    controller.time_limit = 30.0
-    controller.run(2)
+    _loop(_stuck_world(), time_limit=30.0).run(2)
     assert len(solves) == 2
 
 
@@ -263,6 +260,30 @@ def test_stale_snapshot_reuses_the_decision(solves):
     reports = _loop(_stuck_world(), jitter=0.05, faults=stale).run(3)
     assert len(solves) == 4
     assert [r.action for r in reports] == ["dry_run"] * 3
+
+
+# ----------------------------------------------------------------------
+# The controller reads its LoopSpec
+# ----------------------------------------------------------------------
+def test_bare_controller_runs_the_default_spec():
+    problem = _pairs_world(1.0, 1.0, colocated=False)
+    qps = dict(problem.affinity.items())
+    bare = CronJobController(state=ClusterState(problem), collector=DataCollector(qps))
+    assert bare.spec == LoopSpec()
+    init = {f.name for f in fields(CronJobController) if f.init}
+    assert init & {f.name for f in fields(LoopSpec)} == {"faults"}
+    assert DataCollector(qps).traffic_jitter_sigma == LoopSpec.traffic_jitter_sigma
+    reports = bare.run(2)
+    assert [r.action for r in reports] == ["executed", "dry_run"]
+    assert reports == build_controller(LoopSpec(), problem).run(2)
+
+
+def test_cycle_period_resolves_from_spec_then_trace_then_paper():
+    trace = EventTrace(base=_stuck_world(), interval_seconds=600.0)
+    assert _loop(_stuck_world()).interval_seconds == CYCLE_SECONDS
+    assert build_controller(LoopSpec(), trace.cursor()).interval_seconds == 600.0
+    spec = LoopSpec(interval_seconds=60.0)
+    assert build_controller(spec, trace.cursor()).interval_seconds == 60.0
 
 
 def test_reference_week_reports_match_the_solve_every_cycle_parent():

@@ -284,7 +284,7 @@ def test_storeless_loop_is_controller_run(demo_trace, monkeypatch):
     ref = build_controller(spec, demo_trace.cursor()).run(4)
     loop = durable_loop.DurableControlLoop(
         controller=build_controller(spec, demo_trace.cursor()),
-        store=None, spec=spec, total_cycles=4,
+        store=None, total_cycles=4,
     )
     loop.on_checkpoint = lambda: pytest.fail("checkpointed")
     loop.checkpoint()

@@ -148,12 +148,13 @@ def test_cronjob_survives_stale_plan(small_cluster):
     """Commands that no longer apply are skipped; the default scheduler
     repairs the residual."""
     from repro.cluster import ClusterState, CronJobController, DataCollector
+    from repro.core.config import LoopSpec
 
     state = ClusterState(small_cluster.problem)
     controller = CronJobController(
         state=state,
-        collector=DataCollector(small_cluster.qps, traffic_jitter_sigma=0.0),
-        time_limit=5.0,
+        collector=DataCollector(small_cluster.qps),
+        spec=LoopSpec(time_limit=5.0),
     )
     problem = small_cluster.problem
     original = Assignment(problem, state.placement)

@@ -21,7 +21,7 @@ import pytest
 from repro.cluster import ClusterState, CronJobController, DataCollector
 from repro.cluster.cronjob import CycleReport
 from repro.core import Assignment, RASAConfig, RASAScheduler
-from repro.core.config import RetryPolicy
+from repro.core.config import LoopSpec, RetryPolicy
 from repro.exceptions import ProblemValidationError
 from repro.faults import (
     FaultInjector,
@@ -43,22 +43,17 @@ from repro.migration.plan import CommandAction
 # ----------------------------------------------------------------------
 # Helpers
 # ----------------------------------------------------------------------
-def _run_loop(cluster, plan: FaultPlan | None, cycles: int = 3, **kwargs):
+def _run_loop(cluster, plan: FaultPlan | None, cycles: int = 3, **spec):
     """A fresh control loop over the shared cluster fixture.
 
-    No overall time limit: solver results are bit-deterministic only when
-    every solve finishes within its budget, and these tests compare whole
-    runs against each other.
+    No overall time limit (the spec's default): solver results are
+    bit-deterministic only when every solve finishes within its budget,
+    and these tests compare whole runs against each other.
     """
-    state = ClusterState(cluster.problem)
-    collector = DataCollector(cluster.qps, traffic_jitter_sigma=0.0)
-    kwargs.setdefault("rasa", RASAScheduler(config=RASAConfig()))
     controller = CronJobController(
-        state=state,
-        collector=collector,
-        time_limit=None,
-        faults=FaultInjector(plan) if plan is not None else None,
-        **kwargs,
+        state=ClusterState(cluster.problem),
+        collector=DataCollector(cluster.qps),
+        spec=LoopSpec(faults=plan, **spec),
     )
     return controller, controller.run(cycles)
 
@@ -283,7 +278,7 @@ def test_determinism_holds_under_workers(small_cluster):
         small_cluster,
         CHAOS_PLAN,
         cycles=2,
-        rasa=RASAScheduler(config=RASAConfig(workers=2)),
+        config=RASAConfig(workers=2),
     )
     assert serial == parallel
 
@@ -340,7 +335,7 @@ def test_cycle_report_round_trip(small_cluster):
 # ----------------------------------------------------------------------
 def test_collector_stale_replays_previous_snapshot(small_cluster):
     state = ClusterState(small_cluster.problem)
-    collector = DataCollector(small_cluster.qps, traffic_jitter_sigma=0.0)
+    collector = DataCollector(small_cluster.qps)
     injector = FaultInjector(FaultPlan(stale_snapshot_rate=1.0))
     first = collector.collect(state, injector=injector)
     second = collector.collect(state, injector=injector)
@@ -349,7 +344,7 @@ def test_collector_stale_replays_previous_snapshot(small_cluster):
 
 def test_collector_partial_snapshot_drops_edges(small_cluster):
     state = ClusterState(small_cluster.problem)
-    collector = DataCollector(small_cluster.qps, traffic_jitter_sigma=0.0)
+    collector = DataCollector(small_cluster.qps)
     injector = FaultInjector(FaultPlan(seed=4, snapshot_drop_fraction=0.5))
     problem = collector.collect(state, injector=injector)
     total = len(small_cluster.qps)
@@ -359,7 +354,7 @@ def test_collector_partial_snapshot_drops_edges(small_cluster):
 
 def test_collector_without_injector_unchanged(small_cluster):
     state = ClusterState(small_cluster.problem)
-    collector = DataCollector(small_cluster.qps, traffic_jitter_sigma=0.0)
+    collector = DataCollector(small_cluster.qps)
     problem = collector.collect(state)
     assert len(dict(problem.affinity.items())) == len(small_cluster.qps)
     assert np.array_equal(problem.current_assignment, state.placement)

@@ -15,7 +15,6 @@ from repro.api import run_control_loop
 from repro.cluster.collector import DataCollector
 from repro.cluster.cronjob import CronJobController, CycleReport
 from repro.cluster.state import ClusterState
-from repro.core import RASAConfig, RASAScheduler
 from repro.obs import (
     MetricsRegistry,
     TelemetryHub,
@@ -215,9 +214,7 @@ def test_server_start_is_idempotent_and_stop_reentrant():
 def _controller(cluster, hub=None) -> CronJobController:
     return CronJobController(
         state=ClusterState(cluster.problem),
-        collector=DataCollector(cluster.qps, traffic_jitter_sigma=0.0),
-        rasa=RASAScheduler(config=RASAConfig()),
-        time_limit=None,
+        collector=DataCollector(cluster.qps),
         telemetry=hub,
     )
 
