@@ -1,55 +1,54 @@
-"""Parallel subproblem engine — wall-clock speedup over sequential mode.
+"""Parallel subproblem engine — wall-clock speedup over one-at-a-time solving.
 
 Runs the full RASA pipeline on the Fig. 6 evaluation workload's M3
 cluster, partitioned into 4 independent subproblems
-(``max_subproblem_services=12``), in sequential mode and with a 4-worker
-process pool, without an overall time limit so both modes solve every
-shard to completion and the merged placements are bit-identical (the
+(``max_subproblem_services=12``), without an overall time limit: once
+with the solve phase's CPU count pinned to 1, which solves the shards one
+at a time, and once as shipped, one pool thread per CPU.  Both solve every
+shard to completion, so the merged placements are bit-identical (the
 engine's determinism guarantee).
 
-The headline number is the wall-clock ratio.  The >= 1.5x assertion is
-only armed when the machine actually exposes >= 4 CPUs — on fewer cores a
-process pool cannot beat sequential execution and the benchmark instead
-checks that the dispatch overhead stays bounded.
+The headline number is the wall-clock ratio.  HiGHS releases the GIL
+while it searches, so the shards' solver time overlaps on threads; the
+Python around it does not.  The speedup assertion is armed only when the
+process may use >= 2 CPUs — on one the pool does not start, and the
+benchmark instead checks that the two runs cost the same.
 """
 
 from __future__ import annotations
 
-import os
 import time
+from unittest import mock
 
-import numpy as np
 from conftest import record_result
 
 from repro.core import RASAConfig, RASAScheduler
+from repro.core.parallel import available_cpus
 from repro.workloads import load_cluster
 
-WORKERS = 4
 CLUSTER = "M3"
 #: Shard size that splits M3's 68 services into 4 subproblems.
 SHARD_SERVICES = 12
-
-
-def _cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
+#: Least speedup accepted with two or more CPUs (1.66x measured on 2;
+#: the largest shard bounds it, whatever the thread count).
+MIN_SPEEDUP = 1.25
 
 
 def test_parallel_speedup(benchmark):
     problem = load_cluster(CLUSTER).problem
+    cpus = available_cpus()
 
-    def run(workers: int):
-        config = RASAConfig(max_subproblem_services=SHARD_SERVICES, workers=workers)
+    def run(threads: int):
+        config = RASAConfig(max_subproblem_services=SHARD_SERVICES)
         scheduler = RASAScheduler(config=config)
-        start = time.monotonic()
-        result = scheduler.schedule(problem)
-        return result, time.monotonic() - start
+        with mock.patch("repro.core.rasa.available_cpus", return_value=threads):
+            start = time.monotonic()
+            result = scheduler.schedule(problem)
+            return result, time.monotonic() - start
 
     def run_both():
         sequential, seq_seconds = run(1)
-        parallel, par_seconds = run(WORKERS)
+        parallel, par_seconds = run(cpus)
         return sequential, seq_seconds, parallel, par_seconds
 
     sequential, seq_seconds, parallel, par_seconds = benchmark.pedantic(
@@ -58,35 +57,32 @@ def test_parallel_speedup(benchmark):
 
     shards = len(sequential.partition.subproblems)
     speedup = seq_seconds / par_seconds if par_seconds > 0 else float("inf")
-    cpus = _cpus()
     print(f"\nParallel engine speedup — {CLUSTER}, {shards} subproblems, "
-          f"{WORKERS} workers, {cpus} CPUs")
+          f"{cpus} threads on {cpus} CPUs")
     print(f"{'mode':12s} {'seconds':>9s} {'gained':>8s}")
-    print(f"{'sequential':12s} {seq_seconds:>9.2f} {sequential.gained_affinity:>8.3f}")
-    print(f"{'parallel':12s} {par_seconds:>9.2f} {parallel.gained_affinity:>8.3f}")
+    print(f"{'one at once':12s} {seq_seconds:>9.2f} {sequential.gained_affinity:>8.3f}")
+    print(f"{'threaded':12s} {par_seconds:>9.2f} {parallel.gained_affinity:>8.3f}")
     print(f"speedup: {speedup:.2f}x")
 
     # Determinism guarantee: identical placement bits and objective.
     assert shards >= 4
-    assert np.array_equal(sequential.assignment.x, parallel.assignment.x)
+    assert sequential.assignment.x.tobytes() == parallel.assignment.x.tobytes()
     assert parallel.gained_affinity == sequential.gained_affinity
 
-    if cpus >= WORKERS:
-        assert speedup >= 1.5, (
-            f"expected >= 1.5x speedup with {WORKERS} workers on {cpus} CPUs, "
-            f"got {speedup:.2f}x"
+    if cpus >= 2:
+        assert speedup >= MIN_SPEEDUP, (
+            f"expected >= {MIN_SPEEDUP}x speedup on {cpus} CPUs, got {speedup:.2f}x"
         )
     else:
-        # Single/few-core fallback: parallelism cannot win, but dispatch +
-        # serialization overhead must stay within 2x of sequential.
-        assert par_seconds <= seq_seconds * 2.0
+        # One CPU: no pool starts, so both runs are the same solve.
+        assert par_seconds <= seq_seconds * 1.5
 
     record_result(
         "parallel_speedup",
         {
             "cluster": CLUSTER,
             "subproblems": shards,
-            "workers": WORKERS,
+            "threads": cpus,
             "cpus": cpus,
             "sequential_seconds": seq_seconds,
             "parallel_seconds": par_seconds,

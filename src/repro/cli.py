@@ -6,8 +6,9 @@ holds each one's help, arguments and implementation):
 * ``rasa generate`` — synthesize a cluster trace (or dump a registered
   dataset) to a JSON trace file.
 * ``rasa optimize`` — run the RASA pipeline on a trace; print the placement
-  summary and (optionally) the migration plan.  ``--workers N`` /
-  ``--parallel`` solve independent subproblems in a process pool.
+  summary and (optionally) the migration plan.  Without a time limit the
+  subproblems are solved on one thread per CPU; with one, ``--workers N`` /
+  ``--parallel`` solve up to N (one per CPU) at once.
 * ``rasa compare`` / ``rasa inspect`` — every baseline plus RASA on a
   trace / its placement metrics and skew profile.
 * ``rasa cron`` — run the CronJob control loop for N cycles, optionally
@@ -56,7 +57,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import time
 from collections import Counter
@@ -67,6 +67,7 @@ from repro import api
 from repro.analysis import pair_localization_table, placement_metrics
 from repro.core import Assignment, DegradationPolicy, RASAConfig
 from repro.core.config import LoopSpec
+from repro.core.parallel import available_cpus
 from repro.durability import atomic_write_json
 from repro.durability.checkpoint import CheckpointStore
 from repro.durability.supervisor import (
@@ -153,10 +154,11 @@ COMMON = [
 
 PARALLEL = [
     _arg("--workers", type=int, default=None, metavar="N",
-         help="solve independent subproblems in N worker processes (default: 1)"),
+         help="under a time limit, solve up to N subproblems at once on "
+              "threads (default: 1); without one, every CPU is used"),
     _arg("--parallel", action="store_true",
-         help="enable parallel subproblem solving; without --workers, uses "
-              "all CPUs"),
+         help="under a time limit, solve subproblems in parallel; without "
+              "--workers, one thread per CPU"),
 ]
 
 PROFILE = [
@@ -333,7 +335,7 @@ def _scheduler_config(args: argparse.Namespace) -> RASAConfig:
     """
     workers = args.workers
     if workers is None:
-        workers = (os.cpu_count() or 1) if args.parallel else 1
+        workers = available_cpus() if args.parallel else 1
     if workers < 1:
         raise ProblemValidationError("--workers must be >= 1")
     return RASAConfig(workers=workers, profile=getattr(args, "profile", False))

@@ -38,11 +38,14 @@ class RASAConfig:
             the merged placement (0 disables it).  An extension beyond the
             paper's pipeline; see DESIGN.md ablations.
         seed: Seed for partitioning randomness.
-        workers: Worker processes for the solve phase.  1 (the default)
-            keeps the fully sequential pipeline; ``N > 1`` dispatches
-            independent subproblems to a process pool (see
-            :mod:`repro.core.parallel`) while preserving the deterministic
-            affinity-descending merge order.
+        workers: Threads a *budgeted* solve phase runs shards on.  1 (the
+            default) solves them one at a time, redistributing the time a
+            shard leaves unspent; ``N > 1`` splits the budget up front and
+            solves up to N shards at once (see :mod:`repro.core.parallel`).
+            A solve without a time limit ignores it and runs one thread per
+            CPU: unbudgeted shard solves are pure functions of the shard,
+            and the merge keeps its affinity-descending order, so the
+            result is bit-identical to a one-at-a-time solve.
         profile: Opt-in per-span cProfile capture (CLI ``--profile``):
             partitioning and subproblem-solve spans gain a top-N
             cumulative-time hotspot table (see :mod:`repro.obs.profile`).

@@ -4,68 +4,76 @@ Partitioning (paper Section IV) decomposes the global placement MIP into
 independent subproblems, which makes the solve phase embarrassingly
 parallel — the same observation POP (Narayanan et al.) exploits for
 granular allocation problems.  This module runs the per-subproblem
-``(select, solve)`` step in a :class:`~concurrent.futures.ProcessPoolExecutor`:
+``(select, solve)`` step on a :class:`~concurrent.futures.ThreadPoolExecutor`.
+HiGHS releases the GIL while it searches, so shards solved on threads
+overlap as they would in processes, without pickling a shard or forking
+a copy of the parent's heap:
 
-* :func:`run_task` is the worker entry point.  It installs a fresh tracer
-  and metrics registry, runs :func:`select_and_solve`, and ships the
-  solve outcome *plus* the recorded observability payload (span trees,
-  raw metric samples, the incumbent trajectory) back to the parent, which
-  folds them into its own tracer/registry so ``--trace-out`` and
-  ``--metrics-out`` stay complete under parallelism.
-* :class:`ParallelDispatcher` submits one task per subproblem, enforces a
-  per-task wall-clock deadline derived from the task's solver budget, and
-  degrades gracefully: a crashed, failed, or timed-out worker yields a
-  :class:`TaskFailure`, and the scheduler's one solve loop solves that
-  shard in-process when its merge turn comes.
+* :func:`run_task` is the thread entry point.  It runs
+  :func:`select_and_solve` against the process-wide tracer, metrics
+  registry and profiler, which are lock-protected, so spans and metric
+  samples land where an in-process solve would put them.
+* :class:`ParallelDispatcher` submits one task per subproblem under a copy
+  of the caller's :mod:`contextvars` context — the request's trace id and
+  the open ``rasa.dispatch`` span travel into the thread — and collects
+  the outcomes by task index.  A task that raises, or misses its
+  wall-clock deadline, becomes a :class:`TaskFailure`, and the scheduler's
+  one solve loop solves that shard in-process when its merge turn comes.
 
-Determinism: the dispatcher reports outcomes keyed by task index, and
-:class:`~repro.core.rasa.RASAScheduler` applies them in the fixed
-affinity-descending order regardless of completion order, so for a given
-seed the merged assignment is bit-identical to sequential mode whenever
-the per-subproblem solves themselves are budget-deterministic (i.e. they
-finish within their budget — always true without an overall time limit).
+Determinism: :class:`~repro.core.rasa.RASAScheduler` merges outcomes in
+the fixed affinity-descending order regardless of completion order, so for
+a given seed the merged assignment is bit-identical to a one-at-a-time
+solve whenever the per-subproblem solves themselves are
+budget-deterministic (i.e. they finish within their budget — always true
+without an overall time limit).
 """
 
 from __future__ import annotations
 
+import contextvars
+import ctypes
+import os
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from repro.core.problem import RASAProblem
-from repro.core.solution import Assignment
-from repro.obs import (
-    MetricsRegistry,
-    NullProfiler,
-    NullTracer,
-    Span,
-    SpanProfiler,
-    Tracer,
-    get_logger,
-    get_metrics,
-    get_profiler,
-    get_tracer,
-    kv,
-    use_metrics,
-    use_profiler,
-    use_tracer,
-)
+from repro.obs import get_logger, get_metrics, get_profiler, get_tracer, kv
 from repro.partitioning.base import Subproblem
 from repro.selection.selector import AlgorithmSelector
 from repro.solvers.base import SchedulingAlgorithm, SolveResult, Stopwatch
 
 
-class DefaultAlgorithmFactory:
-    """Maps a selector label to an algorithm instance.
+def available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where there is one."""
+    try:
+        return max(1, len(os.sched_getaffinity(0)))
+    except AttributeError:  # pragma: no cover - no affinity API (macOS)
+        return os.cpu_count() or 1
 
-    A module-level class (rather than a closure) so tasks can pickle it
-    into worker processes.
+
+def _release_freed_heap() -> None:
+    """Hand the heap that finished threads freed back to the OS.
+
+    glibc keeps a thread's freed memory in that thread's arena, up to a
+    trim threshold that grows to twice the largest block freed — tens of
+    MB once a placement matrix has been freed there.  One ``malloc_trim``
+    returns it; where libc has no ``malloc_trim`` this does nothing.
     """
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):  # pragma: no cover - not glibc
+        return
+    trim.argtypes = [ctypes.c_size_t]
+    trim.restype = ctypes.c_int
+    trim(0)
+
+
+class DefaultAlgorithmFactory:
+    """Maps a selector label to an algorithm instance."""
 
     def __call__(self, label: str) -> SchedulingAlgorithm:
         from repro.solvers.column_generation import ColumnGenerationAlgorithm
@@ -83,15 +91,10 @@ class SubproblemTask:
     Attributes:
         index: The subproblem's index in the partition (the merge key).
         subproblem: The self-contained shard to solve.
-        selector: Algorithm selector; must be picklable.
-        algorithm_factory: Label → algorithm mapping; must be picklable.
+        selector: Algorithm selector.
+        algorithm_factory: Label → algorithm mapping.
         budget: Per-subproblem solver time budget (seconds; None or
             ``inf`` for unlimited).
-        collect_spans: Record and return tracing spans (enabled when the
-            parent's tracer is live).
-        profile: Capture a cProfile hotspot table on the worker's solve
-            span (see :mod:`repro.obs.profile`); the table rides the span
-            tree back to the parent through ``TaskOutcome.spans``.
     """
 
     index: int
@@ -99,44 +102,20 @@ class SubproblemTask:
     selector: AlgorithmSelector
     algorithm_factory: Callable[[str], SchedulingAlgorithm]
     budget: float | None = None
-    collect_spans: bool = False
-    profile: bool = False
 
 
 @dataclass
 class TaskOutcome:
-    """A completed task: the solve outcome plus serialized observability.
+    """A completed task: the selected label and the shard's solve result.
 
-    The subproblem's :class:`~repro.core.problem.RASAProblem` is *not*
-    shipped back — only the assignment matrix — so the payload stays small
-    and the parent rebuilds the :class:`SolveResult` against its own copy
-    of the shard via :meth:`to_solve_result`.
+    ``started_monotonic`` is when the thread began the task, so the
+    scheduler can place the solve's incumbents on the run's time axis.
     """
 
     index: int
     label: str
-    x: np.ndarray
-    algorithm: str
-    status: str
-    runtime_seconds: float
-    objective: float
-    trajectory: list[tuple[float, float]] = field(default_factory=list)
-    bound: float | None = None
-    spans: list[Span] = field(default_factory=list)
-    metrics: dict[str, Any] = field(default_factory=dict)
-    started_monotonic: float = 0.0
-
-    def to_solve_result(self, problem: RASAProblem) -> SolveResult:
-        """Rebuild the worker's :class:`SolveResult` against ``problem``."""
-        return SolveResult(
-            assignment=Assignment(problem, self.x),
-            algorithm=self.algorithm,
-            status=self.status,
-            runtime_seconds=self.runtime_seconds,
-            objective=self.objective,
-            trajectory=list(self.trajectory),
-            bound=self.bound,
-        )
+    result: SolveResult
+    started_monotonic: float
 
 
 @dataclass
@@ -145,8 +124,8 @@ class TaskFailure:
 
     Attributes:
         index: The failed task's subproblem index.
-        kind: ``"timeout"``, ``"crash"`` (worker process died), or
-            ``"error"`` (the solve raised).
+        kind: ``"timeout"`` (no result by the deadline) or ``"error"``
+            (the solve raised).
         error: Human-readable cause.
     """
 
@@ -163,10 +142,9 @@ def select_and_solve(
 ) -> tuple[str, SolveResult]:
     """Run the per-subproblem (select, solve) step with full instrumentation.
 
-    The scheduler's solve loop calls this against the process-wide
-    tracer/metrics, pool workers call it against their own fresh
-    instances — so spans and metrics have an identical shape regardless
-    of where the solve ran.
+    The scheduler's solve loop and the pool's threads both call this, so
+    spans and metrics have an identical shape regardless of where the
+    solve ran.
     """
     tracer = get_tracer()
     metrics = get_metrics()
@@ -193,48 +171,35 @@ def select_and_solve(
 
 
 def run_task(task: SubproblemTask) -> TaskOutcome:
-    """Worker entry point: solve one task under fresh obs instruments.
+    """Thread entry point: solve one task.
 
-    Runs inside a pool process.  Exceptions propagate — the executor
-    pickles them back to the parent, where the dispatcher converts them
+    Exceptions propagate through the future; the dispatcher converts them
     into a :class:`TaskFailure`.
     """
     started = time.monotonic()
-    tracer = Tracer() if task.collect_spans else NullTracer()
-    registry = MetricsRegistry()
-    profiler = SpanProfiler() if task.profile else NullProfiler()
-    with use_tracer(tracer), use_metrics(registry), use_profiler(profiler):
-        label, result = select_and_solve(
-            task.subproblem, task.selector, task.algorithm_factory, task.budget
-        )
+    label, result = select_and_solve(
+        task.subproblem, task.selector, task.algorithm_factory, task.budget
+    )
     return TaskOutcome(
-        index=task.index,
-        label=label,
-        x=np.asarray(result.assignment.x),
-        algorithm=result.algorithm,
-        status=result.status,
-        runtime_seconds=result.runtime_seconds,
-        objective=result.objective,
-        trajectory=list(result.trajectory),
-        bound=result.bound,
-        spans=tracer.finished_roots(),
-        metrics=registry.dump_raw(),
-        started_monotonic=started,
+        index=task.index, label=label, result=result, started_monotonic=started
     )
 
 
 class ParallelDispatcher:
-    """Fans subproblem tasks out to a process pool and collects outcomes.
+    """Solves subproblem tasks on a thread pool and collects their outcomes.
 
     Args:
-        workers: Maximum worker processes.
+        workers: Maximum pool threads.
         timeout_factor: A task's wall-clock deadline is
             ``budget * timeout_factor + timeout_margin`` — solvers enforce
-            their own budget, so the deadline only catches hung or wedged
-            workers.  Tasks with an unlimited budget have no deadline.
-        timeout_margin: Constant slack added to every deadline (covers
-            pickling, fork, and queueing time; deadlines are measured from
-            submission, not task start).
+            their own budget, so the deadline only catches a hung solve.
+            Tasks with an unlimited budget have no deadline.
+        timeout_margin: Constant slack added to every deadline (deadlines
+            are measured from submission, not task start, so it also
+            covers queueing behind other tasks).
+
+    A thread cannot be stopped: a task that misses its deadline is
+    abandoned to finish on its own, and interpreter exit waits for it.
     """
 
     def __init__(
@@ -253,33 +218,44 @@ class ParallelDispatcher:
     def run(self, tasks: list[SubproblemTask]) -> dict[int, TaskOutcome | TaskFailure]:
         """Execute every task; never raises for per-task problems.
 
+        Each task is submitted under a copy of the caller's context, so
+        spans opened in the thread carry the request's trace id and nest
+        under the span open at submission.
+
         Returns:
             Outcome or failure per task, keyed by ``task.index``.  The
             caller decides what to do with failures (the scheduler retries
-            them sequentially with redistributed budgets).
+            them in-process with redistributed budgets).
         """
         logger = get_logger("core.parallel")
         metrics = get_metrics()
         results: dict[int, TaskOutcome | TaskFailure] = {}
-        pool = ProcessPoolExecutor(
-            max_workers=min(self.workers, max(1, len(tasks)))
+        pool = ThreadPoolExecutor(
+            max_workers=min(self.workers, max(1, len(tasks))),
+            thread_name_prefix="rasa-solve",
         )
+        futures: list[tuple[SubproblemTask, Future, float | None]] = []
         try:
             submitted = time.monotonic()
-            futures: list[tuple[SubproblemTask, Future, float | None]] = []
             for task in tasks:
                 deadline = None
                 if task.budget is not None and task.budget != np.inf:
                     deadline = (
                         submitted + task.budget * self.timeout_factor + self.timeout_margin
                     )
-                futures.append((task, pool.submit(run_task, task), deadline))
+                context = contextvars.copy_context()
+                futures.append((task, pool.submit(context.run, run_task, task), deadline))
             for task, future, deadline in futures:
                 results[task.index] = self._collect(task, future, deadline, logger)
                 if isinstance(results[task.index], TaskFailure):
                     metrics.counter("rasa.parallel.task_failures").inc()
         finally:
-            pool.shutdown(wait=False, cancel_futures=True)
+            # Join the threads only when every task is done: one past its
+            # deadline is abandoned, not waited for.
+            drained = all(future.done() for _, future, _ in futures)
+            pool.shutdown(wait=drained, cancel_futures=True)
+            if drained:
+                _release_freed_heap()
         return results
 
     def _collect(
@@ -304,12 +280,7 @@ class ParallelDispatcher:
                 kind="timeout",
                 error=f"no result within {timeout:.1f}s deadline",
             )
-        except BrokenProcessPool as exc:
-            logger.warning("worker crash %s", kv(subproblem=task.index, error=str(exc)))
-            return TaskFailure(
-                index=task.index, kind="crash", error=f"worker process died: {exc}"
-            )
-        except Exception as exc:  # solve raised inside the worker
+        except Exception as exc:  # the solve raised inside the thread
             logger.warning("worker error %s", kv(subproblem=task.index, error=str(exc)))
             return TaskFailure(
                 index=task.index, kind="error", error=f"{type(exc).__name__}: {exc}"

@@ -9,13 +9,14 @@ quality-over-time trajectory (used by the Fig. 10 benchmark).
 The solve phase is one loop over the subproblems in affinity-descending
 order.  Each shard is solved in-process at its merge turn; when a shard
 finishes under its proportional budget, the unspent time is redistributed
-across the shards still unsolved.  The process pool
-(:mod:`repro.core.parallel`, ``workers > 1``) is an
-optional first pass over the same shards: what it delivers is merged at
-the shard's turn instead of being solved there, and what it does not
-deliver (a failed, crashed or timed-out worker) is simply still unsolved
-when its turn comes — so parallelism never loses shards or reorders the
-merge, and sequential mode is the same loop with an empty pool.
+across the shards still unsolved.  The thread pool
+(:mod:`repro.core.parallel`) is an optional first pass over the same
+shards — one thread per CPU for a solve without a time limit, ``workers``
+threads for a budgeted one: what it delivers is merged at the shard's
+turn instead of being solved there, and what it does not deliver (a
+failed or timed-out thread) is simply still unsolved when its turn comes —
+so parallelism never loses shards or reorders the merge, and the
+one-at-a-time solve is the same loop with an empty pool.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from repro.core.parallel import (
     SubproblemTask,
     TaskFailure,
     TaskOutcome,
+    available_cpus,
     select_and_solve,
 )
 from repro.core.problem import RASAProblem
@@ -153,8 +155,8 @@ class RASAScheduler:
             multi-stage partitioner configured from ``config``.
         selector: Algorithm selector; defaults to the heuristic rule (train
             and pass a :class:`~repro.selection.selector.GCNSelector` for
-            the paper's full configuration).  Must be picklable when
-            parallel mode is enabled.
+            the paper's full configuration).  Pool threads share it, so
+            ``select`` must not mutate it.
     """
 
     def __init__(
@@ -230,10 +232,10 @@ class RASAScheduler:
                 range(len(partition.subproblems)),
                 key=lambda i: -partition.subproblems[i].total_affinity,
             )
-            workers = self._effective_workers()
+            threads = self._solve_threads(watch)
             assignment = self._solve(
                 problem, partition.subproblems, order, assignment, trajectory,
-                reports, watch, workers, run_span,
+                reports, watch, threads, run_span,
             )
 
             # Containers the solvers left unplaced go to the cluster's
@@ -268,7 +270,7 @@ class RASAScheduler:
                 gained=f"{gained:.4f}",
                 subproblems=len(reports),
                 runtime=f"{watch.elapsed:.2f}s",
-                workers=workers,
+                workers=threads,
             ),
         )
         return RASAResult(
@@ -292,47 +294,40 @@ class RASAScheduler:
         trajectory: list[tuple[float, float]],
         reports: list[SubproblemReport],
         watch: Stopwatch,
-        workers: int,
+        threads: int,
         run_span,
     ) -> Assignment:
         """Solve and merge every shard in affinity-descending order.
 
-        With ``workers > 1`` and more than one shard, the process pool gets
-        a first pass at all of them.  The walk over ``order`` then merges
-        what the pool delivered and solves every other shard in-process at
-        its merge turn — all of them when there was no pool; failed,
-        crashed or timed-out ones otherwise — with the remaining time
+        With more than one thread and more than one shard, the thread pool
+        solves the shards ahead of the merge.  The walk over ``order`` then
+        merges what the pool delivered and solves every other shard
+        in-process at its merge turn — all of them when there was no pool;
+        failed or timed-out ones otherwise — with the remaining time
         redistributed across the shards still unsolved, so one bad shard
         never loses the other shards' results.
         """
-        tracer = get_tracer()
         metrics = get_metrics()
         logger = get_logger("core.rasa")
         factory = DefaultAlgorithmFactory()
-        pooled = workers > 1 and len(order) > 1
+        pooled = threads > 1 and len(order) > 1
         outcomes: dict[int, TaskOutcome | TaskFailure] = {}
         if pooled:
-            run_span.set_tag("workers", workers)
-            outcomes = self._dispatch(subproblems, order, factory, watch, workers)
+            run_span.set_tag("workers", threads)
+            outcomes = self._dispatch(subproblems, order, factory, watch, threads)
         delivered = {
             i for i, outcome in outcomes.items() if isinstance(outcome, TaskOutcome)
         }
         # Deterministic merge: fixed affinity-descending order, regardless
-        # of which worker finished first.
+        # of which thread finished first.
         for position, i in enumerate(order):
             subproblem = subproblems[i]
             if i in delivered:
-                # Rebuild the worker's result, folding its obs payload into
-                # the parent tracer/metrics so exports stay complete.
                 outcome = outcomes[i]
+                label, result = outcome.label, outcome.result
                 solve_start = max(
                     0.0, outcome.started_monotonic - watch.start_monotonic
                 )
-                if tracer.enabled:
-                    tracer.adopt(outcome.spans, offset=run_span.start + solve_start)
-                metrics.merge(outcome.metrics)
-                label = outcome.label
-                result = outcome.to_solve_result(subproblem.problem)
             elif watch.expired:
                 continue  # anytime stop: the shard keeps its current placement
             else:
@@ -374,9 +369,13 @@ class RASAScheduler:
         order: list[int],
         factory: DefaultAlgorithmFactory,
         watch: Stopwatch,
-        workers: int,
+        threads: int,
     ) -> dict[int, TaskOutcome | TaskFailure]:
-        """Offer every shard to the process pool; outcomes by shard index."""
+        """Offer every shard to the thread pool; outcomes by shard index.
+
+        A budgeted solve splits its budget up front, since the pool solves
+        the shards at once; an unbudgeted one leaves every shard unlimited.
+        """
         tracer = get_tracer()
         budgets = self._budgets([subproblems[i] for i in order], watch)
         remaining = watch.remaining
@@ -392,14 +391,10 @@ class RASAScheduler:
                     selector=self.selector,
                     algorithm_factory=factory,
                     budget=budget,
-                    # Worker hotspot tables ride the span trees, so
-                    # profiling in workers requires span collection.
-                    collect_spans=tracer.enabled or self.config.profile,
-                    profile=self.config.profile,
                 )
             )
-        dispatcher = ParallelDispatcher(workers=workers)
-        with tracer.span("rasa.dispatch", workers=workers, tasks=len(tasks)):
+        dispatcher = ParallelDispatcher(workers=threads)
+        with tracer.span("rasa.dispatch", workers=threads, tasks=len(tasks)):
             return dispatcher.run(tasks)
 
     # ------------------------------------------------------------------
@@ -428,15 +423,31 @@ class RASAScheduler:
         metrics.histogram("rasa.phase.merge.seconds").observe(
             watch.elapsed - merge_start
         )
-        self._extend_trajectory(trajectory, problem, assignment, result, solve_start)
+        # One evaluation serves both points; dividing by the graph total is
+        # the same operation ``gained_affinity(normalized=True)`` performs.
+        gained = assignment.gained_affinity()
+        graph_total = problem.affinity.total_affinity
+        self._extend_trajectory(trajectory, gained, graph_total, result, solve_start)
         _append_point(
-            trajectory, watch.elapsed, assignment.gained_affinity(normalized=True)
+            trajectory, watch.elapsed, gained / graph_total if graph_total else 0.0
         )
         return assignment
 
     def _effective_workers(self) -> int:
-        """The solve phase's worker count: ``workers``, at least 1."""
+        """The budgeted solve phase's thread count: ``workers``, at least 1."""
         return max(1, self.config.workers)
+
+    def _solve_threads(self, watch: Stopwatch) -> int:
+        """Pool threads for the solve phase.
+
+        An unbudgeted shard solve is a pure function of the shard, so a
+        solve without a time limit runs one thread per CPU at no cost to
+        determinism.  A budgeted one keeps ``workers``: 1 solves the shards
+        one at a time with unspent time redistributed.
+        """
+        if watch.time_limit is None:
+            return available_cpus()
+        return self._effective_workers()
 
     def _next_budget(self, pending: list[Subproblem], watch: Stopwatch) -> float:
         """Budget for the first of the still-queued shards.
@@ -455,8 +466,8 @@ class RASAScheduler:
     @staticmethod
     def _extend_trajectory(
         trajectory: list[tuple[float, float]],
-        problem: RASAProblem,
-        assignment: Assignment,
+        merged_unnorm: float,
+        total: float,
         result: SolveResult,
         solve_start: float,
     ) -> None:
@@ -469,12 +480,11 @@ class RASAScheduler:
         affinity it would have produced: the merged value minus the part of
         the final objective the incumbent had not yet reached.  Values are
         clamped to keep the anytime curve monotone (an incumbent is only
-        adopted when it improves the merged placement).
+        adopted when it improves the merged placement).  ``merged_unnorm``
+        is the merged placement's gained affinity, ``total`` the graph's.
         """
-        total = problem.affinity.total_affinity
         if total <= 0 or not result.trajectory:
             return
-        merged_unnorm = assignment.gained_affinity()
         floor = trajectory[-1][1] if trajectory else 0.0
         for elapsed, objective in result.trajectory:
             estimate = (merged_unnorm - max(0.0, result.objective - objective)) / total

@@ -92,6 +92,20 @@ class Assignment:
     # Constructors
     # ------------------------------------------------------------------
     @classmethod
+    def _validated(cls, problem: RASAProblem, x: np.ndarray) -> "Assignment":
+        """Wrap ``x`` without copying or checking it.
+
+        For matrices built from already-validated ones (an ``int64``,
+        non-negative ``(N, M)`` array the caller owns and no longer
+        writes): ``x`` is frozen in place and becomes the assignment's.
+        """
+        x.setflags(write=False)
+        assignment = cls.__new__(cls)
+        assignment.problem = problem
+        assignment.x = x
+        return assignment
+
+    @classmethod
     def empty(cls, problem: RASAProblem) -> "Assignment":
         """All-zero assignment (nothing placed)."""
         return cls(problem, np.zeros((problem.num_services, problem.num_machines), dtype=np.int64))
@@ -256,7 +270,8 @@ class Assignment:
         svc_idx = [problem.service_index(s) for s in service_names]
         mach_idx = [problem.machine_index(m) for m in machine_names]
         x[np.ix_(svc_idx, mach_idx)] = sub.x
-        return Assignment(problem, x)
+        # Both operands are validated assignments, so the overlay is one.
+        return Assignment._validated(problem, x)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Assignment):

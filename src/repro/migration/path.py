@@ -75,11 +75,13 @@ class MigrationPathBuilder:
 
         plan = MigrationPlan(sla_floor=self.sla_floor)
         moved = 0
+        # ``books.x - goal``, refreshed in place: >0 delete here, <0 create here.
+        surplus = np.empty(goal.shape, dtype=np.result_type(books.x, goal))
 
         with tracer.span("migration.build", sla_floor=self.sla_floor) as build_span:
             for batch in range(MAX_ITERATIONS):
-                surplus = books.x - goal  # >0: delete here, <0: create here
-                if not (surplus > 0).any() and not (surplus < 0).any():
+                np.subtract(books.x, goal, out=surplus)
+                if not surplus.any():
                     break
 
                 with tracer.span("migration.batch", index=batch) as batch_span:
@@ -99,7 +101,7 @@ class MigrationPathBuilder:
                             ]
                         )
 
-                    surplus = books.x - goal
+                    np.subtract(books.x, goal, out=surplus)
                     creates = self._select_creates(
                         books, surplus, demands, alive, offline
                     )

@@ -3,16 +3,16 @@
 The :class:`MetricsRegistry` is the pipeline's numeric flight recorder:
 solvers bump counters (MIP nodes explored, CG columns generated), the
 scheduler observes per-phase duration histograms, and the migration and
-CronJob layers set gauges.  A snapshot is a plain JSON-safe dict, carried
-on :class:`~repro.core.rasa.RASAResult` and
-:class:`~repro.cluster.cronjob.CycleReport` and exportable from the CLI
-via ``rasa optimize --metrics-out``; the live telemetry server
-(:mod:`repro.obs.server`) scrapes the same registry as Prometheus text.
+CronJob layers set gauges.  A snapshot is a plain JSON-safe dict,
+exportable from the CLI via ``rasa optimize --metrics-out``; the live
+telemetry server (:mod:`repro.obs.server`) scrapes the same registry as
+Prometheus text.
 
 Unlike tracing (off by default), metrics are always on: every instrument
 is a couple of Python-level operations on the hot path, which is
 negligible next to the LP/MILP solves they count.  Instruments are safe
-to read concurrently with the solve path — the telemetry server's scrape
+to write and read from several threads — the solve phase's pool threads
+record into the one process registry, and the telemetry server's scrape
 thread calls :meth:`MetricsRegistry.snapshot` while solvers are writing —
 so :class:`Counter` and :class:`Histogram` guard their read-modify-write
 updates with a per-instrument lock, and :class:`Gauge` relies on plain
@@ -154,42 +154,6 @@ class Histogram:
             "p99": ordered[min(n - 1, round(0.99 * (n - 1)))],
         }
 
-    # ------------------------------------------------------------------
-    # Cross-process transfer
-    # ------------------------------------------------------------------
-    def dump(self) -> dict[str, Any]:
-        """Lossless-stats payload for :meth:`MetricsRegistry.merge`."""
-        with self._lock:
-            return {
-                "values": list(self.values),
-                "count": self.count,
-                "sum": self.sum,
-                "min": self.min,
-                "max": self.max,
-            }
-
-    def fold(self, payload: dict[str, Any]) -> None:
-        """Fold a :meth:`dump` payload into this one.
-
-        Exact stats accumulate exactly; the incoming samples run through
-        the reservoir, so percentiles stay representative (and remain
-        exact as long as the combined sample count fits the cap).  A dump
-        only ever travels from a pool worker to its parent within one
-        run — metrics are never persisted — so there is one payload shape.
-        """
-        if payload["count"] <= 0:
-            return
-        with self._lock:
-            if self.count == 0:
-                self.min, self.max = payload["min"], payload["max"]
-            else:
-                self.min = min(self.min, payload["min"])
-                self.max = max(self.max, payload["max"])
-            self.count += payload["count"]
-            self.sum += payload["sum"]
-            for value in payload["values"]:
-                self._sample(value)
-
 
 class MetricsRegistry:
     """Thread-safe, name-addressed collection of instruments.
@@ -246,40 +210,6 @@ class MetricsRegistry:
         from repro.durability.atomic import atomic_write_json
 
         atomic_write_json(path, self.snapshot(), indent=1)
-
-    # ------------------------------------------------------------------
-    # Cross-process transfer (parallel subproblem workers)
-    # ------------------------------------------------------------------
-    def dump_raw(self) -> dict[str, Any]:
-        """Lossless dump for merging into another registry.
-
-        Unlike :meth:`snapshot`, histograms keep their raw sample lists
-        (plus exact count/sum/min/max, which survive even when a
-        long-running histogram has degraded to a reservoir) so a receiving
-        registry can fold them in and still compute exact stats.  This is
-        the payload parallel subproblem workers send back to the parent
-        process.
-        """
-        with self._lock:
-            return {
-                "counters": {k: v.value for k, v in self._counters.items()},
-                "gauges": {k: v.value for k, v in self._gauges.items()},
-                "histograms": {k: v.dump() for k, v in self._histograms.items()},
-            }
-
-    def merge(self, raw: dict[str, Any]) -> None:
-        """Fold a :meth:`dump_raw` payload into this registry.
-
-        Counters accumulate, gauges take the incoming value (last writer
-        wins, matching :meth:`Gauge.set` semantics), histograms fold their
-        exact stats and replay their samples through the reservoir.
-        """
-        for name, value in raw.get("counters", {}).items():
-            self.counter(name).inc(value)
-        for name, value in raw.get("gauges", {}).items():
-            self.gauge(name).set(value)
-        for name, payload in raw.get("histograms", {}).items():
-            self.histogram(name).fold(payload)
 
     def reset(self) -> None:
         """Drop every instrument (fresh accounting for a new run)."""

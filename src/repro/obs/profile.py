@@ -6,9 +6,9 @@ not the *why* (2.4 s of it was LP pivoting).  A :class:`SpanProfiler`
 closes that gap: wrapping a span body in :meth:`SpanProfiler.capture`
 runs it under :mod:`cProfile` and attaches a top-N cumulative-time
 hotspot table to the span's tags (key ``"hotspots"``), where it rides the
-existing export paths — the plain-text summary, the Chrome trace ``args``,
-and, for parallel workers, the pickled span trees that
-:meth:`~repro.obs.spans.Tracer.adopt` folds back into the parent.
+existing export paths — the plain-text summary and the Chrome trace
+``args``.  cProfile profiles one thread, so a shard solved on a pool
+thread is profiled there, on its own span.
 
 Strictly opt-in, mirroring the tracer's design: the process-wide default
 is a :class:`NullProfiler` whose ``capture`` is a shared no-op context

@@ -10,8 +10,11 @@ via a context-manager API::
             sp.set_tag("subproblems", 7)
         tracer.event("cron.gate", executed=True)
 
-Spans nest per-thread (each thread keeps its own stack, so concurrent
-solves produce parallel rather than interleaved trees) and export to
+Spans nest along the :mod:`contextvars` context: each thread starts with
+an empty one, so concurrent solves produce parallel rather than
+interleaved trees, and a task run under a context copied from another
+thread (``contextvars.copy_context().run``) nests under the span that was
+open there.  Spans export to
 
 * Chrome trace-event JSON (:meth:`Tracer.to_chrome` /
   :meth:`Tracer.export`) — open the file in ``chrome://tracing`` or
@@ -27,9 +30,10 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Any, Iterator
-from contextlib import contextmanager
 
 from repro.obs.context import current_trace_id
 
@@ -117,17 +121,22 @@ class NullTracer:
         """No spans are ever recorded."""
         return []
 
-    def adopt(self, spans: list[Span], offset: float = 0.0) -> None:
-        """Discard foreign spans (tracing is disabled)."""
+
+#: The innermost open span of the running context and the tracer that
+#: opened it.
+_open_span: ContextVar[tuple["Tracer", Span] | None] = ContextVar(
+    "repro_open_span", default=None
+)
 
 
 class Tracer:
     """Thread-safe hierarchical span recorder.
 
-    Each thread maintains its own stack of open spans; closed top-level
-    spans are collected into a shared root list.  Timestamps come from
-    ``time.perf_counter()`` relative to the tracer's construction, which
-    is what the Chrome trace-event export expects.
+    A span's parent is the span this tracer has open in the running
+    :mod:`contextvars` context; closed top-level spans are collected into
+    a shared root list.  Timestamps come from ``time.perf_counter()``
+    relative to the tracer's construction, which is what the Chrome
+    trace-event export expects.
     """
 
     enabled = True
@@ -135,19 +144,18 @@ class Tracer:
     def __init__(self) -> None:
         self._epoch = time.perf_counter()
         self._lock = threading.Lock()
-        self._local = threading.local()
         self._roots: list[Span] = []
 
     # ------------------------------------------------------------------
     def _now(self) -> float:
         return time.perf_counter() - self._epoch
 
-    def _stack(self) -> list[Span]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = []
-            self._local.stack = stack
-        return stack
+    def _current(self) -> Span | None:
+        """This tracer's innermost open span in the running context."""
+        current = _open_span.get()
+        if current is None or current[0] is not self:
+            return None
+        return current[1]
 
     @contextmanager
     def span(self, name: str, **tags: Any) -> Iterator[Span]:
@@ -167,8 +175,8 @@ class Tracer:
             tags=span_tags,
             thread_id=threading.get_ident(),
         )
-        stack = self._stack()
-        stack.append(span)
+        parent = self._current()
+        token = _open_span.set((self, span))
         try:
             yield span
         except BaseException as exc:
@@ -179,19 +187,21 @@ class Tracer:
             raise
         finally:
             span.end = self._now()
-            stack.pop()
-            if stack:
-                stack[-1].children.append(span)
-            else:
-                with self._lock:
+            _open_span.reset(token)
+            with self._lock:
+                # A parent already closed (another thread's span that did
+                # not wait for this one) leaves the span a root.
+                if parent is not None and parent.end is None:
+                    parent.children.append(span)
+                else:
                     self._roots.append(span)
 
     def event(self, name: str, **tags: Any) -> None:
         """Record an instant event on the current span (or as a root)."""
         now = self._now()
-        stack = self._stack()
-        if stack:
-            stack[-1].events.append((now, name, dict(tags)))
+        current = self._current()
+        if current is not None:
+            current.events.append((now, name, dict(tags)))
             return
         marker_tags = dict(tags)
         trace_id = current_trace_id()
@@ -212,24 +222,6 @@ class Tracer:
         """Snapshot of the closed top-level spans recorded so far."""
         with self._lock:
             return list(self._roots)
-
-    def adopt(self, spans: list[Span], offset: float = 0.0) -> None:
-        """File spans recorded by another tracer (e.g. a worker process).
-
-        Each span tree is re-timed into this tracer's timebase by adding
-        ``offset`` (the foreign tracer's epoch expressed in this tracer's
-        seconds) and attached as a child of the currently open span, or as
-        a new root when no span is open.  Parallel subproblem workers use
-        this to stitch their solve spans back under ``rasa.schedule`` so
-        ``--trace-out`` stays complete under parallelism.
-        """
-        shifted = [_shift_span(span, offset) for span in spans]
-        stack = self._stack()
-        if stack:
-            stack[-1].children.extend(shifted)
-            return
-        with self._lock:
-            self._roots.extend(shifted)
 
     # ------------------------------------------------------------------
     # Export
@@ -332,20 +324,6 @@ class Tracer:
         for root in self.finished_roots():
             render(root, 0)
         return "\n".join(lines)
-
-
-def _shift_span(span: Span, offset: float) -> Span:
-    """Deep-copy a span tree with all timestamps shifted by ``offset``."""
-    return Span(
-        name=span.name,
-        start=span.start + offset,
-        end=None if span.end is None else span.end + offset,
-        tags=dict(span.tags),
-        children=[_shift_span(child, offset) for child in span.children],
-        events=[(ts + offset, name, dict(tags)) for ts, name, tags in span.events],
-        thread_id=span.thread_id,
-        instant=span.instant,
-    )
 
 
 def _jsonable(tags: dict[str, Any]) -> dict[str, Any]:

@@ -68,8 +68,7 @@ class Stopwatch:
         """``time.monotonic()`` timestamp of construction.
 
         Lets callers translate monotonic timestamps taken elsewhere (e.g.
-        in a worker process — the clock is system-wide on Linux) into this
-        stopwatch's elapsed-seconds timebase.
+        on a pool thread) into this stopwatch's elapsed-seconds timebase.
         """
         return self._start
 

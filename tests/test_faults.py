@@ -270,10 +270,12 @@ def test_same_seed_same_plan_identical_reports(small_cluster):
 
 
 @pytest.mark.slow
-def test_determinism_holds_under_workers(small_cluster):
-    """Fault draws are parent-process sequential; the parallel solve phase
-    merges deterministically, so workers > 1 changes nothing."""
+def test_determinism_holds_under_workers(small_cluster, monkeypatch):
+    """Fault draws are drawn on the loop's thread; the threaded solve phase
+    merges deterministically, so solving shards at once changes nothing."""
+    monkeypatch.setattr("repro.core.rasa.available_cpus", lambda: 1)
     _, serial = _run_loop(small_cluster, CHAOS_PLAN, cycles=2)
+    monkeypatch.setattr("repro.core.rasa.available_cpus", lambda: 2)
     _, parallel = _run_loop(
         small_cluster,
         CHAOS_PLAN,

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import contextvars
 import json
 import logging
+import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -98,6 +101,54 @@ def test_tracer_is_thread_safe():
     roots = tracer.finished_roots()
     assert len(roots) == 8
     assert all(len(r.children) == 1 for r in roots)
+
+
+def test_span_in_a_copied_context_nests_under_the_submitting_span():
+    """Pool threads running under ``copy_context()`` nest their spans and
+    events under the span open where each task was submitted — with more
+    threads than CPUs and a short switch interval, none is lost."""
+    tracer = Tracer()
+    tasks = 200
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            with tracer.span("rasa.dispatch") as dispatch:
+                futures = []
+                for i in range(tasks):
+                    context = contextvars.copy_context()
+                    futures.append(pool.submit(context.run, _open_leaf, tracer, i))
+                for future in futures:
+                    future.result(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    [root] = tracer.finished_roots()
+    assert root is dispatch
+    assert sorted(child.name for child in root.children) == sorted(
+        f"task-{i}" for i in range(tasks)
+    )
+    for child in root.children:
+        assert [leaf.name for leaf in child.children] == ["leaf"]
+        assert [name for _, name, _ in child.events] == ["marker"]
+        assert child.thread_id != root.thread_id
+
+
+def test_span_in_a_fresh_thread_is_a_root():
+    """Without a copied context a thread's spans start their own tree."""
+    tracer = Tracer()
+    with tracer.span("outer") as outer:
+        thread = threading.Thread(target=_open_leaf, args=(tracer, 0))
+        thread.start()
+        thread.join()
+    assert outer.children == []
+    assert sorted(r.name for r in tracer.finished_roots()) == ["outer", "task-0"]
+
+
+def _open_leaf(tracer, i):
+    with tracer.span(f"task-{i}"):
+        with tracer.span("leaf"):
+            pass
+        tracer.event("marker")
 
 
 def test_null_tracer_interface():
@@ -260,27 +311,6 @@ def test_histogram_rejects_non_positive_cap():
 
     with pytest.raises(ValueError, match="sample_cap"):
         Histogram(sample_cap=0)
-
-
-def test_registry_merge_folds_worker_dump():
-    source = MetricsRegistry()
-    source.counter("c").inc(3)
-    source.gauge("g").set(7.0)
-    for v in (1.0, 2.0, 3.0):
-        source.histogram("h").observe(v)
-
-    target = MetricsRegistry()
-    target.counter("c").inc(1)
-    target.histogram("h").observe(10.0)
-    target.merge(source.dump_raw())
-
-    snap = target.snapshot()
-    assert snap["counters"]["c"] == 4.0
-    assert snap["gauges"]["g"] == 7.0
-    assert snap["histograms"]["h"]["count"] == 4
-    assert snap["histograms"]["h"]["sum"] == pytest.approx(16.0)
-    assert snap["histograms"]["h"]["min"] == 1.0
-    assert snap["histograms"]["h"]["max"] == 10.0
 
 
 def test_registry_reset_and_export(tmp_path):

@@ -2,25 +2,26 @@
 
 The engine's contract (see :mod:`repro.core.parallel`) is threefold:
 
-* **Determinism** — for a fixed seed and no overall time limit, parallel
-  runs are bit-identical to sequential runs: same assignment matrix, same
-  objective, same trajectory *values*, same merge order.
-* **Resilience** — a crashed, raising, or hung worker falls back to an
-  in-process sequential retry, and one bad shard never loses the results
-  the other workers already produced.
-* **Completeness** — worker spans, metric samples, and incumbent
-  trajectories are folded back into the parent tracer/registry so
-  observability exports look the same in both modes.
+* **Determinism** — for a fixed seed and no overall time limit, threaded
+  runs are bit-identical to one-at-a-time runs: same assignment matrix,
+  same objective, same trajectory *values*, same merge order.
+* **Resilience** — a raising or hung pool thread falls back to an
+  in-process retry, and one bad shard never loses the results the other
+  threads already produced.
+* **Completeness** — pool threads record spans, metric samples and
+  incumbent trajectories into the process tracer/registry, nested under
+  ``rasa.dispatch`` and stamped with the request's trace id.
 
-Worker-poisoning uses a pid-gated selector: it only misbehaves when
-running outside the parent process, so the in-process retry succeeds.
+The CPU helper the solve phase sizes its pool with is patched, so the
+reference runs one shard at a time and the pooled runs use the same
+thread count on every machine.  Thread poisoning uses a selector that
+only misbehaves off the main thread, so the in-process retry succeeds.
 """
 
 from __future__ import annotations
 
 import functools
-import os
-import time
+import threading
 
 import numpy as np
 import pytest
@@ -32,14 +33,26 @@ from repro.core.parallel import (
     SubproblemTask,
     TaskFailure,
     TaskOutcome,
+    available_cpus,
     run_task,
 )
-from repro.obs import MetricsRegistry, Tracer, use_metrics, use_tracer
+from repro.obs import (
+    MetricsRegistry,
+    TraceContext,
+    Tracer,
+    use_context,
+    use_metrics,
+    use_tracer,
+)
 from repro.selection.selector import FixedSelector, HeuristicSelector
 from repro.solvers.base import SolveResult
+from repro.workloads.generator import ClusterSpec, generate_cluster
 
 #: Shard size that splits the 40-service ``small_cluster`` into 3 shards.
 SHARD_SERVICES = 12
+
+#: The solve phase's CPU helper, as the scheduler looks it up.
+CPU_HELPER = "repro.core.rasa.available_cpus"
 
 
 def _config(**overrides) -> RASAConfig:
@@ -54,40 +67,52 @@ def _run(problem, config, selector=None, time_limit=None):
     return result, metrics
 
 
+def _one_at_a_time(problem, config, **kwargs):
+    """The reference: the pipeline with a one-CPU pool, i.e. no pool."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(CPU_HELPER, lambda: 1)
+        return _run(problem, config, **kwargs)
+
+
 @pytest.fixture(scope="module")
 def seq(small_cluster):
-    """Sequential reference run (no time limit → budget-deterministic)."""
-    result, _ = _run(small_cluster.problem, _config(workers=1))
+    """One-at-a-time reference run (no time limit → budget-deterministic)."""
+    result, _ = _one_at_a_time(small_cluster.problem, _config())
     return result
 
 
-class WorkerPoisonedSelector(HeuristicSelector):
-    """Selector that misbehaves only inside pool worker processes.
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Unbudgeted solves run a two-thread pool, whatever the machine has."""
+    monkeypatch.setattr(CPU_HELPER, lambda: 2)
 
-    ``mode`` is ``"crash"`` (kill the worker process), ``"raise"`` (raise
-    from the select step), or ``"hang"`` (sleep past the task deadline).
-    With ``target_service`` set, only the shard containing that service is
-    poisoned; otherwise every shard is.  The parent-process retry path
-    sees a well-behaved :class:`HeuristicSelector`.
+
+class WorkerPoisonedSelector(HeuristicSelector):
+    """Selector that misbehaves only on pool threads.
+
+    ``mode`` is ``"raise"`` (raise from the select step) or ``"hang"``
+    (block past the task deadline, then raise).  With ``target_service``
+    set, only the shard containing that service is poisoned; otherwise
+    every shard is.  The in-process retry, on the main thread, sees a
+    well-behaved :class:`HeuristicSelector`.  Setting ``released`` ends a
+    hang early, so an abandoned thread does not outlive its test.
     """
 
     def __init__(self, mode, target_service=None, hang_seconds=6.0):
         self.mode = mode
         self.target_service = target_service
         self.hang_seconds = hang_seconds
-        self.parent_pid = os.getpid()
+        self.released = threading.Event()
 
     def select(self, subproblem):
         poisoned = (
             self.target_service is None
             or self.target_service in subproblem.service_names
         )
-        if poisoned and os.getpid() != self.parent_pid:
-            if self.mode == "crash":
-                os._exit(17)
-            if self.mode == "raise":
-                raise RuntimeError("poisoned shard")
-            time.sleep(self.hang_seconds)
+        if poisoned and threading.current_thread() is not threading.main_thread():
+            if self.mode == "hang":
+                self.released.wait(self.hang_seconds)
+            raise RuntimeError("poisoned shard")
         return super().select(subproblem)
 
 
@@ -122,7 +147,7 @@ class RecordingFactory:
 
 
 # ----------------------------------------------------------------------
-# Determinism: parallel ≡ sequential
+# Determinism: threaded ≡ one at a time
 # ----------------------------------------------------------------------
 def _assert_identical(sequential, parallel):
     """Bit-identical assignments and value-identical trajectories.
@@ -130,7 +155,7 @@ def _assert_identical(sequential, parallel):
     Trajectory *timestamps* legitimately differ between runs (wall-clock),
     so the anytime-curve comparison is on the value sequence.
     """
-    assert np.array_equal(sequential.assignment.x, parallel.assignment.x)
+    assert sequential.assignment.x.tobytes() == parallel.assignment.x.tobytes()
     assert parallel.gained_affinity == sequential.gained_affinity
     assert [v for _, v in parallel.trajectory] == [
         v for _, v in sequential.trajectory
@@ -143,27 +168,49 @@ def _assert_identical(sequential, parallel):
     ]
 
 
-def test_two_workers_match_sequential(small_cluster, seq):
-    parallel, _ = _run(small_cluster.problem, _config(workers=2))
+def test_two_workers_match_sequential(small_cluster, seq, two_cpus):
+    parallel, metrics = _run(small_cluster.problem, _config())
     assert len(parallel.partition.subproblems) > 1  # parallel path exercised
     _assert_identical(seq, parallel)
+    assert "rasa.parallel.task_failures" not in metrics.snapshot()["counters"]
 
 
 @pytest.mark.slow
-def test_four_workers_match_sequential(small_cluster, seq):
-    parallel, _ = _run(small_cluster.problem, _config(workers=4))
+def test_four_workers_match_sequential(small_cluster, seq, monkeypatch):
+    monkeypatch.setattr(CPU_HELPER, lambda: 4)
+    parallel, _ = _run(small_cluster.problem, _config())
     _assert_identical(seq, parallel)
 
 
-def test_merge_order_is_affinity_descending(small_cluster, seq):
-    parallel, _ = _run(small_cluster.problem, _config(workers=2))
+def test_threaded_solves_are_bit_identical_over_repeats(monkeypatch):
+    """Nine shards, MIP and CG among them, solved five times on four
+    threads: every run matches the one-at-a-time solve to the byte."""
+    problem = generate_cluster(ClusterSpec(
+        name="test-shards", num_services=160, num_containers=480,
+        num_machines=16, seed=3,
+    )).problem
+    config = RASAConfig(max_subproblem_services=6)
+    reference, _ = _one_at_a_time(problem, config)
+    assert len(reference.partition.subproblems) >= 8
+    assert {r.selected_algorithm for r in reference.reports} == {"mip", "cg"}
+    monkeypatch.setattr(CPU_HELPER, lambda: 4)
+    for _ in range(5):
+        threaded, _ = _run(problem, config)
+        _assert_identical(reference, threaded)
+        assert [r.result.objective for r in threaded.reports] == [
+            r.result.objective for r in reference.reports
+        ]
+
+
+def test_merge_order_is_affinity_descending(small_cluster, seq, two_cpus):
+    parallel, _ = _run(small_cluster.problem, _config())
     for result in (seq, parallel):
         affinities = [r.subproblem.total_affinity for r in result.reports]
         assert affinities == sorted(affinities, reverse=True)
 
 
-def test_trajectory_timestamps_are_monotone(small_cluster, seq):
-    parallel, _ = _run(small_cluster.problem, _config(workers=2))
+def test_trajectory_timestamps_are_monotone(small_cluster, seq, two_cpus):
+    parallel, _ = _run(small_cluster.problem, _config())
     for result in (seq, parallel):
         times = [t for t, _ in result.trajectory]
         assert times == sorted(times), "trajectory timestamps went backwards"
@@ -171,27 +218,13 @@ def test_trajectory_timestamps_are_monotone(small_cluster, seq):
 
 
 # ----------------------------------------------------------------------
-# Resilience: crash / error / timeout fallback
+# Resilience: error / timeout fallback
 # ----------------------------------------------------------------------
-def test_crashed_workers_fall_back_to_sequential(small_cluster, seq):
-    """A dying worker breaks the pool; every shard retries in-process."""
-    selector = WorkerPoisonedSelector("crash")
-    result, metrics = _run(
-        small_cluster.problem, _config(workers=2), selector=selector
-    )
-    _assert_identical(seq, result)
-    counters = metrics.snapshot()["counters"]
-    assert counters["rasa.parallel.retries"] == len(result.partition.subproblems)
-    assert counters["rasa.parallel.task_failures"] >= 1
-
-
-def test_one_bad_shard_keeps_other_workers_results(small_cluster, seq):
+def test_one_bad_shard_keeps_other_workers_results(small_cluster, seq, two_cpus):
     """Only the poisoned shard retries; the rest come from the pool."""
     target = seq.reports[1].subproblem.service_names[0]
     selector = WorkerPoisonedSelector("raise", target_service=target)
-    result, metrics = _run(
-        small_cluster.problem, _config(workers=2), selector=selector
-    )
+    result, metrics = _run(small_cluster.problem, _config(), selector=selector)
     _assert_identical(seq, result)
     counters = metrics.snapshot()["counters"]
     assert counters["rasa.parallel.retries"] == 1
@@ -200,7 +233,8 @@ def test_one_bad_shard_keeps_other_workers_results(small_cluster, seq):
 
 @pytest.mark.slow
 def test_hung_worker_times_out_and_retries(small_cluster, seq, monkeypatch):
-    """A wedged worker trips the per-task deadline; no shard is lost."""
+    """A wedged thread trips the per-task deadline and is abandoned; no
+    shard is lost."""
     target = seq.reports[-1].subproblem.service_names[0]
     selector = WorkerPoisonedSelector("hang", target_service=target, hang_seconds=8.0)
     monkeypatch.setattr(
@@ -208,9 +242,12 @@ def test_hung_worker_times_out_and_retries(small_cluster, seq, monkeypatch):
         functools.partial(ParallelDispatcher, timeout_factor=1.0, timeout_margin=1.0),
     )
     config = _config(workers=2)
-    result, metrics = _run(
-        small_cluster.problem, config, selector=selector, time_limit=9.0
-    )
+    try:
+        result, metrics = _run(
+            small_cluster.problem, config, selector=selector, time_limit=9.0
+        )
+    finally:
+        selector.released.set()
     # Budget-limited, so no bit-identity claim — but every shard must be
     # present and the merged placement fully feasible.
     assert len(result.reports) == len(result.partition.subproblems)
@@ -260,26 +297,43 @@ def test_parallel_retry_budgets_redistribute(small_cluster, monkeypatch):
 # ----------------------------------------------------------------------
 # Observability completeness under parallelism
 # ----------------------------------------------------------------------
-def test_worker_spans_and_metrics_fold_into_parent(small_cluster):
+def test_worker_spans_and_metrics_fold_into_parent(small_cluster, two_cpus):
+    """An unbudgeted solve pools its shards whatever ``workers`` says; the
+    threads' spans nest under ``rasa.dispatch`` and their samples land
+    in the process registry."""
     with use_metrics(MetricsRegistry()) as metrics, use_tracer(Tracer()) as tracer:
-        result = RASAScheduler(config=_config(workers=2)).schedule(
-            small_cluster.problem
-        )
+        result = RASAScheduler(config=_config()).schedule(small_cluster.problem)
     shards = len(result.partition.subproblems)
-    root = tracer.finished_roots()[0]
+    [root] = tracer.finished_roots()
     assert root.name == "rasa.schedule"
     names = [child.name for child in root.children]
-    assert "rasa.dispatch" in names
-    assert names.count("rasa.select") == shards  # adopted from workers
-    assert names.count("rasa.solve") == shards
     assert names.count("rasa.merge") == shards
-    for child in root.children:
-        assert child.start >= root.start - 0.05
-        assert (child.end or child.start) <= root.end + 0.05
+    [dispatch] = [child for child in root.children if child.name == "rasa.dispatch"]
+    assert dispatch.tags["workers"] == 2
+    inner = [child.name for child in dispatch.children]
+    assert sorted(inner) == ["rasa.select"] * shards + ["rasa.solve"] * shards
+    assert {child.thread_id for child in dispatch.children} != {dispatch.thread_id}
+    for child in dispatch.children:
+        assert dispatch.start <= child.start <= (child.end or child.start) <= dispatch.end
     histograms = metrics.snapshot()["histograms"]
     assert histograms["rasa.phase.select.seconds"]["count"] == shards
     assert histograms["rasa.phase.solve.seconds"]["count"] == shards
     assert histograms["rasa.phase.merge.seconds"]["count"] == shards
+
+
+def test_pool_thread_spans_keep_the_request_trace_id(small_cluster, two_cpus):
+    """A cycle triggered by a traced request keeps its trace id on the
+    spans its pool threads open."""
+    context = TraceContext(trace_id="cafe0001".zfill(32), span_id="1" * 16)
+    with use_metrics(MetricsRegistry()), use_tracer(Tracer()) as tracer:
+        with use_context(context):
+            RASAScheduler(config=_config()).schedule(small_cluster.problem)
+    [root] = tracer.finished_roots()
+    [dispatch] = [child for child in root.children if child.name == "rasa.dispatch"]
+    assert dispatch.children
+    for span in dispatch.children:
+        assert span.name in ("rasa.select", "rasa.solve")
+        assert span.tags["trace_id"] == context.trace_id
 
 
 # ----------------------------------------------------------------------
@@ -297,7 +351,8 @@ def test_dispatcher_rejects_bad_worker_count():
 
 
 def test_run_task_roundtrip(shards):
-    """Worker entry point returns a self-contained, rebuildable outcome."""
+    """The thread entry point solves against the shard itself and records
+    into the process tracer and registry."""
     subproblem = shards[0]
     task = SubproblemTask(
         index=0,
@@ -305,20 +360,20 @@ def test_run_task_roundtrip(shards):
         selector=HeuristicSelector(),
         algorithm_factory=DefaultAlgorithmFactory(),
         budget=None,
-        collect_spans=True,
     )
-    outcome = run_task(task)
+    with use_metrics(MetricsRegistry()) as metrics, use_tracer(Tracer()) as tracer:
+        outcome = run_task(task)
     assert isinstance(outcome, TaskOutcome)
-    assert {span.name for span in outcome.spans} == {"rasa.select", "rasa.solve"}
-    assert outcome.metrics["counters"]["rasa.subproblems.solved"] == 1
-    result = outcome.to_solve_result(subproblem.problem)
-    assert result.assignment.problem is subproblem.problem
-    assert result.objective == outcome.objective
-    assert result.status == outcome.status
+    assert [span.name for span in tracer.finished_roots()] == [
+        "rasa.select", "rasa.solve"
+    ]
+    assert metrics.snapshot()["counters"]["rasa.subproblems.solved"] == 1
+    assert outcome.result.assignment.problem is subproblem.problem
+    assert outcome.label in ("mip", "cg")
 
 
 def test_run_task_carries_the_mip_bound(shards):
-    """A worker's MIP solve returns its dual bound to the parent."""
+    """A pooled MIP solve returns its dual bound with the result."""
     subproblem = shards[0]
     task = SubproblemTask(
         index=0,
@@ -327,37 +382,39 @@ def test_run_task_carries_the_mip_bound(shards):
         algorithm_factory=DefaultAlgorithmFactory(),
         budget=None,
     )
-    outcome = run_task(task)
-    result = outcome.to_solve_result(subproblem.problem)
-    assert result.bound == outcome.bound
+    result = run_task(task).result
     assert result.bound >= result.objective
 
 
-def test_dispatcher_maps_crash_to_failure(shards):
+def test_dispatcher_maps_raise_to_error(shards):
     task = SubproblemTask(
         index=5,
         subproblem=shards[-1],
-        selector=WorkerPoisonedSelector("crash"),
+        selector=WorkerPoisonedSelector("raise"),
         algorithm_factory=DefaultAlgorithmFactory(),
     )
-    with use_metrics(MetricsRegistry()):
+    with use_metrics(MetricsRegistry()) as metrics:
         results = ParallelDispatcher(workers=1).run([task])
     failure = results[5]
     assert isinstance(failure, TaskFailure)
-    assert failure.kind == "crash"
+    assert failure.kind == "error"
+    assert "poisoned shard" in failure.error
+    assert metrics.snapshot()["counters"]["rasa.parallel.task_failures"] == 1
 
 
 def test_dispatcher_maps_hang_to_timeout(shards):
+    selector = WorkerPoisonedSelector("hang", hang_seconds=4.0)
     task = SubproblemTask(
         index=3,
         subproblem=shards[-1],
-        selector=WorkerPoisonedSelector("hang", hang_seconds=4.0),
+        selector=selector,
         algorithm_factory=DefaultAlgorithmFactory(),
         budget=0.1,  # finite budget arms the deadline
     )
     dispatcher = ParallelDispatcher(workers=1, timeout_factor=1.0, timeout_margin=0.5)
     with use_metrics(MetricsRegistry()):
         results = dispatcher.run([task])
+    selector.released.set()
     failure = results[3]
     assert isinstance(failure, TaskFailure)
     assert failure.kind == "timeout"
@@ -382,7 +439,7 @@ def test_cli_parallel_flags():
     assert _scheduler_config(args).workers == 3
     # ``--parallel`` alone is one worker per CPU, resolved at parse time.
     args = build_parser().parse_args(["optimize", "trace.json", "--parallel"])
-    assert _scheduler_config(args).workers == (os.cpu_count() or 1)
+    assert _scheduler_config(args).workers == available_cpus()
     args = build_parser().parse_args(["optimize", "trace.json"])
     assert _scheduler_config(args).workers == 1
 

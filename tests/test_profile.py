@@ -142,13 +142,15 @@ def test_schedule_with_profile_tags_solver_and_partition_spans(small_cluster):
 
 @pytest.mark.slow
 def test_profile_hotspots_fold_back_from_workers(small_cluster):
-    config = RASAConfig(profile=True, workers=2)
+    """A shard solved on a pool thread is profiled on that thread."""
+    config = RASAConfig(profile=True, workers=2, max_subproblem_services=12)
     with use_metrics(MetricsRegistry()), use_tracer(Tracer()) as tracer:
         RASAScheduler(config=config).schedule(small_cluster.problem,
                                               time_limit=6)
     root = tracer.finished_roots()[0]
     solves = [s for s in _profiled_spans(root) if s.name == "rasa.solve"]
-    assert solves, "worker solve spans must carry hotspot tables"
+    assert solves, "pool-thread solve spans must carry hotspot tables"
+    assert all(s.thread_id != root.thread_id for s in solves)
 
 
 def test_schedule_without_profile_leaves_spans_untagged(small_cluster):
@@ -157,10 +159,14 @@ def test_schedule_without_profile_leaves_spans_untagged(small_cluster):
     assert _profiled_spans(tracer.finished_roots()[0]) == []
 
 
-def test_profile_off_and_on_produce_identical_assignments(small_cluster):
+def test_profile_off_and_on_produce_identical_assignments(small_cluster, monkeypatch):
+    """Profiled threaded shards place exactly as unprofiled ones solved one
+    at a time."""
     problem = small_cluster.problem
+    monkeypatch.setattr("repro.core.rasa.available_cpus", lambda: 1)
     with use_metrics(MetricsRegistry()):
         baseline = RASAScheduler().schedule(problem, time_limit=None)
+    monkeypatch.setattr("repro.core.rasa.available_cpus", lambda: 2)
     with use_metrics(MetricsRegistry()):
         profiled = RASAScheduler(config=RASAConfig(profile=True)).schedule(
             problem, time_limit=None)

@@ -541,11 +541,15 @@ def test_zero_rate_fault_plan_does_not_perturb_replay(small_trace):
 
 
 @pytest.mark.slow
-def test_replay_deterministic_across_worker_counts(small_trace):
+def test_replay_deterministic_across_worker_counts(small_trace, monkeypatch):
+    """Unbudgeted cycles solved one shard at a time and on four threads
+    replay to the same reports."""
+    monkeypatch.setattr("repro.core.rasa.available_cpus", lambda: 1)
     serial = api.replay_trace(
         small_trace, cycles=4, time_limit=None, seed=5,
         config=RASAConfig(max_subproblem_services=4, workers=1),
     )
+    monkeypatch.setattr("repro.core.rasa.available_cpus", lambda: 4)
     parallel = api.replay_trace(
         small_trace, cycles=4, time_limit=None, seed=5,
         config=RASAConfig(max_subproblem_services=4, workers=4),
