@@ -828,7 +828,7 @@ def cmd_alerts(args: argparse.Namespace) -> int:
 def _render_top(tenants: list[dict], alerts: list[dict], out) -> None:
     """One ``rasa top`` frame: a tenant table plus the firing alerts."""
     out(f"{'tenant':16s} {'mode':8s} {'cycles':>6s} {'gained':>8s} "
-        f"{'sched':>7s} {'health':8s} {'alerts':>6s}")
+        f"{'gate':7s} {'sched':>7s} {'health':8s} {'alerts':>6s}")
     for tenant in tenants:
         gained = tenant.get("gained_affinity")
         schedule = tenant.get("schedule_seconds")
@@ -837,6 +837,7 @@ def _render_top(tenants: list[dict], alerts: list[dict], out) -> None:
             f"{tenant['name']:16s} {tenant.get('mode', '-'):8s} "
             f"{tenant.get('cycles_completed', 0):>6d} "
             f"{'-' if gained is None else format(gained, '8.3f'):>8s} "
+            f"{tenant.get('last_gate') or '-':7s} "
             f"{'-' if schedule is None else format(schedule, '.1f'):>7s} "
             f"{health.get('status', '-'):8s} "
             f"{tenant.get('alerts_active', 0):>6d}"

@@ -5,8 +5,9 @@ Orchestrates the full optimization loop every cycle:
 1. trigger the data collector → cluster snapshot,
 2. run the RASA algorithm on the snapshot,
 3. *dry-run gate*: skip execution unless gained affinity improves by more
-   than 3 % (churn control) — decided without step 2 when the bound on
-   gained affinity or an unchanged snapshot already settles it,
+   than 3 % (churn control) — without step 2 when the bound on gained
+   affinity settles it, or when the snapshot matches the controller's memo
+   of its last unbudgeted solve in everything that solve read,
 4. compute the migration path and reallocate containers,
 5. *rollback guard*: if the reallocation skewed machine utilization past a
    threshold, restore the previous placement, re-place via the default
@@ -25,6 +26,7 @@ recorded on the :class:`CycleReport` and in spans/metrics.
 
 from __future__ import annotations
 
+import hashlib
 import time
 from dataclasses import dataclass, field, fields
 from typing import get_origin, get_type_hints
@@ -43,7 +45,7 @@ from repro.core.config import (
     RetryPolicy,
 )
 from repro.core.problem import RASAProblem, problem_digest
-from repro.core.rasa import RASAResult, RASAScheduler
+from repro.core.rasa import RASAScheduler
 from repro.core.solution import Assignment
 from repro.exceptions import ClusterStateError
 from repro.faults import FaultInjector, attempt_with_retry, coerce_injector
@@ -99,11 +101,15 @@ class CycleReport:
         duration_seconds: Measured wall time of the cycle (0.0 when
             unknown: a cycle restored from a checkpoint); the SLO engine's
             cycle-latency objective reads it.
+        gate: Where the cycle's decision came from — ``"bound"``,
+            ``"memo"`` or ``"solved"`` (see ``CronJobController._gate``);
+            None when unknown: a cycle restored from a checkpoint.
 
-    ``trace_id`` and ``duration_seconds`` are process-local: excluded from
-    :meth:`to_dict` (``wire=False``) and from equality, so serialized
-    report sequences stay bit-identical and machine-independent whether
-    or not tracing is enabled.  A report carries no snapshot of the
+    ``trace_id``, ``duration_seconds`` and ``gate`` are process-local:
+    excluded from :meth:`to_dict` (``wire=False``) and from equality, so
+    serialized report sequences stay bit-identical and machine-independent
+    whether or not tracing is enabled and whatever decided the cycle (a
+    resumed loop has no memo).  A report carries no snapshot of the
     process metrics registry — the registry is process-wide (a service's
     tenants share it) and is scraped from ``/metrics``, not journaled.
     """
@@ -129,6 +135,9 @@ class CycleReport:
     )
     duration_seconds: float = field(
         default=0.0, compare=False, metadata={"wire": False}
+    )
+    gate: str | None = field(
+        default=None, compare=False, metadata={"wire": False}
     )
 
     # ------------------------------------------------------------------
@@ -184,6 +193,67 @@ class _ApplyOutcome:
     min_alive: float = 1.0
     boundaries_safe: bool = True
     failed_machines: list[str] = field(default_factory=list)
+
+
+def _memo_key(blind: bytes, problem: RASAProblem, trivial: np.ndarray) -> bytes:
+    """SHA-256 of ``problem_digest(problem)`` (``blind``) plus the current
+    rows of the ``trivial`` services, fed row by row: no copy of a matrix
+    that can hold most of a large cluster."""
+    sha = hashlib.sha256(blind)
+    current = np.ascontiguousarray(problem.current_assignment)
+    for s in trivial:
+        sha.update(current[s])
+    return sha.digest()
+
+
+@dataclass(frozen=True)
+class _Memo:
+    """What the gate keeps of the last unbudgeted solve (see ``_gate``).
+
+    Attributes:
+        key: :func:`_memo_key` of the solved problem.
+        trivial: Indices of the services the solve's partition left
+            trivial — the only rows of ``current_assignment`` it read.
+        gained_affinity: The solve's normalized gained affinity.
+        cells: The solve's placement as ``(service, machine, count)`` rows,
+            one per nonzero cell.
+    """
+
+    key: bytes
+    trivial: np.ndarray
+    gained_affinity: float
+    cells: np.ndarray
+
+    @classmethod
+    def of(
+        cls,
+        blind: bytes,
+        problem: RASAProblem,
+        trivial_services: list[str],
+        gained_affinity: float,
+        assignment: Assignment,
+    ) -> "_Memo":
+        trivial = np.array(
+            [problem.service_index(s) for s in trivial_services], dtype=np.int64
+        )
+        x = assignment.x
+        rows, cols = np.nonzero(x)
+        return cls(
+            key=_memo_key(blind, problem, trivial),
+            trivial=trivial,
+            gained_affinity=gained_affinity,
+            cells=np.stack([rows, cols, x[rows, cols]], axis=1),
+        )
+
+    def matches(self, blind: bytes, problem: RASAProblem) -> bool:
+        return _memo_key(blind, problem, self.trivial) == self.key
+
+    def assignment(self, problem: RASAProblem) -> Assignment:
+        """The kept placement, rebound to ``problem``."""
+        x = np.zeros((problem.num_services, problem.num_machines), dtype=np.int64)
+        rows, cols, counts = self.cells.T
+        x[rows, cols] = counts
+        return Assignment(problem, x)
 
 
 @dataclass
@@ -249,7 +319,7 @@ class CronJobController:
     default_scheduler: DefaultScheduler = field(
         default_factory=DefaultScheduler, init=False, repr=False
     )
-    _dry_run_digest: bytes | None = field(default=None, init=False, repr=False)
+    _memo: _Memo | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.rasa = RASAScheduler(config=self.spec.typed("config"))
@@ -319,7 +389,7 @@ class CronJobController:
         before_placement = self.state.placement
         while True:
             attempts += 1
-            report, outcome = self._attempt_cycle(cycle, tracer, logger)
+            decision, report, outcome = self._attempt_cycle(cycle, tracer, logger)
             totals.skipped += outcome.skipped
             totals.failed += outcome.failed
             totals.retries += outcome.retries
@@ -354,6 +424,7 @@ class CronJobController:
             report.action = "retried"
             metrics.counter("cron.degradation.resolved_by_retry").inc()
 
+        report.gate = decision
         report.rungs = rungs
         report.cycle_attempts = attempts
         report.machine_failures = machine_failures
@@ -369,22 +440,22 @@ class CronJobController:
 
     def _attempt_cycle(
         self, cycle: int, tracer, logger
-    ) -> tuple[CycleReport | None, _ApplyOutcome]:
+    ) -> tuple[str, CycleReport | None, _ApplyOutcome]:
         """One attempt of the cycle body: collect → decide → migrate.
 
-        The decision (:meth:`_gate`) runs the RASA solve only when no
-        solver-free rule already settles the cycle as a dry run.
+        The decision (:meth:`_gate`) runs the RASA solve only when neither
+        the bound nor the memo already has its answer.
 
-        Returns ``(report, outcome)``; the report is None when the
-        migration aborted and the degradation ladder must decide.
+        Returns ``(decision, report, outcome)``; the report is None when
+        the migration aborted and the degradation ladder must decide.
         """
         with tracer.span("cron.collect"):
             problem = self.collector.collect(self.state, injector=self.faults)
         current = Assignment(problem, problem.current_assignment)
         gained_before = current.gained_affinity(normalized=True)
 
-        decision, result = self._gate(problem, gained_before, tracer)
-        if result is None:
+        decision, target = self._gate(problem, gained_before, tracer)
+        if target is None:
             logger.info(
                 "dry run %s",
                 kv(
@@ -395,6 +466,7 @@ class CronJobController:
                 ),
             )
             return (
+                decision,
                 CycleReport(
                     cycle=cycle,
                     action="dry_run",
@@ -407,13 +479,13 @@ class CronJobController:
 
         before_placement = self.state.placement
         plan = MigrationPathBuilder(sla_floor=self.spec.sla_floor).build(
-            problem, current, result.assignment
+            problem, current, target
         )
         self.last_plan = plan
         with tracer.span("cron.apply", steps=len(plan.steps)):
             outcome = self._apply(plan, cycle=cycle)
         if outcome.aborted:
-            return None, outcome
+            return decision, None, outcome
 
         imbalance = self.state.utilization_imbalance()
         threshold = self.spec.rollback_imbalance
@@ -441,6 +513,7 @@ class CronJobController:
                 )
             self.default_scheduler.place_missing(self.state)
             return (
+                decision,
                 self._finish_report(
                     cycle, "rolled_back", gained_before, plan.moved_containers
                 ),
@@ -450,6 +523,7 @@ class CronJobController:
         # Containers the plan could not move stay with the default scheduler.
         self.default_scheduler.place_missing(self.state)
         return (
+            decision,
             self._finish_report(
                 cycle, "executed", gained_before, plan.moved_containers
             ),
@@ -458,48 +532,62 @@ class CronJobController:
 
     def _gate(
         self, problem: RASAProblem, gained_before: float, tracer
-    ) -> tuple[str, RASAResult | None]:
-        """Decide the cycle: ``(decision, result)``, the result None on a dry run.
+    ) -> tuple[str, Assignment | None]:
+        """Decide the cycle: ``(decision, target)``, the target None on a dry run.
 
-        Two decisions need no solver, and both are exact — the dry run they
-        decide is the one a solve would have gated to, report for report:
+        ``bound`` needs no placement: normalized gained affinity is at most
+        1 (under Eq. 3 each edge gains ``sum_m min(x_sm/d_s, x_tm/d_t) <=
+        sum_m x_sm/d_s = 1`` of its weight), so once ``gained_before * (1 +
+        gate)`` reaches 1 no placement can clear the gate.
 
-        * ``bound``: normalized gained affinity is at most 1 (under Eq. 3
-          each edge gains ``sum_m min(x_sm/d_s, x_tm/d_t) <= sum_m x_sm/d_s
-          = 1`` of its weight), so once ``gained_before * (1 + gate)``
-          reaches 1 no placement can clear the gate.
-        * ``unchanged``: the problem has the digest of the last one a solve
-          gated to a dry run.  A solve without a wall-clock budget is a
-          pure function of its problem (the partitioner seeds a fresh RNG
-          per call), so it would gate again.  Budgeted solves (a
-          ``time_limit`` or a local-search polish) keep no digest.
+        Otherwise the 3 % gate decides on a new placement taken from one of
+        two places:
 
-        Otherwise (``solved``) RASA runs and the 3 % gate decides.  Each
-        decision tags the ``cron.gate`` event; the solver-free ones also
-        count ``cron.gate.bound`` / ``cron.gate.unchanged``.
+        * ``memo``: the problem matches the memo of the last unbudgeted
+          solve, which the solve would return again.  Such a solve is a
+          pure function of the problem with ``current_assignment`` left
+          out plus the current rows of the services its partition leaves
+          trivial (``place_trivial`` is the one reader of the current
+          placement; the partitioner seeds a fresh RNG per call).  The key
+          is exactly that: equal placement-blind digests mean the same
+          trivial set, so checking it needs no partition call.
+        * ``solved``: RASA runs.  A solve with no ``time_limit`` and no
+          local-search polish in which no pricing MILP stopped on its own
+          wall clock replaces the memo, whatever the gate then decides.
+
+        A hit settles an unchanged snapshot and the cycle after an
+        execution (the kept placement is the running one) as dry runs, and
+        re-executes a target a fault cut short.  Each decision tags the
+        ``cron.gate`` event; ``cron.gate.bound`` / ``cron.gate.memo`` count
+        the solver-free ones.
         """
+        metrics = get_metrics()
         if gained_before * (1.0 + IMPROVEMENT_GATE) >= 1.0 + BOUND_SLACK:
-            decision = "bound"
-        elif (
-            self._dry_run_digest is not None
-            and problem_digest(problem) == self._dry_run_digest
-        ):
-            decision = "unchanged"
-        else:
-            return "solved", self._solve(problem, gained_before, tracer)
-        get_metrics().counter(f"cron.gate.{decision}").inc()
-        tracer.event(
-            "cron.gate", decision=decision, executed=False,
-            gained_before=gained_before,
+            metrics.counter("cron.gate.bound").inc()
+            tracer.event(
+                "cron.gate", decision="bound", executed=False,
+                gained_before=gained_before,
+            )
+            return "bound", None
+        memoizes = (
+            self.spec.time_limit is None and not self.rasa.config.local_search_seconds
         )
-        return decision, None
-
-    def _solve(
-        self, problem: RASAProblem, gained_before: float, tracer
-    ) -> RASAResult | None:
-        """Run RASA and the 3 % gate: the result to execute, or None."""
-        result = self.rasa.schedule(problem, time_limit=self.spec.time_limit)
-        gained_new = result.gained_affinity
+        blind = problem_digest(problem) if memoizes else b""
+        memo = self._memo
+        if memo is not None and memo.matches(blind, problem):
+            decision, gained_new = "memo", memo.gained_affinity
+            metrics.counter("cron.gate.memo").inc()
+        else:
+            decision = "solved"
+            result = self.rasa.schedule(problem, time_limit=self.spec.time_limit)
+            gained_new, solved = result.gained_affinity, result.assignment
+            trivial, pure = result.partition.trivial_services, not result.wall_clock_stops
+            # Free the partition and shard results before the memo allocates:
+            # kept arrays allocated while they are alive sit high in the heap
+            # and raised loop_m1_large's later peak RSS by ~14 MB.
+            del result
+            if memoizes and pure:
+                self._memo = _Memo.of(blind, problem, trivial, gained_new, solved)
         improvement = gained_new - gained_before
         relative = improvement / gained_before if gained_before > 0 else np.inf
         gated = gained_new <= gained_before or (
@@ -507,17 +595,15 @@ class CronJobController:
         )
         tracer.event(
             "cron.gate",
-            decision="solved",
+            decision=decision,
             executed=not gated,
             gained_before=gained_before,
             gained_new=gained_new,
             relative_improvement=relative if np.isfinite(relative) else None,
         )
-        if not gated:
-            return result
-        if self.spec.time_limit is None and not self.rasa.config.local_search_seconds:
-            self._dry_run_digest = problem_digest(problem)
-        return None
+        if gated:
+            return decision, None
+        return decision, solved if decision == "solved" else memo.assignment(problem)
 
     def _degrade(
         self,

@@ -354,13 +354,15 @@ class RASAProblem:
 
 
 def problem_digest(problem: RASAProblem) -> bytes:
-    """SHA-256 over every input :class:`RASAProblem` was constructed from.
+    """SHA-256 over every input :class:`RASAProblem` was constructed from
+    but the current assignment: equal for two snapshots of one world that
+    differ only in where the containers run.
 
-    Two problems with the same digest hand every solver the same instance,
-    order included: services (name, demand, requests, priority), machines
-    (name, capacity, spec), the affinity edges in ``items()`` order, the
-    anti-affinity rules, the resource types, and the bytes of the
-    schedulability matrix and the current assignment.  Floats enter by
+    Two problems with the same digest hand every solver the same instance
+    up to that placement, order included: services (name, demand,
+    requests, priority), machines (name, capacity, spec), the affinity
+    edges in ``items()`` order, the anti-affinity rules, the resource
+    types, and the bytes of the schedulability matrix.  Floats enter by
     ``repr``, which round-trips, so a one-ulp change changes the digest.
     """
     sha = hashlib.sha256()
@@ -376,10 +378,6 @@ def problem_digest(problem: RASAProblem) -> bytes:
     feed(tuple(problem.affinity.items()))
     for rule in problem.anti_affinity:
         feed(sorted(rule.services), rule.limit)
-    for matrix in (problem.schedulable, problem.current_assignment):
-        if matrix is None:
-            feed(None)
-        else:
-            feed(matrix.dtype.str, matrix.shape)
-            sha.update(np.ascontiguousarray(matrix).tobytes())
+    feed(problem.schedulable.dtype.str, problem.schedulable.shape)
+    sha.update(np.ascontiguousarray(problem.schedulable).tobytes())
     return sha.digest()

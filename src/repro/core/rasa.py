@@ -97,6 +97,14 @@ class RASAResult:
     runtime_seconds: float = 0.0
     trajectory: list[tuple[float, float]] = field(default_factory=list)
 
+    @property
+    def wall_clock_stops(self) -> int:
+        """Inner solves, over every shard, that stopped on a wall-clock
+        limit the caller did not set (see ``SolveResult.wall_clock_stops``):
+        zero in an unbudgeted run means the placement is a pure function of
+        the problem."""
+        return sum(report.result.wall_clock_stops for report in self.reports)
+
     def summary_dict(self) -> dict:
         """JSON-safe, ``schema_version``-tagged summary of the run.
 

@@ -312,6 +312,7 @@ class Tenant:
             trace_id=trace_id,
             detail={
                 "action": report.action,
+                "gate": report.gate,
                 "sla_ok": report.sla_ok,
                 "gained_after": report.gained_after,
             },
@@ -446,6 +447,7 @@ class Tenant:
                     None if last is None else float(last.gained_after)
                 ),
                 "last_action": None if last is None else last.action,
+                "last_gate": None if last is None else last.gate,
                 "health": self.hub.health(),
                 "alerts_active": len(self.slo.alerts()),
                 "events_logged": self.events.last_seq,

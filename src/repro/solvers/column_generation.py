@@ -44,7 +44,10 @@ MAX_ITERATIONS = 40
 #: Share of the time budget reserved for the final integral rounding MILP.
 ROUNDING_FRACTION = 0.35
 
-#: Per-group budget (seconds) for one exact pricing solve.
+#: Per-group budget (seconds) for one exact pricing solve.  It applies
+#: even when the caller set no ``time_limit``, so a pricing MILP that stops
+#: on it makes the solve machine-dependent; :attr:`SolveResult.wall_clock_stops`
+#: counts such stops.
 PRICING_TIME_LIMIT = 2.0
 
 
@@ -89,6 +92,7 @@ class ColumnGenerationAlgorithm:
 
         iterations = 0
         columns_added = 0
+        stops = 0
         for iteration in range(MAX_ITERATIONS):
             if cg_budget is not None and watch.elapsed >= cg_budget:
                 break
@@ -108,7 +112,8 @@ class ColumnGenerationAlgorithm:
                 for g, group in enumerate(groups):
                     if cg_budget is not None and watch.elapsed >= cg_budget:
                         break
-                    pattern = self._price(problem, group, coverage_duals)
+                    pattern, time_limited = self._price(problem, group, coverage_duals)
+                    stops += time_limited
                     if pattern is None:
                         continue
                     reduced = pattern.value - float(coverage_duals @ pattern.counts)
@@ -126,6 +131,8 @@ class ColumnGenerationAlgorithm:
                     break
         metrics.counter("solver.cg.iterations").inc(iterations)
         metrics.counter("solver.cg.columns").inc(columns_added)
+        if stops:
+            metrics.counter("solver.cg.pricing_time_limited").inc(stops)
 
         rounding_limit = watch.remaining
         with tracer.span("cg.rounding"):
@@ -151,13 +158,15 @@ class ColumnGenerationAlgorithm:
             runtime_seconds=watch.elapsed,
             objective=incumbent_obj,
             trajectory=trajectory,
+            wall_clock_stops=stops,
         )
 
     def _price(
         self, problem: RASAProblem, group: MachineGroup, duals: np.ndarray
-    ) -> Pattern | None:
+    ) -> tuple[Pattern | None, bool]:
+        """The pricing pattern and whether it stopped on the wall clock."""
         if self.pricing == "greedy":
-            return price_pattern_greedy(problem, group, duals)
+            return price_pattern_greedy(problem, group, duals), False
         return price_pattern_mip(
             problem, group, duals, time_limit=PRICING_TIME_LIMIT
         )

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro import api
-from repro.cluster import ClusterState, CronJobController, DataCollector
+from repro.cluster import ClusterState, CronJobController, DataCollector, cronjob
 from repro.cluster.cronjob import IMPROVEMENT_GATE, CycleReport, build_controller
 from repro.cluster.replay import EventTrace, TrafficShift
 from repro.core import Machine, RASAProblem, RASAScheduler, Service
@@ -23,11 +23,16 @@ from repro.workloads.trace_io import problem_to_dict
 
 _DATA_DIR = Path(__file__).resolve().parent / "data"
 
-_spec = importlib.util.spec_from_file_location(
-    "make_reference_week_digests", _DATA_DIR / "make_reference_week_digests.py"
-)
-make_reference_week_digests = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(make_reference_week_digests)
+
+def _data_module(name: str):
+    spec = importlib.util.spec_from_file_location(name, _DATA_DIR / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+make_reference_week_digests = _data_module("make_reference_week_digests")
+make_service_tenant_reports = _data_module("make_service_tenant_reports")
 
 
 def _controller(cluster, **spec) -> CronJobController:
@@ -115,17 +120,21 @@ def _pairs_world(w_ab: float, w_cd: float, *, colocated: bool) -> RASAProblem:
     )
 
 
-def _stuck_world() -> RASAProblem:
-    """Gained affinity 0.9 and optimal: a and b never fit one machine.
+def _stuck_world(*, settled: bool = True) -> RASAProblem:
+    """Gained affinity 0.9 at best: a and b never fit one machine.
 
-    m2 is empty and changes nothing when it is schedulable.
+    ``settled`` starts at that optimum; otherwise d starts apart from c,
+    at gained affinity 0, so the first cycle executes.  m2 is empty and
+    changes nothing when it is schedulable.
     """
     services = [
         Service("a", 1, {"cpu": 2.0}), Service("b", 1, {"cpu": 2.0}),
         Service("c", 1, {"cpu": 0.5}), Service("d", 1, {"cpu": 0.5}),
     ]
     machines = [Machine(f"m{i}", {"cpu": 3.0}) for i in range(3)]
-    current = np.array([[1, 0, 0], [0, 1, 0], [1, 0, 0], [1, 0, 0]])
+    current = np.array(
+        [[1, 0, 0], [0, 1, 0], [1, 0, 0], [1, 0, 0] if settled else [0, 1, 0]]
+    )
     return RASAProblem(
         services, machines, affinity={("a", "b"): 1.0, ("c", "d"): 9.0},
         current_assignment=current,
@@ -213,13 +222,61 @@ def test_unchanged_world_solves_once(solves):
     assert len(solves) == 1
     assert [r.action for r in reports] == ["dry_run"] * 3
     assert {r.gained_before for r in reports} == {0.9}
-    assert _gate_decisions(tracer) == ["solved", "unchanged", "unchanged"]
-    assert registry.snapshot()["counters"]["cron.gate.unchanged"] == 2
+    assert _gate_decisions(tracer) == ["solved", "memo", "memo"]
+    assert [r.gate for r in reports] == ["solved", "memo", "memo"]
+    assert registry.snapshot()["counters"]["cron.gate.memo"] == 2
+
+
+def test_cycle_after_an_execution_makes_no_solve(solves):
+    registry = MetricsRegistry()
+    with use_tracer(Tracer()) as tracer, use_metrics(registry):
+        reports = _loop(_stuck_world(settled=False)).run(3)
+    assert len(solves) == 1
+    assert [r.action for r in reports] == ["executed", "dry_run", "dry_run"]
+    assert [r.gained_after for r in reports] == [0.9] * 3
+    assert _gate_decisions(tracer) == ["solved", "memo", "memo"]
+    assert registry.snapshot()["counters"]["cron.gate.memo"] == 2
+
+
+def test_memo_decides_what_a_solve_decides(solves, monkeypatch):
+    memoized = _loop(_stuck_world(settled=False)).run(3)
+    assert len(solves) == 1
+    monkeypatch.setattr(cronjob._Memo, "matches", lambda *_args: False)
+    solved = _loop(_stuck_world(settled=False)).run(3)
+    assert len(solves) == 1 + 3
+    assert [r.to_dict() for r in memoized] == [r.to_dict() for r in solved]
+
+
+def test_cut_short_execution_is_re_executed_without_a_solve(solves):
+    tenant = make_service_tenant_reports.build_tenant("chaos")
+    reports = tenant.run_cycles(3)
+    assert len(solves) == 1
+    assert reports[0].action == "retried" and reports[0].failed_commands
+    assert [r.gate for r in reports] == ["memo"] * 3
+    assert tenant.summary()["last_gate"] == "memo"
+    completed = [
+        e["detail"]["gate"] for e in tenant.events_since(0)["events"]
+        if e["kind"] == "cycle.completed"
+    ]
+    assert completed == ["memo"] * 3
 
 
 def test_budgeted_solves_keep_no_digest(solves):
     _loop(_stuck_world(), time_limit=30.0).run(2)
     assert len(solves) == 2
+
+
+def test_pricing_stopped_by_its_wall_clock_keeps_no_memo(solves, monkeypatch):
+    from repro.solvers import column_generation
+
+    tenant = make_service_tenant_reports.build_tenant("clean")
+    problem = tenant.controller.state.problem
+    monkeypatch.setattr(column_generation, "PRICING_TIME_LIMIT", 1e-9)
+    registry = MetricsRegistry()
+    with use_metrics(registry):
+        _loop(problem).run(2)
+    assert len(solves) == 2
+    assert registry.snapshot()["counters"]["solver.cg.pricing_time_limited"] > 0
 
 
 def test_traffic_shift_forces_a_resolve(solves):
@@ -296,3 +353,15 @@ def test_reference_week_reports_match_the_solve_every_cycle_parent():
     """
     pinned = json.loads((_DATA_DIR / "reference_week_digests.json").read_text())
     assert make_reference_week_digests.compute_digests() == pinned
+
+
+def test_service_tenant_reports_match_the_solve_after_execution_parent():
+    """Two 12-service tenants replay to the report bytes f5f6317 wrote.
+
+    ``service_tenant_reports.json`` was written by
+    ``make_service_tenant_reports.py`` at f5f6317, which re-solved the
+    cycle after every execution and every retried attempt; equal reports
+    mean the memo changed none — clean, or with executions cut short.
+    """
+    pinned = json.loads((_DATA_DIR / "service_tenant_reports.json").read_text())
+    assert make_service_tenant_reports.compute_reports() == pinned

@@ -71,8 +71,8 @@ def test_patterns_from_assignment_harvests_and_dedupes(tiny_problem):
 def test_mip_pricing_ignores_duals_zero(tiny_problem):
     groups = group_machines(tiny_problem)
     duals = np.zeros(tiny_problem.num_services)
-    pattern = price_pattern_mip(tiny_problem, groups[0], duals, time_limit=10)
-    assert pattern is not None
+    pattern, time_limited = price_pattern_mip(tiny_problem, groups[0], duals, time_limit=10)
+    assert pattern is not None and not time_limited
     # With zero duals the pricer maximizes raw pattern value: collocating
     # all of a and b (value 10 + partial c edge) fits one machine.
     assert pattern.value >= 10.0
@@ -84,7 +84,7 @@ def test_mip_pricing_keeps_barred_service_at_zero(constrained_problem):
     barred = [g for g in group_machines(constrained_problem) if not g.schedulable[db]]
     assert barred
     for group in barred:
-        pattern = price_pattern_mip(constrained_problem, group, duals, time_limit=10)
+        pattern, _ = price_pattern_mip(constrained_problem, group, duals, time_limit=10)
         assert pattern is not None and pattern.counts.sum() > 0
         assert pattern.counts[db] == 0
 

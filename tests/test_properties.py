@@ -20,6 +20,8 @@ from repro.core import (
     RASAProblem,
     Service,
 )
+from repro.core.config import RASAConfig
+from repro.core.rasa import RASAScheduler
 from repro.migration import MigrationExecutor, MigrationPathBuilder
 from repro.partitioning import MultiStagePartitioner, balanced_partition
 from repro.solvers import BranchAndBoundSolver, GreedyAlgorithm, LinearModel, solve_milp
@@ -100,12 +102,18 @@ def placements(draw, problem: RASAProblem) -> np.ndarray:
 
 
 @st.composite
-def feasible_placements(draw, problem: RASAProblem) -> np.ndarray:
+def feasible_placements(
+    draw, problem: RASAProblem, start: np.ndarray | None = None, services=None
+) -> np.ndarray:
     """A random placement feasible by construction: every container lands on
     a drawn machine among those that may still take it (it stays unplaced
-    when none may) — spread-out starts and goals greedy never produces."""
-    state = PackingState(problem)
-    for s in range(problem.num_services):
+    when none may) — spread-out starts and goals greedy never produces.
+
+    ``start`` is a feasible partial placement kept as is, and ``services``
+    (default: all) the services whose containers are drawn on top of it.
+    """
+    state = PackingState(problem, start)
+    for s in range(problem.num_services) if services is None else services:
         for _ in range(int(problem.demands[s])):
             hosts = np.nonzero(state.feasible_machines(s))[0].tolist()
             if not hosts:
@@ -171,6 +179,94 @@ def test_repair_preserves_existing_placements(data):
     repaired = repair_unplaced(problem, partial)
     assert (repaired >= partial).all()
     assert repaired.sum() >= partial.sum()
+
+
+# ----------------------------------------------------------------------
+# The current placement enters a solve only through the trivial rows
+# ----------------------------------------------------------------------
+def _placed(problem: RASAProblem, x: np.ndarray) -> RASAProblem:
+    return RASAProblem(
+        problem.services, problem.machines, affinity=problem.affinity,
+        anti_affinity=problem.anti_affinity, schedulable=problem.schedulable,
+        current_assignment=x,
+    )
+
+
+def _schedule_bytes(result) -> tuple:
+    """Everything a schedule result holds but its timings."""
+    return (
+        result.assignment.x.tobytes(),
+        result.gained_affinity,
+        result.partition.trivial_services,
+        result.partition.trivial_assignment.tobytes(),
+        [
+            (
+                report.subproblem.service_names,
+                report.subproblem.machine_names,
+                report.selected_algorithm,
+                report.result.status,
+                report.result.objective,
+                report.result.bound,
+                report.result.assignment.x.tobytes(),
+            )
+            for report in result.reports
+        ],
+    )
+
+
+@given(data=st.data())
+def test_schedule_reads_only_the_trivial_rows_of_the_current_placement(data):
+    """Moving crucial containers leaves an unbudgeted solve's bytes alone.
+
+    The cron gate's memo rests on this: a solve with no time limit is a
+    function of the problem without its current placement plus the current
+    rows of the services the partition leaves trivial.  The second
+    scheduler's master ratio makes non-masters trivial and splits shards.
+    """
+    problem = data.draw(constrained_problems())
+    for scheduler in (
+        RASAScheduler(),
+        RASAScheduler(RASAConfig(master_ratio=0.5, max_subproblem_services=2)),
+    ):
+        first = _placed(problem, data.draw(feasible_placements(problem)))
+        trivial = [
+            first.service_index(name)
+            for name in scheduler.partitioner.partition(first).trivial_services
+        ]
+        kept = np.zeros_like(first.current_assignment)
+        kept[trivial] = first.current_assignment[trivial]
+        crucial = [s for s in range(problem.num_services) if s not in trivial]
+        second = _placed(
+            problem, data.draw(feasible_placements(problem, kept, crucial))
+        )
+        assert _schedule_bytes(scheduler.schedule(second)) == _schedule_bytes(
+            scheduler.schedule(first)
+        )
+
+
+def test_repair_of_a_shard_overflow_ignores_the_current_placement():
+    """The same relation where the drawn instances never reach: a's shard
+    gets three machines but a needs four (one per machine), so repair
+    places the fourth on m3 or m4 — and must not ask where a runs now."""
+    services = [
+        Service("a", 4, {"cpu": 1.0}), Service("b", 1, {"cpu": 1.0}),
+        Service("c", 2, {"cpu": 1.0}), Service("d", 2, {"cpu": 1.0}),
+    ]
+    problem = RASAProblem(
+        services,
+        [Machine(f"m{i}", {"cpu": 8.0}) for i in range(5)],
+        affinity={("a", "b"): 1.0, ("c", "d"): 1.0},
+        anti_affinity=[AntiAffinityRule(services=frozenset({"a"}), limit=1)],
+    )
+    scheduler = RASAScheduler(RASAConfig(max_subproblem_services=2))
+    rest = [[1, 0, 0, 0, 0], [0, 0, 0, 2, 0], [0, 0, 0, 0, 2]]
+    first, *others = [
+        scheduler.schedule(_placed(problem, np.array([a_row, *rest])))
+        for a_row in ([1, 1, 1, 1, 0], [1, 1, 1, 0, 1], [0, 1, 1, 1, 1])
+    ]
+    assert first.assignment.x[0].sum() == 4  # repair placed the overflow
+    for other in others:
+        assert _schedule_bytes(other) == _schedule_bytes(first)
 
 
 # ----------------------------------------------------------------------

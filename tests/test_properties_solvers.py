@@ -98,7 +98,7 @@ def test_pricing_always_returns_feasible_patterns(data):
         ]
     )
     for group in group_machines(problem):
-        exact = price_pattern_mip(problem, group, duals, time_limit=5)
+        exact, _ = price_pattern_mip(problem, group, duals, time_limit=5)
         if exact is not None:
             assert pattern_is_feasible(problem, group, exact.counts)
             assert exact.value >= -1e-9
@@ -113,7 +113,7 @@ def test_exact_pricing_dominates_greedy_pricing(data):
     problem = data.draw(homogeneous_problems())
     duals = np.zeros(problem.num_services)
     for group in group_machines(problem):
-        exact = price_pattern_mip(problem, group, duals, time_limit=5)
+        exact, _ = price_pattern_mip(problem, group, duals, time_limit=5)
         greedy = price_pattern_greedy(problem, group, duals)
         if exact is None or greedy is None:
             continue

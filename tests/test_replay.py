@@ -490,7 +490,7 @@ def test_every_chaos_replay_report_round_trips(small_trace):
     """``to_dict``/``from_dict`` derive from the dataclass fields: every
     report of a chaos replay (rungs, retries, flaps, events set) comes
     back equal, and the payload is the fields in order minus the
-    process-local ``trace_id`` and ``duration_seconds``."""
+    process-local ``trace_id``, ``duration_seconds`` and ``gate``."""
     import dataclasses
     import json
 
@@ -501,7 +501,7 @@ def test_every_chaos_replay_report_round_trips(small_trace):
     )
     assert any(r.rungs for r in reports) and any(r.events for r in reports)
     assert any(r.machine_failures for r in reports)
-    local = {"trace_id", "duration_seconds"}
+    local = {"trace_id", "duration_seconds", "gate"}
     wire = [f.name for f in dataclasses.fields(CycleReport) if f.name not in local]
     for report in reports:
         payload = report.to_dict()

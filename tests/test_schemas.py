@@ -65,14 +65,15 @@ def test_cycle_report_round_trip_is_tagged():
 
 
 def test_cycle_report_wire_has_no_process_local_fields():
-    """Trace id, wall time and metrics stay off the wire; a payload from an
-    older writer that still carries a ``metrics`` snapshot loads, minus it."""
+    """Trace id, wall time, gate decision and metrics stay off the wire; a
+    payload from an older writer that still carries a ``metrics`` snapshot
+    loads, minus it."""
     report = CycleReport(
         cycle=0, action="dry_run", gained_before=0.4, gained_after=0.4,
-        trace_id="ab" * 16, duration_seconds=1.5,
+        trace_id="ab" * 16, duration_seconds=1.5, gate="memo",
     )
     payload = report.to_dict()
-    assert not {"metrics", "trace_id", "duration_seconds"} & set(payload)
+    assert not {"metrics", "trace_id", "duration_seconds", "gate"} & set(payload)
     legacy = {**payload, "metrics": {"counters": {"rasa.subproblems.solved": 9}}}
     assert CycleReport.from_dict(legacy) == report
     assert CycleReport.from_dict(legacy).to_dict() == payload

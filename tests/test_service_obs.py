@@ -15,6 +15,7 @@ import urllib.request
 import pytest
 
 from repro import api
+from repro.cli import _render_top
 from repro.service.client import ServiceClient, ServiceError
 from repro.workloads import ClusterSpec, generate_cluster
 from repro.workloads.trace_io import problem_to_dict
@@ -224,6 +225,13 @@ def test_violating_tenant_fires_fast_burn_within_five_cycles(service, client):
     tenants = {t["name"]: t for t in client.list_tenants()}
     assert tenants["violator"]["alerts_active"] == 1
     assert tenants["healthy"]["alerts_active"] == 0
+    # The fifth cycle of an unchanged world needs no solve, and `rasa top`
+    # says what decided it.
+    assert tenants["healthy"]["last_gate"] in ("bound", "memo")
+    frame = []
+    _render_top(list(tenants.values()), merged["alerts"], frame.append)
+    assert frame[0].split()[4] == "gate"
+    assert frame[1].split()[4] == tenants[frame[1].split()[0]]["last_gate"]
 
     exposition = client.metrics("violator")
     match = re.search(
