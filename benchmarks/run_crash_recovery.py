@@ -16,16 +16,19 @@ real CLI in real processes:
    report sequence must be bit-identical to the reference.
 
 Scenarios: fault-free, under a seeded chaos plan, and (unless
-``--quick``) the chaos plan with 4 solve workers.  A separate case
-appends garbage to the WAL after the kill — torn-tail truncation must
-recover it, never silently accept it.
+``--quick``) the chaos plan with the killed and the resumed child pinned
+to one CPU, so their shards are solved one at a time while the in-process
+reference solves them on a thread per CPU — resume must be bit-identical
+across thread counts.  A separate case appends garbage to the WAL after
+the kill — torn-tail truncation must recover it, never silently accept
+it.
 
 Any mismatch exits 2 (the CI crash-recovery lane keys off this).
 
 Usage::
 
     python benchmarks/run_crash_recovery.py            # all scenarios
-    python benchmarks/run_crash_recovery.py --quick    # skip the 4-worker pass
+    python benchmarks/run_crash_recovery.py --quick    # skip the one-CPU pass
     python benchmarks/run_crash_recovery.py --seed 7   # move the kill point
 """
 
@@ -47,7 +50,7 @@ if __package__ in (None, ""):  # direct script invocation without install
         sys.path.insert(0, str(_src))
 
 from repro import api  # noqa: E402
-from repro.core import RASAConfig  # noqa: E402
+from repro.core.parallel import available_cpus  # noqa: E402
 from repro.faults import FaultPlan  # noqa: E402
 from repro.workloads.trace_io import load_event_trace  # noqa: E402
 
@@ -89,7 +92,7 @@ def _completed_cycles(checkpoint_dir: Path) -> int:
 
 
 def _cli_argv(trace: Path, cycles: int, checkpoint_dir: Path,
-              plan_path: Path | None, workers: int,
+              plan_path: Path | None,
               report_out: Path | None = None) -> list[str]:
     argv = [
         sys.executable, "-m", "repro.cli", "replay", str(trace),
@@ -100,19 +103,23 @@ def _cli_argv(trace: Path, cycles: int, checkpoint_dir: Path,
     ]
     if plan_path is not None:
         argv += ["--fault-plan", str(plan_path)]
-    if workers > 1:
-        argv += ["--workers", str(workers)]
     if report_out is not None:
         argv += ["--report-out", str(report_out)]
     return argv
 
 
+def _pin_to_one_cpu() -> None:
+    """``preexec_fn`` of a child that must solve on one thread."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
 def _kill_child_mid_run(argv: list[str], checkpoint_dir: Path,
-                        kill_after: int, timeout: float = 600.0) -> bool:
+                        kill_after: int, preexec_fn=None,
+                        timeout: float = 600.0) -> bool:
     """Run the CLI child and SIGKILL it once ``kill_after`` cycles are
     journaled.  Returns False when the child finished first."""
     child = subprocess.Popen(argv, stdout=subprocess.DEVNULL,
-                             stderr=subprocess.DEVNULL)
+                             stderr=subprocess.DEVNULL, preexec_fn=preexec_fn)
     try:
         deadline = time.time() + timeout
         while time.time() < deadline:
@@ -131,22 +138,20 @@ def _kill_child_mid_run(argv: list[str], checkpoint_dir: Path,
 
 
 def run_scenario(name: str, *, trace_path: Path, trace, cycles: int,
-                 workers: int, plan_path: Path | None, work_dir: Path,
-                 kill_after: int, corrupt_tail: bool = False) -> bool:
+                 plan_path: Path | None, work_dir: Path, kill_after: int,
+                 corrupt_tail: bool = False, one_cpu: bool = False) -> bool:
     """One kill -9 + resume round trip; True when bit-identical."""
     print(f"--- scenario {name}: kill -9 after cycle {kill_after}"
           f"{', then corrupt WAL tail' if corrupt_tail else ''}")
     faults = FaultPlan.from_dict(FAULT_PLAN) if plan_path is not None else None
-    config = RASAConfig(workers=workers) if workers > 1 else None
-    reference = api.replay_trace(
-        trace, cycles=cycles, faults=faults, config=config,
-    )
+    reference = api.replay_trace(trace, cycles=cycles, faults=faults)
     ref_payload = [r.to_dict() for r in reference]
 
     checkpoint_dir = work_dir / f"ck-{name}"
+    preexec_fn = _pin_to_one_cpu if one_cpu else None
     killed = _kill_child_mid_run(
-        _cli_argv(trace_path, cycles, checkpoint_dir, plan_path, workers),
-        checkpoint_dir, kill_after,
+        _cli_argv(trace_path, cycles, checkpoint_dir, plan_path),
+        checkpoint_dir, kill_after, preexec_fn=preexec_fn,
     )
     if not killed:
         print("    note: child finished before the kill; resume is a no-op")
@@ -156,8 +161,9 @@ def run_scenario(name: str, *, trace_path: Path, trace, cycles: int,
 
     report_out = work_dir / f"reports-{name}.json"
     code = subprocess.call(
-        _cli_argv(trace_path, cycles, checkpoint_dir, plan_path, workers,
+        _cli_argv(trace_path, cycles, checkpoint_dir, plan_path,
                   report_out=report_out),
+        preexec_fn=preexec_fn,
     )
     if code != 0:
         print(f"FAIL {name}: resume exited {code}")
@@ -187,7 +193,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for the random kill points (default: 0)")
     parser.add_argument("--quick", action="store_true",
-                        help="skip the 4-worker scenario")
+                        help="skip the one-CPU scenario")
     parser.add_argument("--work-dir", type=Path, default=None,
                         help="checkpoint/report scratch dir (default: a tmp dir)")
     args = parser.parse_args(argv)
@@ -216,21 +222,24 @@ def main(argv: list[str] | None = None) -> int:
 
     rng = random.Random(args.seed)
     scenarios = [
-        ("baseline", None, 1, False),
-        ("faulted", plan_path, 1, False),
-        ("torn-tail", plan_path, 1, True),
+        ("baseline", None, False, False),
+        ("faulted", plan_path, False, False),
+        ("torn-tail", plan_path, True, False),
     ]
-    if not args.quick:
-        scenarios.append(("faulted-4w", plan_path, 4, False))
+    if not args.quick and available_cpus() > 1:
+        scenarios.append(("faulted-1cpu", plan_path, False, True))
+    elif not args.quick:
+        print("note: skipping faulted-1cpu: only one CPU is available, so "
+              "the reference would run on one thread too")
 
     started = time.time()
     ok = True
-    for name, plan, workers, corrupt in scenarios:
+    for name, plan, corrupt, one_cpu in scenarios:
         kill_after = rng.randint(1, max(1, args.cycles - 2))
         ok &= run_scenario(
             name, trace_path=args.trace, trace=trace, cycles=args.cycles,
-            workers=workers, plan_path=plan, work_dir=work_dir,
-            kill_after=kill_after, corrupt_tail=corrupt,
+            plan_path=plan, work_dir=work_dir, kill_after=kill_after,
+            corrupt_tail=corrupt, one_cpu=one_cpu,
         )
     elapsed = time.time() - started
     print(f"crash-recovery: {len(scenarios)} scenarios in {elapsed:.1f}s "

@@ -6,9 +6,9 @@ holds each one's help, arguments and implementation):
 * ``rasa generate`` — synthesize a cluster trace (or dump a registered
   dataset) to a JSON trace file.
 * ``rasa optimize`` — run the RASA pipeline on a trace; print the placement
-  summary and (optionally) the migration plan.  Without a time limit the
-  subproblems are solved on one thread per CPU; with one, ``--workers N`` /
-  ``--parallel`` solve up to N (one per CPU) at once.
+  summary and (optionally) the migration plan.  Under its ``--time-limit``
+  the subproblems are solved one at a time, each on its share of the
+  budget.
 * ``rasa compare`` / ``rasa inspect`` — every baseline plus RASA on a
   trace / its placement metrics and skew profile.
 * ``rasa cron`` — run the CronJob control loop for N cycles, optionally
@@ -67,7 +67,6 @@ from repro import api
 from repro.analysis import pair_localization_table, placement_metrics
 from repro.core import Assignment, DegradationPolicy, RASAConfig
 from repro.core.config import LoopSpec
-from repro.core.parallel import available_cpus
 from repro.durability import atomic_write_json
 from repro.durability.checkpoint import CheckpointStore
 from repro.durability.supervisor import (
@@ -150,15 +149,6 @@ COMMON = [
          help="enable structured logging to stderr at this level (e.g. INFO)"),
     _arg("--quiet", action="store_true",
          help="suppress the plain-text stdout report (log lines still emitted)"),
-]
-
-PARALLEL = [
-    _arg("--workers", type=int, default=None, metavar="N",
-         help="under a time limit, solve up to N subproblems at once on "
-              "threads (default: 1); without one, every CPU is used"),
-    _arg("--parallel", action="store_true",
-         help="under a time limit, solve subproblems in parallel; without "
-              "--workers, one thread per CPU"),
 ]
 
 PROFILE = [
@@ -318,7 +308,7 @@ def _loop_command(command: str, trace_help: str) -> list:
              help="on checkpoint divergence (the world no longer matches the "
                   "saved state), discard the checkpoint and restart from "
                   "cycle 0 instead of failing"),
-        *SUPERVISOR, *PARALLEL, *PROFILE, *COMMON,
+        *SUPERVISOR, *PROFILE, *COMMON,
     ]
 
 
@@ -329,16 +319,8 @@ def _make_client(args: argparse.Namespace) -> api.ServiceClient:
 
 
 def _scheduler_config(args: argparse.Namespace) -> RASAConfig:
-    """Build the scheduler config from the parallelism/profiling CLI flags.
-
-    ``--parallel`` without ``--workers`` means one worker per CPU.
-    """
-    workers = args.workers
-    if workers is None:
-        workers = available_cpus() if args.parallel else 1
-    if workers < 1:
-        raise ProblemValidationError("--workers must be >= 1")
-    return RASAConfig(workers=workers, profile=getattr(args, "profile", False))
+    """Build the scheduler config from the ``--profile`` flag."""
+    return RASAConfig(profile=getattr(args, "profile", False))
 
 
 def _make_output(args: argparse.Namespace) -> Callable[[str], None]:
@@ -404,7 +386,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
               "Perfetto)"),
     _arg("--otlp-out", help="write the same spans as an OTLP/JSON trace document"),
     _arg("--metrics-out", help="write the metrics-registry snapshot as JSON"),
-    *PARALLEL, *PROFILE, *COMMON,
+    *PROFILE, *COMMON,
 )
 def cmd_optimize(args: argparse.Namespace) -> int:
     out = _make_output(args)
@@ -469,7 +451,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     "compare", "run every baseline plus RASA on a trace",
     _arg("trace", help="JSON trace file"),
     _arg("--time-limit", type=float, default=10.0),
-    *PARALLEL, *COMMON,
+    *COMMON,
 )
 def cmd_compare(args: argparse.Namespace) -> int:
     from repro.baselines import (

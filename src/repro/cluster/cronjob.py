@@ -552,8 +552,8 @@ class CronJobController:
           is exactly that: equal placement-blind digests mean the same
           trivial set, so checking it needs no partition call.
         * ``solved``: RASA runs.  A solve with no ``time_limit`` and no
-          local-search polish in which no pricing MILP stopped on its own
-          wall clock replaces the memo, whatever the gate then decides.
+          local-search polish reads no clock, so it replaces the memo,
+          whatever the gate then decides.
 
         A hit settles an unchanged snapshot and the cycle after an
         execution (the kept placement is the running one) as dry runs, and
@@ -581,12 +581,12 @@ class CronJobController:
             decision = "solved"
             result = self.rasa.schedule(problem, time_limit=self.spec.time_limit)
             gained_new, solved = result.gained_affinity, result.assignment
-            trivial, pure = result.partition.trivial_services, not result.wall_clock_stops
+            trivial = result.partition.trivial_services
             # Free the partition and shard results before the memo allocates:
             # kept arrays allocated while they are alive sit high in the heap
             # and raised loop_m1_large's later peak RSS by ~14 MB.
             del result
-            if memoizes and pure:
+            if memoizes:
                 self._memo = _Memo.of(blind, problem, trivial, gained_new, solved)
         improvement = gained_new - gained_before
         relative = improvement / gained_before if gained_before > 0 else np.inf

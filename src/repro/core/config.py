@@ -38,14 +38,6 @@ class RASAConfig:
             the merged placement (0 disables it).  An extension beyond the
             paper's pipeline; see DESIGN.md ablations.
         seed: Seed for partitioning randomness.
-        workers: Threads a *budgeted* solve phase runs shards on.  1 (the
-            default) solves them one at a time, redistributing the time a
-            shard leaves unspent; ``N > 1`` splits the budget up front and
-            solves up to N shards at once (see :mod:`repro.core.parallel`).
-            A solve without a time limit ignores it and runs one thread per
-            CPU: unbudgeted shard solves are pure functions of the shard,
-            and the merge keeps its affinity-descending order, so the
-            result is bit-identical to a one-at-a-time solve.
         profile: Opt-in per-span cProfile capture (CLI ``--profile``):
             partitioning and subproblem-solve spans gain a top-N
             cumulative-time hotspot table (see :mod:`repro.obs.profile`).
@@ -57,7 +49,6 @@ class RASAConfig:
     max_subproblem_services: int = 48
     local_search_seconds: float = 0.0
     seed: int = 0
-    workers: int = 1
     profile: bool = False
 
 
@@ -188,7 +179,6 @@ _RULES = {
         "max_subproblem_services": (Integral, 1, True, math.inf, False),
         "local_search_seconds": (Real, 0.0, True, math.inf, False),
         "seed": (Integral, 0, True, math.inf, False),
-        "workers": (Integral, 1, True, math.inf, False),
         "profile": _FLAG,
     },
     RetryPolicy: {
@@ -208,8 +198,9 @@ _RULES = {
 
 #: Retired :class:`RASAConfig` fields that older checkpoints and clients
 #: still send, with the value the pipeline now always uses: a retired key
-#: holding it is ignored, any other value is refused.  ``parallel`` is
-#: ignored at any value (``_ANY``) — a worker count never changes a report.
+#: holding it is ignored, any other value is refused.  The thread-pool
+#: keys are ignored at any value (``_ANY``): a thread count never changes a
+#: report, and pooled solves have no deadline.
 _ANY = object()
 _RETIRED_CONFIG = {
     "backend": "highs",
@@ -217,8 +208,9 @@ _RETIRED_CONFIG = {
     "min_subproblem_budget": 0.5,
     "repair_unplaced": True,
     "parallel": _ANY,
-    "worker_timeout_factor": 2.0,
-    "worker_timeout_margin": 5.0,
+    "workers": _ANY,
+    "worker_timeout_factor": _ANY,
+    "worker_timeout_margin": _ANY,
     "profile_top": 10,
 }
 

@@ -4,10 +4,11 @@ Partitioning (paper Section IV) decomposes the global placement MIP into
 independent subproblems, which makes the solve phase embarrassingly
 parallel — the same observation POP (Narayanan et al.) exploits for
 granular allocation problems.  This module runs the per-subproblem
-``(select, solve)`` step on a :class:`~concurrent.futures.ThreadPoolExecutor`.
-HiGHS releases the GIL while it searches, so shards solved on threads
-overlap as they would in processes, without pickling a shard or forking
-a copy of the parent's heap:
+``(select, solve)`` step of a solve without a time limit on a
+:class:`~concurrent.futures.ThreadPoolExecutor`.  HiGHS releases the GIL
+while it searches, so shards solved on threads overlap as they would in
+processes, without pickling a shard or forking a copy of the parent's
+heap:
 
 * :func:`run_task` is the thread entry point.  It runs
   :func:`select_and_solve` against the process-wide tracer, metrics
@@ -16,16 +17,17 @@ a copy of the parent's heap:
 * :class:`ParallelDispatcher` submits one task per subproblem under a copy
   of the caller's :mod:`contextvars` context — the request's trace id and
   the open ``rasa.dispatch`` span travel into the thread — and collects
-  the outcomes by task index.  A task that raises, or misses its
-  wall-clock deadline, becomes a :class:`TaskFailure`, and the scheduler's
-  one solve loop solves that shard in-process when its merge turn comes.
+  the outcomes by task index.  A task that raises becomes a
+  :class:`TaskFailure`, and the scheduler's one solve loop solves that
+  shard in-process when its merge turn comes.
 
-Determinism: :class:`~repro.core.rasa.RASAScheduler` merges outcomes in
-the fixed affinity-descending order regardless of completion order, so for
-a given seed the merged assignment is bit-identical to a one-at-a-time
-solve whenever the per-subproblem solves themselves are
-budget-deterministic (i.e. they finish within their budget — always true
-without an overall time limit).
+Every pooled task is unbudgeted, so the pool always runs each task to its
+end and joins every thread before :meth:`ParallelDispatcher.run` returns.
+
+Determinism: an unbudgeted shard solve is a pure function of the shard,
+and :class:`~repro.core.rasa.RASAScheduler` merges outcomes in the fixed
+affinity-descending order regardless of completion order, so for a given
+seed the merged assignment is bit-identical to a one-at-a-time solve.
 """
 
 from __future__ import annotations
@@ -34,8 +36,7 @@ import contextvars
 import ctypes
 import os
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -93,15 +94,12 @@ class SubproblemTask:
         subproblem: The self-contained shard to solve.
         selector: Algorithm selector.
         algorithm_factory: Label → algorithm mapping.
-        budget: Per-subproblem solver time budget (seconds; None or
-            ``inf`` for unlimited).
     """
 
     index: int
     subproblem: Subproblem
     selector: AlgorithmSelector
     algorithm_factory: Callable[[str], SchedulingAlgorithm]
-    budget: float | None = None
 
 
 @dataclass
@@ -120,17 +118,14 @@ class TaskOutcome:
 
 @dataclass
 class TaskFailure:
-    """A task the pool could not complete; the caller retries it inline.
+    """A task whose solve raised; the caller retries it inline.
 
     Attributes:
         index: The failed task's subproblem index.
-        kind: ``"timeout"`` (no result by the deadline) or ``"error"``
-            (the solve raised).
         error: Human-readable cause.
     """
 
     index: int
-    kind: str
     error: str
 
 
@@ -178,7 +173,7 @@ def run_task(task: SubproblemTask) -> TaskOutcome:
     """
     started = time.monotonic()
     label, result = select_and_solve(
-        task.subproblem, task.selector, task.algorithm_factory, task.budget
+        task.subproblem, task.selector, task.algorithm_factory, None
     )
     return TaskOutcome(
         index=task.index, label=label, result=result, started_monotonic=started
@@ -186,33 +181,16 @@ def run_task(task: SubproblemTask) -> TaskOutcome:
 
 
 class ParallelDispatcher:
-    """Solves subproblem tasks on a thread pool and collects their outcomes.
+    """Solves unbudgeted subproblem tasks on a thread pool.
 
     Args:
         workers: Maximum pool threads.
-        timeout_factor: A task's wall-clock deadline is
-            ``budget * timeout_factor + timeout_margin`` — solvers enforce
-            their own budget, so the deadline only catches a hung solve.
-            Tasks with an unlimited budget have no deadline.
-        timeout_margin: Constant slack added to every deadline (deadlines
-            are measured from submission, not task start, so it also
-            covers queueing behind other tasks).
-
-    A thread cannot be stopped: a task that misses its deadline is
-    abandoned to finish on its own, and interpreter exit waits for it.
     """
 
-    def __init__(
-        self,
-        workers: int,
-        timeout_factor: float = 2.0,
-        timeout_margin: float = 5.0,
-    ) -> None:
+    def __init__(self, workers: int) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        self.timeout_factor = timeout_factor
-        self.timeout_margin = timeout_margin
 
     # ------------------------------------------------------------------
     def run(self, tasks: list[SubproblemTask]) -> dict[int, TaskOutcome | TaskFailure]:
@@ -225,63 +203,29 @@ class ParallelDispatcher:
         Returns:
             Outcome or failure per task, keyed by ``task.index``.  The
             caller decides what to do with failures (the scheduler retries
-            them in-process with redistributed budgets).
+            them in-process).
         """
         logger = get_logger("core.parallel")
         metrics = get_metrics()
         results: dict[int, TaskOutcome | TaskFailure] = {}
-        pool = ThreadPoolExecutor(
+        with ThreadPoolExecutor(
             max_workers=min(self.workers, max(1, len(tasks))),
             thread_name_prefix="rasa-solve",
-        )
-        futures: list[tuple[SubproblemTask, Future, float | None]] = []
-        try:
-            submitted = time.monotonic()
-            for task in tasks:
-                deadline = None
-                if task.budget is not None and task.budget != np.inf:
-                    deadline = (
-                        submitted + task.budget * self.timeout_factor + self.timeout_margin
+        ) as pool:
+            futures = [
+                (task, pool.submit(contextvars.copy_context().run, run_task, task))
+                for task in tasks
+            ]
+            for task, future in futures:
+                try:
+                    results[task.index] = future.result()
+                except Exception as exc:  # the solve raised inside the thread
+                    logger.warning(
+                        "worker error %s", kv(subproblem=task.index, error=str(exc))
                     )
-                context = contextvars.copy_context()
-                futures.append((task, pool.submit(context.run, run_task, task), deadline))
-            for task, future, deadline in futures:
-                results[task.index] = self._collect(task, future, deadline, logger)
-                if isinstance(results[task.index], TaskFailure):
                     metrics.counter("rasa.parallel.task_failures").inc()
-        finally:
-            # Join the threads only when every task is done: one past its
-            # deadline is abandoned, not waited for.
-            drained = all(future.done() for _, future, _ in futures)
-            pool.shutdown(wait=drained, cancel_futures=True)
-            if drained:
-                _release_freed_heap()
+                    results[task.index] = TaskFailure(
+                        index=task.index, error=f"{type(exc).__name__}: {exc}"
+                    )
+        _release_freed_heap()
         return results
-
-    def _collect(
-        self,
-        task: SubproblemTask,
-        future: Future,
-        deadline: float | None,
-        logger,
-    ) -> TaskOutcome | TaskFailure:
-        """Await one future, mapping every failure mode to a TaskFailure."""
-        timeout = None
-        if deadline is not None:
-            timeout = max(0.0, deadline - time.monotonic())
-        try:
-            return future.result(timeout=timeout)
-        except FutureTimeoutError:
-            logger.warning(
-                "worker timeout %s", kv(subproblem=task.index, budget=task.budget)
-            )
-            return TaskFailure(
-                index=task.index,
-                kind="timeout",
-                error=f"no result within {timeout:.1f}s deadline",
-            )
-        except Exception as exc:  # the solve raised inside the thread
-            logger.warning("worker error %s", kv(subproblem=task.index, error=str(exc)))
-            return TaskFailure(
-                index=task.index, kind="error", error=f"{type(exc).__name__}: {exc}"
-            )

@@ -7,16 +7,19 @@ assignment together with per-subproblem diagnostics and an anytime
 quality-over-time trajectory (used by the Fig. 10 benchmark).
 
 The solve phase is one loop over the subproblems in affinity-descending
-order.  Each shard is solved in-process at its merge turn; when a shard
-finishes under its proportional budget, the unspent time is redistributed
-across the shards still unsolved.  The thread pool
-(:mod:`repro.core.parallel`) is an optional first pass over the same
-shards — one thread per CPU for a solve without a time limit, ``workers``
-threads for a budgeted one: what it delivers is merged at the shard's
-turn instead of being solved there, and what it does not deliver (a
-failed or timed-out thread) is simply still unsolved when its turn comes —
-so parallelism never loses shards or reorders the merge, and the
-one-at-a-time solve is the same loop with an empty pool.
+order, and each kind of solve has one mode:
+
+* A solve with a time limit solves each shard in-process at its merge
+  turn, on a share of the remaining budget proportional to the shard's
+  affinity; time a shard leaves unspent flows to the shards still
+  unsolved.
+* A solve without one first hands every shard to the thread pool
+  (:mod:`repro.core.parallel`), one thread per CPU.  No layer below it
+  reads a clock, so each shard's result is a pure function of the shard.
+  What the pool delivers is merged at the shard's turn; a shard whose
+  thread raised is solved in-process at its turn instead — so
+  parallelism never loses shards or reorders the merge, and the result
+  is bit-identical to a one-at-a-time solve.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ class RASAResult:
         partition: The partitioning phase's output.
         reports: Per-subproblem algorithm choices and solve results, in
             merge (affinity-descending) order — identical between the
-            sequential and parallel modes.
+            one-at-a-time and pooled solves.
         runtime_seconds: Total wall-clock time.
         trajectory: Cumulative ``(elapsed_seconds, normalized_gained)``
             points — RASA is an anytime algorithm (halting mid-run returns
@@ -96,14 +99,6 @@ class RASAResult:
     reports: list[SubproblemReport] = field(default_factory=list)
     runtime_seconds: float = 0.0
     trajectory: list[tuple[float, float]] = field(default_factory=list)
-
-    @property
-    def wall_clock_stops(self) -> int:
-        """Inner solves, over every shard, that stopped on a wall-clock
-        limit the caller did not set (see ``SolveResult.wall_clock_stops``):
-        zero in an unbudgeted run means the placement is a pure function of
-        the problem."""
-        return sum(report.result.wall_clock_stops for report in self.reports)
 
     def summary_dict(self) -> dict:
         """JSON-safe, ``schema_version``-tagged summary of the run.
@@ -193,7 +188,8 @@ class RASAScheduler:
             problem: The cluster instance.
             time_limit: Overall wall-clock budget; split across subproblems
                 proportionally to their total affinity (important shards
-                get more time).
+                get more time).  None solves every shard to its end, one
+                thread per CPU.
 
         Returns:
             The merged placement plus per-phase diagnostics.
@@ -235,12 +231,12 @@ class RASAScheduler:
             reports: list[SubproblemReport] = []
             # Solve high-affinity shards first so early stopping keeps the
             # most valuable improvements; pool results merge in this same
-            # order, so every worker count produces identical results.
+            # order, so every thread count produces identical results.
             order = sorted(
                 range(len(partition.subproblems)),
                 key=lambda i: -partition.subproblems[i].total_affinity,
             )
-            threads = self._solve_threads(watch)
+            threads = available_cpus() if time_limit is None else 1
             assignment = self._solve(
                 problem, partition.subproblems, order, assignment, trajectory,
                 reports, watch, threads, run_span,
@@ -307,31 +303,27 @@ class RASAScheduler:
     ) -> Assignment:
         """Solve and merge every shard in affinity-descending order.
 
-        With more than one thread and more than one shard, the thread pool
-        solves the shards ahead of the merge.  The walk over ``order`` then
-        merges what the pool delivered and solves every other shard
-        in-process at its merge turn — all of them when there was no pool;
-        failed or timed-out ones otherwise — with the remaining time
-        redistributed across the shards still unsolved, so one bad shard
-        never loses the other shards' results.
+        With more than one thread and more than one shard (an unbudgeted
+        solve), the thread pool solves the shards ahead of the merge.  The
+        walk over ``order`` then merges what the pool delivered and solves
+        every other shard in-process at its merge turn — all of them when
+        there was no pool, a shard whose thread raised otherwise — so one
+        bad shard never loses the other shards' results.  A budgeted walk
+        gives each shard its share of the time still left.
         """
         metrics = get_metrics()
         logger = get_logger("core.rasa")
         factory = DefaultAlgorithmFactory()
-        pooled = threads > 1 and len(order) > 1
         outcomes: dict[int, TaskOutcome | TaskFailure] = {}
-        if pooled:
+        if threads > 1 and len(order) > 1:
             run_span.set_tag("workers", threads)
-            outcomes = self._dispatch(subproblems, order, factory, watch, threads)
-        delivered = {
-            i for i, outcome in outcomes.items() if isinstance(outcome, TaskOutcome)
-        }
+            outcomes = self._dispatch(subproblems, order, factory, threads)
         # Deterministic merge: fixed affinity-descending order, regardless
         # of which thread finished first.
         for position, i in enumerate(order):
             subproblem = subproblems[i]
-            if i in delivered:
-                outcome = outcomes[i]
+            outcome = outcomes.get(i)
+            if isinstance(outcome, TaskOutcome):
                 label, result = outcome.label, outcome.result
                 solve_start = max(
                     0.0, outcome.started_monotonic - watch.start_monotonic
@@ -339,21 +331,16 @@ class RASAScheduler:
             elif watch.expired:
                 continue  # anytime stop: the shard keeps its current placement
             else:
-                if pooled:
-                    failure = outcomes.get(i)
+                if outcome is not None:
                     logger.warning(
                         "sequential retry %s",
-                        kv(
-                            subproblem=i,
-                            kind=getattr(failure, "kind", "missing"),
-                            error=getattr(failure, "error", ""),
-                        ),
+                        kv(subproblem=i, error=outcome.error),
                     )
                     metrics.counter("rasa.parallel.retries").inc()
-                pending = [
-                    subproblems[j] for j in order[position:] if j not in delivered
-                ]
-                budget = self._next_budget(pending, watch)
+                budget = None
+                if watch.time_limit is not None:
+                    pending = [subproblems[j] for j in order[position:]]
+                    budget = self._next_budget(pending, watch)
                 solve_start = watch.elapsed
                 label, result = select_and_solve(
                     subproblem, self.selector, factory, budget
@@ -376,31 +363,19 @@ class RASAScheduler:
         subproblems: list[Subproblem],
         order: list[int],
         factory: DefaultAlgorithmFactory,
-        watch: Stopwatch,
         threads: int,
     ) -> dict[int, TaskOutcome | TaskFailure]:
-        """Offer every shard to the thread pool; outcomes by shard index.
-
-        A budgeted solve splits its budget up front, since the pool solves
-        the shards at once; an unbudgeted one leaves every shard unlimited.
-        """
+        """Solve every shard on the thread pool; outcomes by shard index."""
         tracer = get_tracer()
-        budgets = self._budgets([subproblems[i] for i in order], watch)
-        remaining = watch.remaining
-        tasks = []
-        for position, i in enumerate(order):
-            budget = budgets[position]
-            if remaining is not None:
-                budget = max(MIN_SUBPROBLEM_BUDGET, min(budget, remaining))
-            tasks.append(
-                SubproblemTask(
-                    index=i,
-                    subproblem=subproblems[i],
-                    selector=self.selector,
-                    algorithm_factory=factory,
-                    budget=budget,
-                )
+        tasks = [
+            SubproblemTask(
+                index=i,
+                subproblem=subproblems[i],
+                selector=self.selector,
+                algorithm_factory=factory,
             )
+            for i in order
+        ]
         dispatcher = ParallelDispatcher(workers=threads)
         with tracer.span("rasa.dispatch", workers=threads, tasks=len(tasks)):
             return dispatcher.run(tasks)
@@ -440,22 +415,6 @@ class RASAScheduler:
             trajectory, watch.elapsed, gained / graph_total if graph_total else 0.0
         )
         return assignment
-
-    def _effective_workers(self) -> int:
-        """The budgeted solve phase's thread count: ``workers``, at least 1."""
-        return max(1, self.config.workers)
-
-    def _solve_threads(self, watch: Stopwatch) -> int:
-        """Pool threads for the solve phase.
-
-        An unbudgeted shard solve is a pure function of the shard, so a
-        solve without a time limit runs one thread per CPU at no cost to
-        determinism.  A budgeted one keeps ``workers``: 1 solves the shards
-        one at a time with unspent time redistributed.
-        """
-        if watch.time_limit is None:
-            return available_cpus()
-        return self._effective_workers()
 
     def _next_budget(self, pending: list[Subproblem], watch: Stopwatch) -> float:
         """Budget for the first of the still-queued shards.

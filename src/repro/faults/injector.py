@@ -12,9 +12,9 @@ Determinism contract: each CronJob cycle gets its own child stream derived
 from ``(plan.seed, cycle)`` via :class:`numpy.random.SeedSequence`, so a
 cycle's faults depend only on the seed and the cycle index — not on how
 much randomness earlier cycles consumed.  The control plane draws from the
-injector strictly sequentially (worker parallelism only touches the solve
-phase, which merges deterministically), so the same seed and plan replay
-the same fault sequence even under ``workers > 1``.
+injector strictly sequentially (the solve phase's thread pool merges
+deterministically and never draws from it), so the same seed and plan
+replay the same fault sequence whatever the machine's CPU count.
 """
 
 from __future__ import annotations

@@ -33,10 +33,6 @@ class SolveResult:
         bound: Proven upper bound on the objective any placement of this
             solve could reach (same scale as ``objective``), or None for
             algorithms that prove none.
-        wall_clock_stops: Inner solves that stopped on a wall-clock limit
-            of the algorithm's own rather than on ``time_limit`` (column
-            generation's per-pricing limit).  Nonzero makes the result
-            machine-dependent even when the caller set no budget.
     """
 
     assignment: Assignment
@@ -46,7 +42,6 @@ class SolveResult:
     objective: float
     trajectory: list[tuple[float, float]] = field(default_factory=list)
     bound: float | None = None
-    wall_clock_stops: int = 0
 
 
 @runtime_checkable

@@ -44,12 +44,6 @@ MAX_ITERATIONS = 40
 #: Share of the time budget reserved for the final integral rounding MILP.
 ROUNDING_FRACTION = 0.35
 
-#: Per-group budget (seconds) for one exact pricing solve.  It applies
-#: even when the caller set no ``time_limit``, so a pricing MILP that stops
-#: on it makes the solve machine-dependent; :attr:`SolveResult.wall_clock_stops`
-#: counts such stops.
-PRICING_TIME_LIMIT = 2.0
-
 
 class ColumnGenerationAlgorithm:
     """Solver-based RASA algorithm with sub-optimal quality but good scaling.
@@ -92,7 +86,6 @@ class ColumnGenerationAlgorithm:
 
         iterations = 0
         columns_added = 0
-        stops = 0
         for iteration in range(MAX_ITERATIONS):
             if cg_budget is not None and watch.elapsed >= cg_budget:
                 break
@@ -110,10 +103,10 @@ class ColumnGenerationAlgorithm:
 
                 added = 0
                 for g, group in enumerate(groups):
-                    if cg_budget is not None and watch.elapsed >= cg_budget:
+                    left = None if cg_budget is None else cg_budget - watch.elapsed
+                    if left is not None and left <= 0:
                         break
-                    pattern, time_limited = self._price(problem, group, coverage_duals)
-                    stops += time_limited
+                    pattern = self._price(problem, group, coverage_duals, left)
                     if pattern is None:
                         continue
                     reduced = pattern.value - float(coverage_duals @ pattern.counts)
@@ -131,8 +124,6 @@ class ColumnGenerationAlgorithm:
                     break
         metrics.counter("solver.cg.iterations").inc(iterations)
         metrics.counter("solver.cg.columns").inc(columns_added)
-        if stops:
-            metrics.counter("solver.cg.pricing_time_limited").inc(stops)
 
         rounding_limit = watch.remaining
         with tracer.span("cg.rounding"):
@@ -158,18 +149,19 @@ class ColumnGenerationAlgorithm:
             runtime_seconds=watch.elapsed,
             objective=incumbent_obj,
             trajectory=trajectory,
-            wall_clock_stops=stops,
         )
 
     def _price(
-        self, problem: RASAProblem, group: MachineGroup, duals: np.ndarray
-    ) -> tuple[Pattern | None, bool]:
-        """The pricing pattern and whether it stopped on the wall clock."""
+        self,
+        problem: RASAProblem,
+        group: MachineGroup,
+        duals: np.ndarray,
+        time_limit: float | None,
+    ) -> Pattern | None:
+        """The pricing pattern, within what is left of the CG budget."""
         if self.pricing == "greedy":
-            return price_pattern_greedy(problem, group, duals), False
-        return price_pattern_mip(
-            problem, group, duals, time_limit=PRICING_TIME_LIMIT
-        )
+            return price_pattern_greedy(problem, group, duals)
+        return price_pattern_mip(problem, group, duals, time_limit=time_limit)
 
 
 class _Master:

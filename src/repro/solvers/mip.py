@@ -89,16 +89,18 @@ class MIPAlgorithm:
                 objective=0.0,
                 bound=0.0,
             )
+        solve_start = watch.elapsed
         milp_result = solve_milp(
             model, time_limit=time_limit, gap_tolerance=GAP_TOLERANCE
         )
         metrics.counter("solver.mip.nodes").inc(milp_result.nodes_explored)
-        for record in milp_result.incumbents:
-            tracer.event(
-                "mip.incumbent",
-                elapsed=record.elapsed_seconds,
-                objective=-record.objective,
-            )
+        # Incumbents on this solve's clock, which started before the model build.
+        trajectory = [
+            (solve_start + r.elapsed_seconds, -r.objective)
+            for r in milp_result.incumbents
+        ]
+        for elapsed, objective in trajectory:
+            tracer.event("mip.incumbent", elapsed=elapsed, objective=objective)
         assignment = extract_assignment(problem, layout, milp_result)
         objective = assignment.gained_affinity()
         status = milp_result.status
@@ -122,7 +124,7 @@ class MIPAlgorithm:
             status=status,
             runtime_seconds=watch.elapsed,
             objective=objective,
-            trajectory=[(r.elapsed_seconds, -r.objective) for r in milp_result.incumbents],
+            trajectory=trajectory,
             bound=bound,
         )
 

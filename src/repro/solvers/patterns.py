@@ -167,7 +167,7 @@ def price_pattern_mip(
     group: MachineGroup,
     duals: np.ndarray,
     time_limit: float | None = None,
-) -> tuple[Pattern | None, bool]:
+) -> Pattern | None:
     """Exact pricing: maximize ``value(p) - duals @ p`` over feasible patterns.
 
     The model is :func:`~repro.solvers.mip.build_rasa_model` over one bin —
@@ -180,13 +180,11 @@ def price_pattern_mip(
         problem: The instance.
         group: Machine group to price for.
         duals: Coverage dual prices ``pi_s`` (length N).
-        time_limit: Budget for the pricing MILP.
+        time_limit: Budget for the pricing MILP; None solves it to
+            optimality.
 
     Returns:
-        ``(pattern, time_limited)``: the best pattern found (None if the
-        solve produced nothing), and whether the MILP stopped on
-        ``time_limit`` before proving its optimum — the pattern then
-        depends on how fast the machine is.
+        The best pattern found, or None if the solve produced nothing.
     """
     n = problem.num_services
     # One all-schedulable machine of the group: a column per service, with
@@ -199,14 +197,13 @@ def price_pattern_mip(
     fit = container_fit(problem, layout.capacities)[:, 0]
     model.ub[:n] = np.where(group.schedulable, np.minimum(model.ub[:n], fit), 0.0)
     result = solve_milp(model, time_limit=time_limit, gap_tolerance=GAP_TOLERANCE)
-    time_limited = result.status in ("feasible", "no_incumbent")
     if result.x is None:
-        return None, time_limited
+        return None
     counts = np.rint(result.x[:n]).astype(np.int64)
     counts = np.clip(counts, 0, None)
     if not pattern_is_feasible(problem, group, counts):
-        return None, time_limited
-    return Pattern(counts, pattern_value(problem, counts)), time_limited
+        return None
+    return Pattern(counts, pattern_value(problem, counts))
 
 
 def price_pattern_greedy(

@@ -7,6 +7,11 @@ never with the current one (the ``checkpoint_parent`` way)::
 
     PYTHONPATH=<checkout of ac883fe>/src python tests/data/make_cli_surface.py
 
+and then delete the ``--workers`` and ``--parallel`` rows of ``optimize``,
+``compare``, ``cron`` and ``replay``: the solve phase's thread count
+stopped being an option after ac883fe (``rasa serve --workers``, the
+service's controller pool, stays).
+
 For every sub-command and ``rasa tenant`` action it records each argument's
 option strings, dest, type, choices, nargs and required flag plus the
 positional order — not the argparse defaults, which are free to move into

@@ -307,8 +307,10 @@ def test_cli_surface_matches_parent():
     effective ``LoopSpec`` of bare loop commands equal the parent's.
 
     ``cli_surface.json`` was written by ``make_cli_surface.py`` running on
-    ac883fe, whose ``cli.py`` typed every loop flag three times by hand.
-    Its ``config`` objects also carry the eight since-retired
+    ac883fe, whose ``cli.py`` typed every loop flag three times by hand,
+    less the since-removed solve-thread flags (``--workers``/``--parallel``
+    of ``optimize``/``compare``/``cron``/``replay``).
+    Its ``config`` objects also carry the nine since-retired
     ``RASAConfig`` keys, so both sides compare as the ``RASAConfig`` that
     ``LoopSpec`` loads from them (which refuses a retired key at any value
     but the one now hard-wired).
@@ -392,10 +394,6 @@ def test_bad_input_is_an_error_line_not_a_traceback(
     assert captured.err.startswith("error: ") and named in captured.err
     assert "Traceback" not in captured.err
 
-
-def test_workers_zero_is_an_error_line(trace_path, capsys):
-    assert main(["cron", str(trace_path), "--workers", "0"]) == 1
-    assert capsys.readouterr().err == "error: --workers must be >= 1\n"
 
 
 def test_abbreviated_supervisor_flag_is_a_usage_error(

@@ -266,19 +266,6 @@ def test_budgeted_solves_keep_no_digest(solves):
     assert len(solves) == 2
 
 
-def test_pricing_stopped_by_its_wall_clock_keeps_no_memo(solves, monkeypatch):
-    from repro.solvers import column_generation
-
-    tenant = make_service_tenant_reports.build_tenant("clean")
-    problem = tenant.controller.state.problem
-    monkeypatch.setattr(column_generation, "PRICING_TIME_LIMIT", 1e-9)
-    registry = MetricsRegistry()
-    with use_metrics(registry):
-        _loop(problem).run(2)
-    assert len(solves) == 2
-    assert registry.snapshot()["counters"]["solver.cg.pricing_time_limited"] > 0
-
-
 def test_traffic_shift_forces_a_resolve(solves):
     trace = EventTrace(
         base=_stuck_world(),

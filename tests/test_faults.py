@@ -3,7 +3,7 @@
 Covers the acceptance criteria of the fault-tolerant control plane:
 
 * same seed + same :class:`FaultPlan` ⇒ identical :class:`CycleReport`
-  sequence (including under ``workers > 1``),
+  sequence (including when the solve phase runs on threads),
 * under a seeded plan with per-command failure rate ≤ 20 %, ``run(n)``
   completes all cycles without raising, every cycle respects the SLA
   floor, and degraded cycles record which ladder rung fired,
@@ -20,7 +20,7 @@ import pytest
 
 from repro.cluster import ClusterState, CronJobController, DataCollector
 from repro.cluster.cronjob import CycleReport
-from repro.core import Assignment, RASAConfig, RASAScheduler
+from repro.core import Assignment, RASAScheduler
 from repro.core.config import LoopSpec, RetryPolicy
 from repro.exceptions import ProblemValidationError
 from repro.faults import (
@@ -276,12 +276,7 @@ def test_determinism_holds_under_workers(small_cluster, monkeypatch):
     monkeypatch.setattr("repro.core.rasa.available_cpus", lambda: 1)
     _, serial = _run_loop(small_cluster, CHAOS_PLAN, cycles=2)
     monkeypatch.setattr("repro.core.rasa.available_cpus", lambda: 2)
-    _, parallel = _run_loop(
-        small_cluster,
-        CHAOS_PLAN,
-        cycles=2,
-        config=RASAConfig(workers=2),
-    )
+    _, parallel = _run_loop(small_cluster, CHAOS_PLAN, cycles=2)
     assert serial == parallel
 
 

@@ -55,10 +55,12 @@ def test_sequential_pipeline_emits_fully_feasible_assignments(seed):
 
 
 @pytest.mark.parametrize("seed", (0, 1))
-def test_parallel_pipeline_emits_fully_feasible_assignments(seed):
+def test_parallel_pipeline_emits_fully_feasible_assignments(seed, monkeypatch):
+    """An unbudgeted solve runs its shards on a two-thread pool."""
+    monkeypatch.setattr("repro.core.rasa.available_cpus", lambda: 2)
     problem = make_random_problem(seed, num_services=14)
-    config = RASAConfig(max_subproblem_services=6, workers=2)
-    result = RASAScheduler(config=config).schedule(problem, time_limit=10.0)
+    config = RASAConfig(max_subproblem_services=6)
+    result = RASAScheduler(config=config).schedule(problem)
     assert_feasible(result.assignment)
 
 

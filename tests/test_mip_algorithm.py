@@ -150,6 +150,31 @@ def test_mip_greedy_floor_never_worse_than_greedy(small_cluster):
     assert mip.objective >= greedy.objective - 1e-9
 
 
+def test_mip_trajectory_point_is_no_earlier_than_its_solve(tiny_problem, monkeypatch):
+    """HiGHS's one incumbent is stamped when the solve returns it, on the
+    algorithm's clock and in the ``mip.incumbent`` event alike."""
+    import time
+
+    from repro.obs import Tracer, use_tracer
+    from repro.solvers import milp_backend
+
+    delay = 0.05
+    real = milp_backend.milp
+
+    def slow_milp(*args, **kwargs):
+        time.sleep(delay)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(milp_backend, "milp", slow_milp)
+    with use_tracer(Tracer()) as tracer:
+        result = MIPAlgorithm().solve(tiny_problem)
+    [(elapsed, objective)] = result.trajectory
+    assert delay <= elapsed <= result.runtime_seconds
+    assert objective == pytest.approx(result.objective)
+    [event] = [s for s in tracer.finished_roots() if s.name == "mip.incumbent"]
+    assert event.tags["elapsed"] == elapsed
+
+
 def test_mip_trajectory_is_monotone(tiny_problem):
     """The oracle's incumbent history on the model only ever improves."""
     result = BranchAndBoundSolver().solve(build_rasa_model(tiny_problem)[0])

@@ -5,9 +5,9 @@ The engine's contract (see :mod:`repro.core.parallel`) is threefold:
 * **Determinism** — for a fixed seed and no overall time limit, threaded
   runs are bit-identical to one-at-a-time runs: same assignment matrix,
   same objective, same trajectory *values*, same merge order.
-* **Resilience** — a raising or hung pool thread falls back to an
-  in-process retry, and one bad shard never loses the results the other
-  threads already produced.
+* **Resilience** — a raising pool thread falls back to an in-process
+  retry, and one bad shard never loses the results the other threads
+  already produced.
 * **Completeness** — pool threads record spans, metric samples and
   incumbent trajectories into the process tracer/registry, nested under
   ``rasa.dispatch`` and stamped with the request's trace id.
@@ -20,7 +20,6 @@ only misbehaves off the main thread, so the in-process retry succeeds.
 
 from __future__ import annotations
 
-import functools
 import threading
 
 import numpy as np
@@ -33,7 +32,6 @@ from repro.core.parallel import (
     SubproblemTask,
     TaskFailure,
     TaskOutcome,
-    available_cpus,
     run_task,
 )
 from repro.obs import (
@@ -88,21 +86,15 @@ def two_cpus(monkeypatch):
 
 
 class WorkerPoisonedSelector(HeuristicSelector):
-    """Selector that misbehaves only on pool threads.
+    """Selector that raises from the select step, only on pool threads.
 
-    ``mode`` is ``"raise"`` (raise from the select step) or ``"hang"``
-    (block past the task deadline, then raise).  With ``target_service``
-    set, only the shard containing that service is poisoned; otherwise
-    every shard is.  The in-process retry, on the main thread, sees a
-    well-behaved :class:`HeuristicSelector`.  Setting ``released`` ends a
-    hang early, so an abandoned thread does not outlive its test.
+    With ``target_service`` set, only the shard containing that service is
+    poisoned; otherwise every shard is.  The in-process retry, on the main
+    thread, sees a well-behaved :class:`HeuristicSelector`.
     """
 
-    def __init__(self, mode, target_service=None, hang_seconds=6.0):
-        self.mode = mode
+    def __init__(self, target_service=None):
         self.target_service = target_service
-        self.hang_seconds = hang_seconds
-        self.released = threading.Event()
 
     def select(self, subproblem):
         poisoned = (
@@ -110,8 +102,6 @@ class WorkerPoisonedSelector(HeuristicSelector):
             or self.target_service in subproblem.service_names
         )
         if poisoned and threading.current_thread() is not threading.main_thread():
-            if self.mode == "hang":
-                self.released.wait(self.hang_seconds)
             raise RuntimeError("poisoned shard")
         return super().select(subproblem)
 
@@ -218,12 +208,12 @@ def test_trajectory_timestamps_are_monotone(small_cluster, seq, two_cpus):
 
 
 # ----------------------------------------------------------------------
-# Resilience: error / timeout fallback
+# Resilience: error fallback
 # ----------------------------------------------------------------------
 def test_one_bad_shard_keeps_other_workers_results(small_cluster, seq, two_cpus):
     """Only the poisoned shard retries; the rest come from the pool."""
     target = seq.reports[1].subproblem.service_names[0]
-    selector = WorkerPoisonedSelector("raise", target_service=target)
+    selector = WorkerPoisonedSelector(target_service=target)
     result, metrics = _run(small_cluster.problem, _config(), selector=selector)
     _assert_identical(seq, result)
     counters = metrics.snapshot()["counters"]
@@ -231,36 +221,37 @@ def test_one_bad_shard_keeps_other_workers_results(small_cluster, seq, two_cpus)
     assert counters["rasa.parallel.task_failures"] == 1
 
 
-@pytest.mark.slow
-def test_hung_worker_times_out_and_retries(small_cluster, seq, monkeypatch):
-    """A wedged thread trips the per-task deadline and is abandoned; no
-    shard is lost."""
-    target = seq.reports[-1].subproblem.service_names[0]
-    selector = WorkerPoisonedSelector("hang", target_service=target, hang_seconds=8.0)
+# ----------------------------------------------------------------------
+# One mode per kind of solve; budget redistribution (unspent time flows
+# to still-queued shards)
+# ----------------------------------------------------------------------
+def test_only_an_unbudgeted_solve_pools_and_it_passes_no_clock(
+    small_cluster, two_cpus, monkeypatch
+):
+    """Without a time limit every shard is solved on the pool with no
+    budget; with one, the shards are solved one at a time on the caller's
+    thread, each on a finite share."""
+    factory = RecordingFactory()
     monkeypatch.setattr(
-        "repro.core.rasa.ParallelDispatcher",
-        functools.partial(ParallelDispatcher, timeout_factor=1.0, timeout_margin=1.0),
+        "repro.core.rasa.DefaultAlgorithmFactory", lambda: factory
     )
-    config = _config(workers=2)
-    try:
-        result, metrics = _run(
-            small_cluster.problem, config, selector=selector, time_limit=9.0
-        )
-    finally:
-        selector.released.set()
-    # Budget-limited, so no bit-identity claim — but every shard must be
-    # present and the merged placement fully feasible.
-    assert len(result.reports) == len(result.partition.subproblems)
-    feasibility = result.assignment.check_feasibility()
-    assert feasibility.feasible, feasibility.summary()
-    counters = metrics.snapshot()["counters"]
-    assert counters["rasa.parallel.retries"] >= 1
-    assert counters["rasa.parallel.task_failures"] >= 1
+    for time_limit in (None, 8.0):
+        factory.budgets.clear()
+        with use_metrics(MetricsRegistry()), use_tracer(Tracer()) as tracer:
+            RASAScheduler(config=_config()).schedule(
+                small_cluster.problem, time_limit=time_limit
+            )
+        [root] = tracer.finished_roots()
+        pooled = [child for child in root.children if child.name == "rasa.dispatch"]
+        assert len(factory.budgets) == 3
+        if time_limit is None:
+            assert len(pooled) == 1
+            assert factory.budgets == [None] * 3
+        else:
+            assert pooled == []
+            assert all(0.0 < budget <= time_limit for budget in factory.budgets)
 
 
-# ----------------------------------------------------------------------
-# Budget redistribution (unspent time flows to still-queued shards)
-# ----------------------------------------------------------------------
 def test_sequential_budgets_redistribute_unspent_time(small_cluster, monkeypatch):
     factory = RecordingFactory()
     monkeypatch.setattr(
@@ -278,29 +269,12 @@ def test_sequential_budgets_redistribute_unspent_time(small_cluster, monkeypatch
     assert sum(budgets) > limit * 1.1
 
 
-def test_parallel_retry_budgets_redistribute(small_cluster, monkeypatch):
-    factory = RecordingFactory()
-    monkeypatch.setattr(
-        "repro.core.rasa.DefaultAlgorithmFactory", lambda: factory
-    )
-    selector = WorkerPoisonedSelector("raise")  # all shards retry in-process
-    config = _config(workers=2)
-    _, metrics = _run(
-        small_cluster.problem, config, selector=selector, time_limit=8.0
-    )
-    budgets = factory.budgets
-    assert len(budgets) == 3  # every retry ran in the parent and recorded
-    assert budgets[-1] > budgets[0]
-    assert metrics.snapshot()["counters"]["rasa.parallel.retries"] == 3
-
-
 # ----------------------------------------------------------------------
 # Observability completeness under parallelism
 # ----------------------------------------------------------------------
 def test_worker_spans_and_metrics_fold_into_parent(small_cluster, two_cpus):
-    """An unbudgeted solve pools its shards whatever ``workers`` says; the
-    threads' spans nest under ``rasa.dispatch`` and their samples land
-    in the process registry."""
+    """An unbudgeted solve pools its shards; the threads' spans nest under
+    ``rasa.dispatch`` and their samples land in the process registry."""
     with use_metrics(MetricsRegistry()) as metrics, use_tracer(Tracer()) as tracer:
         result = RASAScheduler(config=_config()).schedule(small_cluster.problem)
     shards = len(result.partition.subproblems)
@@ -359,7 +333,6 @@ def test_run_task_roundtrip(shards):
         subproblem=subproblem,
         selector=HeuristicSelector(),
         algorithm_factory=DefaultAlgorithmFactory(),
-        budget=None,
     )
     with use_metrics(MetricsRegistry()) as metrics, use_tracer(Tracer()) as tracer:
         outcome = run_task(task)
@@ -380,7 +353,6 @@ def test_run_task_carries_the_mip_bound(shards):
         subproblem=subproblem,
         selector=FixedSelector("mip"),
         algorithm_factory=DefaultAlgorithmFactory(),
-        budget=None,
     )
     result = run_task(task).result
     assert result.bound >= result.objective
@@ -390,61 +362,12 @@ def test_dispatcher_maps_raise_to_error(shards):
     task = SubproblemTask(
         index=5,
         subproblem=shards[-1],
-        selector=WorkerPoisonedSelector("raise"),
+        selector=WorkerPoisonedSelector(),
         algorithm_factory=DefaultAlgorithmFactory(),
     )
     with use_metrics(MetricsRegistry()) as metrics:
         results = ParallelDispatcher(workers=1).run([task])
     failure = results[5]
     assert isinstance(failure, TaskFailure)
-    assert failure.kind == "error"
-    assert "poisoned shard" in failure.error
+    assert failure.error == "RuntimeError: poisoned shard"
     assert metrics.snapshot()["counters"]["rasa.parallel.task_failures"] == 1
-
-
-def test_dispatcher_maps_hang_to_timeout(shards):
-    selector = WorkerPoisonedSelector("hang", hang_seconds=4.0)
-    task = SubproblemTask(
-        index=3,
-        subproblem=shards[-1],
-        selector=selector,
-        algorithm_factory=DefaultAlgorithmFactory(),
-        budget=0.1,  # finite budget arms the deadline
-    )
-    dispatcher = ParallelDispatcher(workers=1, timeout_factor=1.0, timeout_margin=0.5)
-    with use_metrics(MetricsRegistry()):
-        results = dispatcher.run([task])
-    selector.released.set()
-    failure = results[3]
-    assert isinstance(failure, TaskFailure)
-    assert failure.kind == "timeout"
-
-
-# ----------------------------------------------------------------------
-# Config threading: CLI, worker resolution
-# ----------------------------------------------------------------------
-def test_effective_workers_resolution():
-    assert RASAScheduler(config=RASAConfig())._effective_workers() == 1
-    assert RASAScheduler(config=RASAConfig(workers=4))._effective_workers() == 4
-    assert RASAScheduler(config=RASAConfig(workers=0))._effective_workers() == 1
-
-
-def test_cli_parallel_flags():
-    from repro.cli import _scheduler_config, build_parser
-    from repro.exceptions import ProblemValidationError
-
-    args = build_parser().parse_args(
-        ["optimize", "trace.json", "--workers", "3", "--parallel"]
-    )
-    assert _scheduler_config(args).workers == 3
-    # ``--parallel`` alone is one worker per CPU, resolved at parse time.
-    args = build_parser().parse_args(["optimize", "trace.json", "--parallel"])
-    assert _scheduler_config(args).workers == available_cpus()
-    args = build_parser().parse_args(["optimize", "trace.json"])
-    assert _scheduler_config(args).workers == 1
-
-    # An input error like any other: main() turns it into ``error:`` + exit 1.
-    bad = build_parser().parse_args(["optimize", "trace.json", "--workers", "0"])
-    with pytest.raises(ProblemValidationError, match="--workers must be >= 1"):
-        _scheduler_config(bad)
-

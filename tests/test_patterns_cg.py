@@ -71,8 +71,8 @@ def test_patterns_from_assignment_harvests_and_dedupes(tiny_problem):
 def test_mip_pricing_ignores_duals_zero(tiny_problem):
     groups = group_machines(tiny_problem)
     duals = np.zeros(tiny_problem.num_services)
-    pattern, time_limited = price_pattern_mip(tiny_problem, groups[0], duals, time_limit=10)
-    assert pattern is not None and not time_limited
+    pattern = price_pattern_mip(tiny_problem, groups[0], duals, time_limit=10)
+    assert pattern is not None
     # With zero duals the pricer maximizes raw pattern value: collocating
     # all of a and b (value 10 + partial c edge) fits one machine.
     assert pattern.value >= 10.0
@@ -84,7 +84,7 @@ def test_mip_pricing_keeps_barred_service_at_zero(constrained_problem):
     barred = [g for g in group_machines(constrained_problem) if not g.schedulable[db]]
     assert barred
     for group in barred:
-        pattern, _ = price_pattern_mip(constrained_problem, group, duals, time_limit=10)
+        pattern = price_pattern_mip(constrained_problem, group, duals, time_limit=10)
         assert pattern is not None and pattern.counts.sum() > 0
         assert pattern.counts[db] == 0
 
@@ -126,6 +126,46 @@ def test_cg_never_worse_than_greedy_seed(small_cluster):
     greedy = GreedyAlgorithm().solve(problem)
     cg = ColumnGenerationAlgorithm().solve(problem, time_limit=8)
     assert cg.objective >= greedy.objective - 1e-9
+
+
+def test_pricing_milp_gets_what_is_left_of_the_cg_budget(monkeypatch):
+    """Unbudgeted CG prices with no wall clock; budgeted CG never gives a
+    pricing MILP more time than its own budget has left."""
+    import time
+
+    from repro.solvers import patterns
+    from repro.solvers.column_generation import ROUNDING_FRACTION
+    from repro.workloads.generator import ClusterSpec, generate_cluster
+
+    problem = generate_cluster(ClusterSpec(
+        name="test-pricing", num_services=16, num_containers=64,
+        num_machines=4, seed=5,
+    )).problem
+    calls = []  # (time_limit, entered, returned)
+    real = patterns.solve_milp
+
+    def spy(model, time_limit=None, gap_tolerance=1e-6):
+        entered = time.monotonic()
+        result = real(model, time_limit=time_limit, gap_tolerance=gap_tolerance)
+        calls.append((time_limit, entered, time.monotonic()))
+        return result
+
+    monkeypatch.setattr(patterns, "solve_milp", spy)
+    ColumnGenerationAlgorithm().solve(problem)
+    assert calls and all(limit is None for limit, _, _ in calls)
+
+    calls.clear()
+    time_limit = 1.0
+    ColumnGenerationAlgorithm().solve(problem, time_limit=time_limit)
+    cg_budget = time_limit * (1.0 - ROUNDING_FRACTION)
+    assert len(calls) > 1
+    first_entered = calls[0][1]
+    # CG's clock started before the first pricing call, and each limit was
+    # computed after the previous call returned.
+    returned = first_entered
+    for limit, entered, done in calls:
+        assert 0.0 < limit <= cg_budget - (returned - first_entered)
+        returned = done
 
 
 def test_cg_on_anti_affinity_spread():

@@ -141,12 +141,12 @@ def test_schedule_with_profile_tags_solver_and_partition_spans(small_cluster):
 
 
 @pytest.mark.slow
-def test_profile_hotspots_fold_back_from_workers(small_cluster):
+def test_profile_hotspots_fold_back_from_workers(small_cluster, monkeypatch):
     """A shard solved on a pool thread is profiled on that thread."""
-    config = RASAConfig(profile=True, workers=2, max_subproblem_services=12)
+    monkeypatch.setattr("repro.core.rasa.available_cpus", lambda: 2)
+    config = RASAConfig(profile=True, max_subproblem_services=12)
     with use_metrics(MetricsRegistry()), use_tracer(Tracer()) as tracer:
-        RASAScheduler(config=config).schedule(small_cluster.problem,
-                                              time_limit=6)
+        RASAScheduler(config=config).schedule(small_cluster.problem)
     root = tracer.finished_roots()[0]
     solves = [s for s in _profiled_spans(root) if s.name == "rasa.solve"]
     assert solves, "pool-thread solve spans must carry hotspot tables"

@@ -547,11 +547,11 @@ def test_replay_deterministic_across_worker_counts(small_trace, monkeypatch):
     monkeypatch.setattr("repro.core.rasa.available_cpus", lambda: 1)
     serial = api.replay_trace(
         small_trace, cycles=4, time_limit=None, seed=5,
-        config=RASAConfig(max_subproblem_services=4, workers=1),
+        config=RASAConfig(max_subproblem_services=4),
     )
     monkeypatch.setattr("repro.core.rasa.available_cpus", lambda: 4)
     parallel = api.replay_trace(
         small_trace, cycles=4, time_limit=None, seed=5,
-        config=RASAConfig(max_subproblem_services=4, workers=4),
+        config=RASAConfig(max_subproblem_services=4),
     )
     assert serial == parallel

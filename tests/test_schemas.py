@@ -178,8 +178,8 @@ def test_loop_spec_round_trip_and_strictness():
 
 def test_loop_spec_loads_retired_config_keys():
     """A parent checkpoint's 14-key ``config`` loads; a retired key is
-    accepted only at the value the pipeline now hard-wires (``parallel`` at
-    any value), and refused by name otherwise."""
+    accepted only at the value the pipeline now hard-wires (the thread-pool
+    keys at any value), and refused by name otherwise."""
     import json
     from pathlib import Path
 
@@ -190,6 +190,8 @@ def test_loop_spec_loads_retired_config_keys():
     assert len(parent) == 14
     assert LoopSpec(config=parent).typed("config") == RASAConfig()
     assert LoopSpec(config={"parallel": True}).typed("config") == RASAConfig()
+    assert LoopSpec(config={"workers": 4}).typed("config") == RASAConfig()
+    assert LoopSpec(config={"workers": "x"}).typed("config") == RASAConfig()
     for bad, field in [
         ({"backend": "bnb"}, "LoopSpec.config.backend"),
         ({"repair_unplaced": False}, "LoopSpec.config.repair_unplaced"),
@@ -201,24 +203,20 @@ def test_loop_spec_loads_retired_config_keys():
 
 def test_retired_config_values_are_the_hard_wired_ones():
     """Each retired key's accepted value is the constant the code uses."""
-    import inspect
-
-    from repro.core.config import _RETIRED_CONFIG
-    from repro.core.parallel import ParallelDispatcher
+    from repro.core.config import _ANY, _RETIRED_CONFIG
     from repro.core.rasa import MIN_SUBPROBLEM_BUDGET
     from repro.obs.profile import DEFAULT_TOP
     from repro.partitioning.multistage import PARTITION_SAMPLES
 
-    dispatcher = inspect.signature(ParallelDispatcher).parameters
+    ignored = {"parallel", "workers", "worker_timeout_factor", "worker_timeout_margin"}
+    assert {key for key, value in _RETIRED_CONFIG.items() if value is _ANY} == ignored
     assert {
-        key: value for key, value in _RETIRED_CONFIG.items() if key != "parallel"
+        key: value for key, value in _RETIRED_CONFIG.items() if key not in ignored
     } == {
         "backend": "highs",
         "partition_samples": PARTITION_SAMPLES,
         "min_subproblem_budget": MIN_SUBPROBLEM_BUDGET,
         "repair_unplaced": True,
-        "worker_timeout_factor": dispatcher["timeout_factor"].default,
-        "worker_timeout_margin": dispatcher["timeout_margin"].default,
         "profile_top": DEFAULT_TOP,
     }
 

@@ -270,7 +270,8 @@ def test_service_error_paths(client):
 
 
 @pytest.mark.parametrize("field, value, name", [
-    ("config", {"workers": "x"}, "LoopSpec.config.workers"),
+    ("config", {"local_search_seconds": "x"},
+     "LoopSpec.config.local_search_seconds"),
     ("config", {"max_subproblem_services": 0},
      "LoopSpec.config.max_subproblem_services"),
     ("config", {"seed": -1}, "LoopSpec.config.seed"),
