@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Crash-recovery gate: SIGKILL a checkpointed replay, resume, demand
+"""Crash-recovery gate: SIGKILL a checkpointed loop, resume, demand
 bit-identical reports.
 
 The durability acceptance bar (DESIGN §12), run end to end through the
@@ -21,7 +21,11 @@ to one CPU, so their shards are solved one at a time while the in-process
 reference solves them on a thread per CPU — resume must be bit-identical
 across thread counts.  A separate case appends garbage to the WAL after
 the kill — torn-tail truncation must recover it, never silently accept
-it.
+it.  ``problem-churn`` does the same to ``rasa cron`` on a generated
+cluster (partial schedulability mask) under machine flaps and stale
+snapshots: its checkpoints carry the problem itself, as the snapshot's
+``source`` and as each capture's ``last_problem``, with the churn-tagged
+machines masked out.
 
 Any mismatch exits 2 (the CI crash-recovery lane keys off this).
 
@@ -52,7 +56,8 @@ if __package__ in (None, ""):  # direct script invocation without install
 from repro import api  # noqa: E402
 from repro.core.parallel import available_cpus  # noqa: E402
 from repro.faults import FaultPlan  # noqa: E402
-from repro.workloads.trace_io import load_event_trace  # noqa: E402
+from repro.workloads import ClusterSpec, generate_cluster  # noqa: E402
+from repro.workloads.trace_io import load_event_trace, save_trace  # noqa: E402
 
 DEFAULT_TRACE = Path(__file__).resolve().parent / "traces" / "reference_week.jsonl.gz"
 
@@ -67,6 +72,25 @@ FAULT_PLAN = {
     "stale_snapshot_rate": 0.1,
     "snapshot_drop_fraction": 0.05,
 }
+
+#: The problem-mode scenario's plan: machines flap often enough that most
+#: cycles collect a problem with churn-tagged machines masked out.
+PROBLEM_FAULT_PLAN = {
+    "seed": 7,
+    "command_failure_rate": 0.05,
+    "machine_failure_rate": 0.15,
+    "machine_flap_cycles": 2,
+    "stale_snapshot_rate": 0.2,
+}
+
+#: ``rasa cron``'s default per-cycle budget, which the reference matches.
+CRON_TIME_LIMIT = 10.0
+
+#: A cluster whose compatibility pools leave its ``schedulable`` mask partial.
+PROBLEM_SPEC = ClusterSpec(
+    name="crash-recovery", num_services=30, num_containers=120,
+    num_machines=8, seed=8, compat_pools=3, compat_fraction=0.2,
+)
 
 
 def _completed_cycles(checkpoint_dir: Path) -> int:
@@ -91,11 +115,11 @@ def _completed_cycles(checkpoint_dir: Path) -> int:
     return base + lines
 
 
-def _cli_argv(trace: Path, cycles: int, checkpoint_dir: Path,
+def _cli_argv(command: str, source: Path, cycles: int, checkpoint_dir: Path,
               plan_path: Path | None,
               report_out: Path | None = None) -> list[str]:
     argv = [
-        sys.executable, "-m", "repro.cli", "replay", str(trace),
+        sys.executable, "-m", "repro.cli", command, str(source),
         "--cycles", str(cycles),
         "--checkpoint-dir", str(checkpoint_dir),
         "--checkpoint-every", "2",
@@ -137,20 +161,20 @@ def _kill_child_mid_run(argv: list[str], checkpoint_dir: Path,
             child.wait(timeout=60)
 
 
-def run_scenario(name: str, *, trace_path: Path, trace, cycles: int,
-                 plan_path: Path | None, work_dir: Path, kill_after: int,
-                 corrupt_tail: bool = False, one_cpu: bool = False) -> bool:
-    """One kill -9 + resume round trip; True when bit-identical."""
+def run_scenario(name: str, *, command: str, source: Path, reference: list,
+                 cycles: int, plan_path: Path | None, work_dir: Path,
+                 kill_after: int, corrupt_tail: bool = False,
+                 one_cpu: bool = False) -> bool:
+    """One kill -9 + resume round trip of ``rasa <command> <source>``;
+    True when the resumed reports equal ``reference``."""
     print(f"--- scenario {name}: kill -9 after cycle {kill_after}"
           f"{', then corrupt WAL tail' if corrupt_tail else ''}")
-    faults = FaultPlan.from_dict(FAULT_PLAN) if plan_path is not None else None
-    reference = api.replay_trace(trace, cycles=cycles, faults=faults)
     ref_payload = [r.to_dict() for r in reference]
 
     checkpoint_dir = work_dir / f"ck-{name}"
     preexec_fn = _pin_to_one_cpu if one_cpu else None
     killed = _kill_child_mid_run(
-        _cli_argv(trace_path, cycles, checkpoint_dir, plan_path),
+        _cli_argv(command, source, cycles, checkpoint_dir, plan_path),
         checkpoint_dir, kill_after, preexec_fn=preexec_fn,
     )
     if not killed:
@@ -161,7 +185,7 @@ def run_scenario(name: str, *, trace_path: Path, trace, cycles: int,
 
     report_out = work_dir / f"reports-{name}.json"
     code = subprocess.call(
-        _cli_argv(trace_path, cycles, checkpoint_dir, plan_path,
+        _cli_argv(command, source, cycles, checkpoint_dir, plan_path,
                   report_out=report_out),
         preexec_fn=preexec_fn,
     )
@@ -212,6 +236,11 @@ def main(argv: list[str] | None = None) -> int:
         work_dir = Path(tempfile.mkdtemp(prefix="crash-recovery-"))
     plan_path = work_dir / "fault-plan.json"
     FaultPlan.from_dict(FAULT_PLAN).save(plan_path)
+    problem_plan_path = work_dir / "problem-fault-plan.json"
+    FaultPlan.from_dict(PROBLEM_FAULT_PLAN).save(problem_plan_path)
+    cluster_path = work_dir / "cluster.json"
+    problem = generate_cluster(PROBLEM_SPEC).problem
+    save_trace(problem, cluster_path)
 
     os.environ.setdefault("PYTHONPATH", "")
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -220,26 +249,40 @@ def main(argv: list[str] | None = None) -> int:
             p for p in (src, os.environ["PYTHONPATH"]) if p
         )
 
+    def replay_reference(plan):
+        faults = FaultPlan.from_dict(FAULT_PLAN) if plan is not None else None
+        return api.replay_trace(trace, cycles=args.cycles, faults=faults)
+
+    def cron_reference(_plan):
+        return api.run_control_loop(
+            problem, cycles=args.cycles,
+            faults=FaultPlan.from_dict(PROBLEM_FAULT_PLAN),
+            time_limit=CRON_TIME_LIMIT,
+        )
+
+    replay = ("replay", args.trace, replay_reference)
+    cron = ("cron", cluster_path, cron_reference)
     rng = random.Random(args.seed)
     scenarios = [
-        ("baseline", None, False, False),
-        ("faulted", plan_path, False, False),
-        ("torn-tail", plan_path, True, False),
+        ("baseline", replay, None, False, False),
+        ("faulted", replay, plan_path, False, False),
+        ("torn-tail", replay, plan_path, True, False),
     ]
     if not args.quick and available_cpus() > 1:
-        scenarios.append(("faulted-1cpu", plan_path, False, True))
+        scenarios.append(("faulted-1cpu", replay, plan_path, False, True))
     elif not args.quick:
         print("note: skipping faulted-1cpu: only one CPU is available, so "
               "the reference would run on one thread too")
+    scenarios.append(("problem-churn", cron, problem_plan_path, False, False))
 
     started = time.time()
     ok = True
-    for name, plan, corrupt, one_cpu in scenarios:
+    for name, (command, source, reference), plan, corrupt, one_cpu in scenarios:
         kill_after = rng.randint(1, max(1, args.cycles - 2))
         ok &= run_scenario(
-            name, trace_path=args.trace, trace=trace, cycles=args.cycles,
-            plan_path=plan, work_dir=work_dir, kill_after=kill_after,
-            corrupt_tail=corrupt, one_cpu=one_cpu,
+            name, command=command, source=source, reference=reference(plan),
+            cycles=args.cycles, plan_path=plan, work_dir=work_dir,
+            kill_after=kill_after, corrupt_tail=corrupt, one_cpu=one_cpu,
         )
     elapsed = time.time() - started
     print(f"crash-recovery: {len(scenarios)} scenarios in {elapsed:.1f}s "

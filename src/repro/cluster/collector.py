@@ -61,27 +61,32 @@ class DataCollector:
     # ------------------------------------------------------------------
     # Checkpoint support
     # ------------------------------------------------------------------
-    def state_payload(self) -> dict:
+    def state_payload(self, encode_problem) -> dict:
         """JSON-safe capture of the collector's evolving state.
 
         Two things advance as cycles run: the jitter RNG and the memory of
         the last collected problem (which gates the stale-snapshot fault
         draw — see :meth:`collect`).  Both must survive a restart for a
         resumed run to stay bit-identical to an uninterrupted one.
-        """
-        from repro.workloads.trace_io import problem_to_dict
 
+        Args:
+            encode_problem: Serializes the last problem in the caller's
+                format (the checkpoint's); :meth:`restore_state` takes it
+                back decoded to :func:`~repro.workloads.trace_io.problem_to_dict`'s
+                form.
+        """
         return {
             "rng": self._rng.bit_generator.state,
             "last_problem": (
-                problem_to_dict(self._last_problem)
+                encode_problem(self._last_problem)
                 if self._last_problem is not None
                 else None
             ),
         }
 
     def restore_state(self, payload: dict) -> None:
-        """Restore a capture written by :meth:`state_payload`."""
+        """Restore a capture of :meth:`state_payload`, its last problem in
+        :func:`~repro.workloads.trace_io.problem_to_dict`'s form."""
         from repro.workloads.trace_io import problem_from_dict
 
         self._rng = np.random.default_rng()

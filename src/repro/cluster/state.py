@@ -138,14 +138,10 @@ class ClusterState:
         out: dict[str, dict[str, int]] = {}
         services = self.problem.service_names()
         machines = self.problem.machine_names()
-        for s, svc in enumerate(services):
-            row = {
-                machines[m]: int(count)
-                for m, count in enumerate(self.books.x[s])
-                if count
-            }
-            if row:
-                out[svc] = row
+        x = self.books.x
+        rows, cols = np.nonzero(x != 0)  # row-major: services, then machines
+        for s, m, count in zip(rows.tolist(), cols.tolist(), x[rows, cols].tolist()):
+            out.setdefault(services[s], {})[machines[m]] = count
         return out
 
     def restore_named(self, mapping: dict[str, dict[str, int]]) -> None:

@@ -157,7 +157,9 @@ class DegradationPolicy:
 
 #: The scalar :class:`LoopSpec` fields, each with its rule: type, lowest
 #: value, whether the lowest value itself is allowed, highest value,
-#: whether None is allowed.
+#: whether None is allowed.  A finite highest value is allowed itself; an
+#: infinite one is not, so no field takes infinity (``time_limit=inf``
+#: would count as a budget no clock can spend).
 _SCALARS = {
     "time_limit": (Real, 0.0, False, math.inf, True),
     "interval_seconds": (Real, 0.0, False, math.inf, True),
@@ -237,13 +239,13 @@ def _check_fields(values: dict, rules: dict, owner: str) -> None:
             not isinstance(value, bool)
             and isinstance(value, kind)
             and (low <= value if low_ok else low < value)
-            and value <= high
+            and (value <= high if high < math.inf else value < high)
         ):
             continue
         else:
             expected = (
                 f"{'an integer' if kind is Integral else 'a number'} in "
-                f"{'[' if low_ok else '('}{low}, {high}]"
+                f"{'[' if low_ok else '('}{low}, {high}{']' if high < math.inf else ')'}"
             )
         raise ProblemValidationError(
             f"{owner}.{name} must be {expected}"

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -257,6 +258,17 @@ class RASAProblem:
     def edges(self) -> tuple[tuple[int, int, float], ...]:
         """Affinity edges as ``(s, t, weight)`` index triples, in ``affinity.items()`` order."""
         return self._edges
+
+    @cached_property
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:attr:`edges` as arrays: endpoint indices ``s``, ``t`` and weights."""
+        count = len(self._edges)
+        s = np.fromiter((e[0] for e in self._edges), dtype=np.int64, count=count)
+        t = np.fromiter((e[1] for e in self._edges), dtype=np.int64, count=count)
+        w = np.fromiter((e[2] for e in self._edges), dtype=float, count=count)
+        for array in (s, t, w):
+            array.setflags(write=False)
+        return s, t, w
 
     def service_index(self, name: str) -> int:
         """Return the index of the named service."""

@@ -467,8 +467,6 @@ class RASAScheduler:
         shards take theirs, so the summed budgets never overcommit the
         overall limit (unless the floors alone already exceed it).
         """
-        if watch.time_limit is None:
-            return [np.inf] * len(subproblems)
         remaining = watch.remaining or 0.0
         weights = np.array([max(sp.total_affinity, 1e-12) for sp in subproblems])
         if weights.sum() == 0 or not subproblems:

@@ -131,6 +131,12 @@ class Assignment:
 
             a = w(s, s') * min(x[s, m] / d_s, x[s', m] / d_s')
 
+        Only machines holding both endpoints contribute, so each edge is
+        summed over the nonzero cells of its sparser row.  The result is
+        bit-equal to summing every machine's ratio with numpy: one or two
+        nonzero terms add up the same in any order, and an edge whose
+        services share three or more machines is summed as the full row.
+
         Args:
             normalized: If True, divide by the graph's total affinity so the
                 result lies in ``[0, 1]`` (matching the paper's figures).
@@ -140,10 +146,10 @@ class Assignment:
         """
         problem = self.problem
         total = 0.0
-        demands = problem.demands.astype(float)
-        for s, t, w in problem.edges:
-            ratios = np.minimum(self.x[s] / demands[s], self.x[t] / demands[t])
-            total += w * float(ratios.sum())
+        if problem.edges:
+            sums = _edge_ratio_sums(self.x, problem)
+            # ``np.cumsum`` adds left to right: the sequential edge total.
+            total = float(np.cumsum(problem.edge_arrays[2] * sums)[-1])
         if normalized:
             graph_total = problem.affinity.total_affinity
             if graph_total == 0:
@@ -283,3 +289,39 @@ class Assignment:
             f"Assignment(placed={int(self.x.sum())}, "
             f"gained={self.gained_affinity(normalized=True):.4f})"
         )
+
+
+def _edge_ratio_sums(x: np.ndarray, problem: RASAProblem) -> np.ndarray:
+    """Per affinity edge, ``np.minimum(x[s] / d_s, x[t] / d_t).sum()``.
+
+    Each edge walks the nonzero cells of its endpoint with fewer of them
+    and keeps the machines where the other endpoint has containers too.
+    ``np.bincount`` adds an edge's one or two terms to 0.0, which is exact;
+    an edge with three or more terms is re-summed as the full row so its
+    value keeps numpy's pairwise order.
+    """
+    s, t, _ = problem.edge_arrays
+    demands = problem.demands.astype(float)
+    num_services, num_machines = x.shape
+    flat = np.flatnonzero(x != 0)
+    rows = flat // num_machines
+    cols = flat - rows * num_machines
+    row_nnz = np.bincount(rows, minlength=num_services)
+    row_start = np.cumsum(row_nnz) - row_nnz
+    swap = row_nnz[t] < row_nnz[s]
+    a = np.where(swap, t, s)
+    b = np.where(swap, s, t)
+    lengths = row_nnz[a]
+    edge = np.repeat(np.arange(len(a)), lengths)
+    offset = np.repeat(row_start[a] - (np.cumsum(lengths) - lengths), lengths)
+    machines = cols[offset + np.arange(edge.size)]
+    other = x[b[edge], machines]
+    shared = other > 0
+    edge, machines, other = edge[shared], machines[shared], other[shared]
+    ratios = np.minimum(
+        x[a[edge], machines] / demands[a[edge]], other / demands[b[edge]]
+    )
+    sums = np.bincount(edge, weights=ratios, minlength=len(a))
+    for e in np.flatnonzero(np.bincount(edge, minlength=len(a)) >= 3):
+        sums[e] = np.minimum(x[s[e]] / demands[s[e]], x[t[e]] / demands[t[e]]).sum()
+    return sums

@@ -17,26 +17,153 @@ Crash windows are closed by ordering: the snapshot is renamed into place
 records for cycles the snapshot already covers — :meth:`CheckpointStore.load`
 drops them (``cycle < cycles_completed``) and verifies the survivors form
 a contiguous continuation.
+
+Format 2 stores a problem's two dense matrices compactly.  A serialized
+:class:`~repro.core.problem.RASAProblem`
+(:func:`~repro.workloads.trace_io.problem_to_dict`) carries two
+``services x machines`` matrices as nested lists.  A checkpoint stores
+one problem in every snapshot's ``source`` (problem mode) and one per
+capture as the collector's ``last_problem``, so on a large cluster those
+lists are nearly all of a snapshot's and a WAL record's bytes.  Format 2
+stores:
+
+* ``current_assignment`` as its nonzero cells,
+  ``{"shape": [N, M], "cells": [[service, machine, count], ...]}``, in
+  row-major order;
+* ``schedulable`` bit-packed, ``{"shape": [N, M], "bits": <base64>}``,
+  the base64 of ``np.packbits`` over the row-major mask.  Its False cells
+  are spread over every row, so a cell list would not be smaller.
+
+Format 1 wrote both as nested lists.  :func:`decode_problem` accepts
+either per matrix (a list is format 1, an object format 2) and returns
+``problem_to_dict``'s own form, so everything past the checkpoint reader
+sees one shape.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
+from repro.core.problem import RASAProblem
 from repro.durability.atomic import atomic_write_json
 from repro.durability.wal import WALReplay, WriteAheadLog
 from repro.exceptions import DurabilityError, WALCorruptionError
 from repro.obs import get_metrics
+from repro.workloads.trace_io import problem_to_dict
 
-#: Format version written into every checkpoint snapshot.
-CHECKPOINT_FORMAT_VERSION = 1
+#: Format version written into every checkpoint snapshot.  Version 2
+#: stores a problem's dense matrices compactly (see the module docstring);
+#: version 1 snapshots, and the WAL records written beside them, still load.
+CHECKPOINT_FORMAT_VERSION = 2
+
+#: Every snapshot format version :meth:`CheckpointStore.load` reads.
+READABLE_FORMAT_VERSIONS = (1, 2)
 
 SNAPSHOT_FILE = "snapshot.json"
 WAL_FILE = "wal.jsonl"
 SUPERVISOR_FILE = "supervisor.json"
+
+
+# ----------------------------------------------------------------------
+# Format 2's problem matrices
+# ----------------------------------------------------------------------
+def encode_counts(matrix: np.ndarray) -> dict:
+    """A non-negative integer matrix as its nonzero ``[row, col, count]`` cells."""
+    rows, cols = np.nonzero(matrix != 0)
+    counts = matrix[rows, cols]
+    return {
+        "shape": list(matrix.shape),
+        "cells": np.stack([rows, cols, counts], axis=1).tolist(),
+    }
+
+
+def decode_counts(payload: dict) -> np.ndarray:
+    """Invert :func:`encode_counts` into an ``int64`` matrix."""
+    shape = _shape(payload)
+    try:
+        cells = np.asarray(payload["cells"], dtype=np.int64).reshape(-1, 3)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DurabilityError(f"checkpoint count cells are malformed: {exc}") from exc
+    rows, cols, counts = cells.T
+    if ((rows < 0) | (rows >= shape[0]) | (cols < 0) | (cols >= shape[1])).any():
+        raise DurabilityError(f"checkpoint count cell outside shape {shape}")
+    matrix = np.zeros(shape, dtype=np.int64)
+    matrix[rows, cols] = counts
+    return matrix
+
+
+def encode_mask(mask: np.ndarray) -> dict:
+    """A boolean matrix as base64 of its row-major ``np.packbits``."""
+    bits = np.packbits(np.asarray(mask, dtype=bool).ravel())
+    return {
+        "shape": list(mask.shape),
+        "bits": base64.b64encode(bits.tobytes()).decode("ascii"),
+    }
+
+
+def decode_mask(payload: dict) -> np.ndarray:
+    """Invert :func:`encode_mask` into a boolean matrix."""
+    shape = _shape(payload)
+    size = shape[0] * shape[1]
+    try:
+        packed = np.frombuffer(base64.b64decode(payload["bits"], validate=True), np.uint8)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DurabilityError(f"checkpoint mask has no valid base64 bits: {exc}") from exc
+    if packed.size != (size + 7) // 8:
+        raise DurabilityError(
+            f"checkpoint mask holds {packed.size} bytes, shape {shape} needs "
+            f"{(size + 7) // 8}"
+        )
+    return np.unpackbits(packed, count=size).astype(bool).reshape(shape)
+
+
+def encode_problem(problem: RASAProblem) -> dict:
+    """``problem_to_dict(problem)`` with its dense matrices in format 2."""
+    payload = problem_to_dict(problem, matrices=False)
+    if not problem.schedulable.all():
+        payload["schedulable"] = encode_mask(problem.schedulable)
+    if problem.current_assignment is not None:
+        payload["current_assignment"] = encode_counts(problem.current_assignment)
+    return payload
+
+
+def upgrade_problem(payload: dict) -> dict:
+    """A problem payload of either format, with its matrices in format 2."""
+    out = dict(payload)
+    if isinstance(out.get("schedulable"), list):
+        out["schedulable"] = encode_mask(np.asarray(out["schedulable"], dtype=bool))
+    if isinstance(out.get("current_assignment"), list):
+        out["current_assignment"] = encode_counts(
+            np.asarray(out["current_assignment"], dtype=np.int64)
+        )
+    return out
+
+
+def decode_problem(payload: dict) -> dict:
+    """A problem payload of either format in ``problem_to_dict``'s form."""
+    out = dict(payload)
+    if isinstance(out.get("schedulable"), dict):
+        out["schedulable"] = decode_mask(out["schedulable"]).astype(int).tolist()
+    if isinstance(out.get("current_assignment"), dict):
+        out["current_assignment"] = decode_counts(out["current_assignment"]).tolist()
+    return out
+
+
+def _shape(payload: dict) -> tuple[int, int]:
+    shape = payload.get("shape") if isinstance(payload, dict) else None
+    if (
+        not isinstance(shape, list)
+        or len(shape) != 2
+        or not all(isinstance(n, int) and n >= 0 for n in shape)
+    ):
+        raise DurabilityError(f"checkpoint matrix has no valid shape: {shape!r}")
+    return shape[0], shape[1]
 
 
 @dataclass
@@ -141,10 +268,10 @@ class CheckpointStore:
             if not isinstance(snapshot, dict):
                 raise DurabilityError("checkpoint snapshot must be an object")
             version = snapshot.get("format_version")
-            if version != CHECKPOINT_FORMAT_VERSION:
+            if version not in READABLE_FORMAT_VERSIONS:
                 raise DurabilityError(
                     f"unsupported checkpoint format version {version!r} "
-                    f"(expected {CHECKPOINT_FORMAT_VERSION})"
+                    f"(expected one of {READABLE_FORMAT_VERSIONS})"
                 )
             if snapshot.get("kind") != "control_loop_checkpoint":
                 raise DurabilityError(

@@ -27,10 +27,14 @@ from typing import TYPE_CHECKING
 
 from repro.cluster.cronjob import CronJobController, CycleReport, build_controller
 from repro.core.config import LoopSpec
-from repro.durability.checkpoint import CheckpointStore
+from repro.durability.checkpoint import (
+    CheckpointStore,
+    decode_problem,
+    encode_problem,
+    upgrade_problem,
+)
 from repro.exceptions import CheckpointDivergenceError, ClusterStateError, DurabilityError
 from repro.obs import get_logger, get_metrics, kv
-from repro.workloads.trace_io import problem_to_dict
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.server import TelemetryHub
@@ -53,7 +57,7 @@ def capture_live(controller: CronJobController) -> dict:
             if controller.stream is not None
             else None
         ),
-        "collector": controller.collector.state_payload(),
+        "collector": controller.collector.state_payload(encode_problem),
         "fault": (
             controller.faults.state_payload()
             if controller.faults is not None
@@ -86,7 +90,10 @@ def _restore_live(controller: CronJobController, live: dict) -> None:
             str(name): float(until)
             for name, until in dict(live["unschedulable_until"]).items()
         }
-        controller.collector.restore_state(live["collector"])
+        collector = dict(live["collector"])
+        if collector.get("last_problem") is not None:
+            collector["last_problem"] = decode_problem(collector["last_problem"])
+        controller.collector.restore_state(collector)
         if controller.faults is not None and live.get("fault") is not None:
             controller.faults.restore_state(live["fault"])
     except (ClusterStateError, KeyError, TypeError, ValueError) as exc:
@@ -99,10 +106,26 @@ def _restore_live(controller: CronJobController, live: dict) -> None:
 # Source payload (what makes a snapshot self-contained)
 # ----------------------------------------------------------------------
 def _source_payload(controller: CronJobController) -> dict:
-    """The world a resume rebuilds: the replayed trace, or the problem."""
+    """The world a resume rebuilds: the replayed trace, or the problem
+    (its matrices in checkpoint format 2)."""
     if controller.stream is not None:
         return {"trace": controller.stream.trace.to_dict()}
-    return {"problem": problem_to_dict(controller.state.problem)}
+    return {"problem": encode_problem(controller.state.problem)}
+
+
+def decode_source(source: dict) -> dict:
+    """A snapshot ``source`` of either format, as ``build_controller`` and
+    a tenant spec take it."""
+    if source.get("problem") is None:
+        return source
+    return {**source, "problem": decode_problem(source["problem"])}
+
+
+def _upgrade_source(source: dict) -> dict:
+    """A snapshot ``source`` of either format, as format 2 writes it."""
+    if source.get("problem") is None:
+        return source
+    return {**source, "problem": upgrade_problem(source["problem"])}
 
 
 # ----------------------------------------------------------------------
@@ -135,7 +158,8 @@ class DurableControlLoop:
     ) -> None:
         self.controller = controller
         self.store = store
-        #: The world a resume rebuilds (a resume hands its own back).
+        #: The world a resume rebuilds, as the snapshot stores it (a
+        #: resume hands its own back).
         if source_payload is None and store is not None:
             source_payload = _source_payload(controller)
         self.source_payload = source_payload
@@ -307,8 +331,9 @@ def prepare_resume(
     )
 
     history = [CycleReport.from_dict(p) for p in report_payloads]
+    world = decode_source(source)
     controller = build_controller(
-        spec, source, telemetry=telemetry, history=history
+        spec, world, telemetry=telemetry, history=history
     )
     cold = False
     try:
@@ -323,7 +348,7 @@ def prepare_resume(
         )
         metrics.counter("durability.resume.cold_starts").inc()
         cold = True
-        controller = build_controller(spec, source, telemetry=telemetry)
+        controller = build_controller(spec, world, telemetry=telemetry)
 
     resumed = len(controller.history)
     metrics.counter("durability.resume.count").inc()
@@ -357,7 +382,7 @@ def prepare_resume(
         controller=controller,
         store=store,
         total_cycles=total,
-        source_payload=source,
+        source_payload=_upgrade_source(source),
         shutdown=shutdown,
     )
     loop.resumed_cycles = resumed

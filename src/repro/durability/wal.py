@@ -70,10 +70,12 @@ class WriteAheadLog:
     # ------------------------------------------------------------------
     def append(self, payload: dict) -> None:
         """Durably append one record; returns after it is on disk."""
-        line = _canonical({"crc32": _crc(payload), "payload": payload})
+        # The envelope's canonical form, with the payload encoded once.
+        data = _canonical(payload).encode("utf-8")
+        crc = zlib.crc32(data) & 0xFFFFFFFF
         if self._handle is None:
             self._handle = open(self.path, "ab")
-        self._handle.write(line.encode("utf-8") + b"\n")
+        self._handle.write(b'{"crc32":%d,"payload":%s}\n' % (crc, data))
         self._handle.flush()
         if self.fsync:
             os.fsync(self._handle.fileno())

@@ -22,6 +22,8 @@ highest (repaying the most indebted service first).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.core.config import LoopSpec
@@ -68,28 +70,30 @@ class MigrationPathBuilder:
         metrics.gauge("migration.sla_floor").set(self.sla_floor)
         books = PackingState(problem, original.x)
         goal = target.x
-        demands = problem.demands
-        floor = alive_floor(self.sla_floor, demands)
-        alive = books.x.sum(axis=1)
-        offline = np.maximum(demands - alive, 0)
+        demands = problem.demands.tolist()
+        floor = alive_floor(self.sla_floor, problem.demands).tolist()
+        alive = books.x.sum(axis=1).tolist()
+        offline = [max(d - a, 0) for d, a in zip(demands, alive)]
+
+        # Only the cells where ``books.x`` and ``goal`` differ are walked:
+        # containers to delete (``excess``) and to create (``deficit``).
+        # Each command closes one unit of one cell's gap, so a cell never
+        # moves from one side to the other.
+        excess = _gaps_by_machine(books.x, goal)
+        deficit = _gaps_by_machine(goal, books.x)
 
         plan = MigrationPlan(sla_floor=self.sla_floor)
         moved = 0
-        # ``books.x - goal``, refreshed in place: >0 delete here, <0 create here.
-        surplus = np.empty(goal.shape, dtype=np.result_type(books.x, goal))
-
         with tracer.span("migration.build", sla_floor=self.sla_floor) as build_span:
             for batch in range(MAX_ITERATIONS):
-                np.subtract(books.x, goal, out=surplus)
-                if not surplus.any():
+                if not excess and not deficit:
                     break
 
                 with tracer.span("migration.batch", index=batch) as batch_span:
-                    deletes = self._select_deletes(
-                        surplus, alive, floor, demands, offline
-                    )
+                    deletes = _select_deletes(excess, alive, floor, demands, offline)
                     for service, machine in deletes:
                         books.remove(service, machine)
+                        _close_one(excess, service, machine)
                         alive[service] -= 1
                         offline[service] += 1
                     if deletes:
@@ -101,12 +105,10 @@ class MigrationPathBuilder:
                             ]
                         )
 
-                    np.subtract(books.x, goal, out=surplus)
-                    creates = self._select_creates(
-                        books, surplus, demands, alive, offline
-                    )
+                    creates = _select_creates(books, deficit, demands, alive, offline)
                     for service, machine in creates:
                         books.place(service, machine)
+                        _close_one(deficit, service, machine)
                         alive[service] += 1
                         offline[service] = max(0, offline[service] - 1)
                     if creates:
@@ -137,68 +139,92 @@ class MigrationPathBuilder:
         metrics.histogram("migration.plan.steps").observe(len(plan.steps))
         return plan
 
-    # ------------------------------------------------------------------
-    def _select_deletes(
-        self,
-        surplus: np.ndarray,
-        alive: np.ndarray,
-        floor: np.ndarray,
-        demands: np.ndarray,
-        offline: np.ndarray,
-    ) -> list[tuple[int, int]]:
-        """One deletion per machine: the migratable service with the lowest
-        offline ratio whose deletion keeps it above the alive floor."""
-        chosen: list[tuple[int, int]] = []
-        num_machines = surplus.shape[1]
-        # Track within-batch deletions so one batch cannot take a service
-        # below its floor via parallel deletes on different machines.
-        pending = alive.copy()
-        for m in range(num_machines):
-            candidates = np.nonzero(surplus[:, m] > 0)[0]
-            best_service = -1
-            best_ratio = np.inf
-            for s in candidates:
-                if pending[s] - 1 < floor[s]:
-                    continue
-                ratio = offline[s] / demands[s]
-                if ratio < best_ratio:
-                    best_service, best_ratio = int(s), ratio
-            if best_service >= 0:
-                chosen.append((best_service, m))
-                pending[best_service] -= 1
-        return chosen
 
-    def _select_creates(
-        self,
-        books: PackingState,
-        surplus: np.ndarray,
-        demands: np.ndarray,
-        alive: np.ndarray,
-        offline: np.ndarray,
-    ) -> list[tuple[int, int]]:
-        """One creation per machine: among services scheduled here in the
-        target, missing locally, still short of their demand, and which the
-        machine may take (the packer's Eq. 4–6 rule), pick the highest
-        offline ratio."""
-        chosen: list[tuple[int, int]] = []
-        num_machines = surplus.shape[1]
-        pending_alive = alive.copy()
-        for m in range(num_machines):
-            candidates = np.nonzero(surplus[:, m] < 0)[0]
-            best_service = -1
-            best_ratio = -np.inf
-            for s in candidates:
-                if pending_alive[s] >= demands[s]:
-                    continue
-                if not books.feasible_machines(s, m):
-                    continue
-                ratio = offline[s] / demands[s]
-                if ratio > best_ratio:
-                    best_service, best_ratio = int(s), ratio
-            if best_service >= 0:
-                chosen.append((best_service, m))
-                pending_alive[best_service] += 1
-        return chosen
+def _gaps_by_machine(have: np.ndarray, want: np.ndarray) -> dict[int, dict[int, int]]:
+    """Where ``have`` exceeds ``want``: ``{machine: {service: by how much}}``."""
+    gap = have - want
+    services, machines = np.nonzero(gap > 0)
+    gaps: dict[int, dict[int, int]] = {}
+    for s, m, count in zip(
+        services.tolist(), machines.tolist(), gap[services, machines].tolist()
+    ):
+        gaps.setdefault(m, {})[s] = count
+    return gaps
+
+
+def _close_one(gaps: dict[int, dict[int, int]], service: int, machine: int) -> None:
+    """One command closed one unit of a cell's gap; forget the cell at zero."""
+    column = gaps[machine]
+    column[service] -= 1
+    if not column[service]:
+        del column[service]
+        if not column:
+            del gaps[machine]
+
+
+def _select_deletes(
+    excess: dict[int, dict[int, int]],
+    alive: list[int],
+    floor: list[int],
+    demands: list[int],
+    offline: list[int],
+) -> list[tuple[int, int]]:
+    """One deletion per machine: the migratable service with the lowest
+    offline ratio whose deletion keeps it above the alive floor.
+
+    Machines ascending, services ascending within each; a strict ``<``
+    keeps the first of equal ratios.
+    """
+    chosen: list[tuple[int, int]] = []
+    # Track within-batch deletions so one batch cannot take a service
+    # below its floor via parallel deletes on different machines.
+    pending = list(alive)
+    for m in sorted(excess):
+        best_service = -1
+        best_ratio = math.inf
+        for s in sorted(excess[m]):
+            if pending[s] - 1 < floor[s]:
+                continue
+            ratio = offline[s] / demands[s]
+            if ratio < best_ratio:
+                best_service, best_ratio = s, ratio
+        if best_service >= 0:
+            chosen.append((best_service, m))
+            pending[best_service] -= 1
+    return chosen
+
+
+def _select_creates(
+    books: PackingState,
+    deficit: dict[int, dict[int, int]],
+    demands: list[int],
+    alive: list[int],
+    offline: list[int],
+) -> list[tuple[int, int]]:
+    """One creation per machine: among services scheduled here in the
+    target, missing locally, still short of their demand, and which the
+    machine may take (the packer's Eq. 4–6 rule), pick the highest
+    offline ratio.
+
+    Machines ascending, services ascending within each; a strict ``>``
+    keeps the first of equal ratios.  The packer is asked only about a
+    service that would win, which picks the same one.
+    """
+    chosen: list[tuple[int, int]] = []
+    pending_alive = list(alive)
+    for m in sorted(deficit):
+        best_service = -1
+        best_ratio = -math.inf
+        for s in sorted(deficit[m]):
+            if pending_alive[s] >= demands[s]:
+                continue
+            ratio = offline[s] / demands[s]
+            if ratio > best_ratio and books.feasible_machines(s, m):
+                best_service, best_ratio = s, ratio
+        if best_service >= 0:
+            chosen.append((best_service, m))
+            pending_alive[best_service] += 1
+    return chosen
 
 
 def naive_plan(

@@ -35,7 +35,7 @@ from repro.cluster.collector import DataCollector
 from repro.cluster.cronjob import CycleReport, build_controller
 from repro.core.config import LoopSpec
 from repro.durability.checkpoint import CheckpointStore
-from repro.durability.loop import DurableControlLoop, prepare_resume
+from repro.durability.loop import DurableControlLoop, decode_source, prepare_resume
 from repro.exceptions import ProblemValidationError
 from repro.obs import TelemetryHub
 from repro.obs.context import current_trace_id
@@ -252,7 +252,11 @@ class Tenant:
         # ``run`` holds the loop tunables and ``source`` the world; the
         # tenant's own record only adds what neither has.
         spec = TenantSpec.from_dict(
-            {**durable.controller.spec.to_dict(), **durable.source_payload, **saved}
+            {
+                **durable.controller.spec.to_dict(),
+                **decode_source(durable.source_payload),
+                **saved,
+            }
         )
         return cls(spec, checkpoint_dir=checkpoint_dir, resumed=durable)
 

@@ -48,8 +48,14 @@ EVENT_TRACE_FORMAT_VERSION = 2
 _GZIP_MAGIC = b"\x1f\x8b"
 
 
-def problem_to_dict(problem: RASAProblem) -> dict:
-    """Serialize a problem (and its current placement, if any) to plain data."""
+def problem_to_dict(problem: RASAProblem, *, matrices: bool = True) -> dict:
+    """Serialize a problem (and its current placement, if any) to plain data.
+
+    Args:
+        matrices: False leaves out the two dense matrices, ``schedulable``
+            and ``current_assignment``, for a caller that stores them in an
+            encoding of its own (the checkpoint format).
+    """
     payload: dict = {
         "format_version": TRACE_FORMAT_VERSION,
         "resource_types": list(problem.resource_types),
@@ -78,6 +84,8 @@ def problem_to_dict(problem: RASAProblem) -> dict:
             for rule in problem.anti_affinity
         ],
     }
+    if not matrices:
+        return payload
     if not problem.schedulable.all():
         payload["schedulable"] = problem.schedulable.astype(int).tolist()
     if problem.current_assignment is not None:

@@ -25,11 +25,22 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro import api
 from repro.cluster.replay import synthesize_trace
-from repro.durability.checkpoint import CheckpointStore
+from repro.durability.checkpoint import (
+    CHECKPOINT_FORMAT_VERSION,
+    CheckpointStore,
+    decode_counts,
+    decode_mask,
+    decode_problem,
+    encode_counts,
+    encode_mask,
+    encode_problem,
+    upgrade_problem,
+)
 from repro.durability.loop import prepare_resume
 from repro.durability.supervisor import (
     EXIT_INTERRUPTED,
@@ -181,7 +192,7 @@ def test_store_compaction_truncates_wal_and_roundtrips(tmp_path):
     assert store.wal_path.stat().st_size == 0
     state = store.load()
     assert state.snapshot["cycles_completed"] == 1
-    assert state.snapshot["format_version"] == 1
+    assert state.snapshot["format_version"] == CHECKPOINT_FORMAT_VERSION
     assert state.snapshot["kind"] == "control_loop_checkpoint"
     assert state.wal_records == []
     assert state.cycles_completed == 1
@@ -400,6 +411,77 @@ def test_resume_of_parent_commit_tenant_checkpoint(tmp_path):
         "name": "fixture", "schedule_seconds": 3600.0,
         "slo": {"sla_ok_target": 0.9}, "event_log_size": 64,
     }
+
+
+def test_resume_of_format_1_problem_checkpoint(tmp_path):
+    """A problem-mode checkpoint in format 1 (nested-list matrices, a
+    partial ``schedulable`` mask, stale snapshots, a 2-record WAL tail)
+    resumes into the uninterrupted run, and its next snapshot is format 2."""
+    from repro.workloads.trace_io import load_trace, problem_to_dict
+
+    namespace = runpy.run_path(str(PARENT_FIXTURES / "make_fixtures.py"))
+    problem = load_trace(PARENT_FIXTURES / "problem_cluster.json")
+    assert not problem.schedulable.all()
+    ck = tmp_path / "problem"
+    shutil.copytree(PARENT_FIXTURES / "problem", ck)
+    assert len((ck / "wal.jsonl").read_text().splitlines()) == 2
+    ref = api.run_control_loop(
+        problem, cycles=6, faults=FaultPlan.from_dict(namespace["PROBLEM_FAULTS"]),
+        time_limit=None,
+    )
+    resumed = api.resume_control_loop(ck)
+    assert [r.cycle for r in resumed] == list(range(6))
+    assert resumed == ref
+    snapshot = json.loads((ck / "snapshot.json").read_text())
+    assert snapshot["format_version"] == CHECKPOINT_FORMAT_VERSION == 2
+    source = snapshot["source"]["problem"]
+    assert set(source["schedulable"]) == {"shape", "bits"}
+    assert set(source["current_assignment"]) == {"shape", "cells"}
+    assert decode_problem(source) == problem_to_dict(problem)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (1, 1), (3, 5), (7, 9), (40, 586)])
+def test_format_2_matrix_codecs_round_trip(shape):
+    """Count cells and packed mask bits decode, through JSON, to the exact
+    matrices: dtype, shape and every cell, for any size (not only whole
+    bytes of bits)."""
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    counts = rng.integers(1, 4, size=shape) * (rng.random(shape) < 0.2)
+    mask = rng.random(shape) < 0.74
+    back = decode_counts(json.loads(json.dumps(encode_counts(counts))))
+    assert back.dtype == np.int64 and np.array_equal(back, counts)
+    back = decode_mask(json.loads(json.dumps(encode_mask(mask))))
+    assert back.dtype == bool and np.array_equal(back, mask)
+    assert len(encode_counts(counts)["cells"]) == np.count_nonzero(counts)
+
+
+def test_format_2_problem_decodes_to_problem_to_dict():
+    """Format 2 changes only how the two matrices are stored: decoding
+    gives ``problem_to_dict``'s output, and a format 1 payload upgrades to
+    the same encoding."""
+    from repro.workloads.trace_io import problem_to_dict
+
+    problem = generate_cluster(ClusterSpec(
+        name="codec", num_services=30, num_containers=120, num_machines=7,
+        seed=2, compat_pools=3, compat_fraction=0.3,
+    )).problem
+    assert not problem.schedulable.all()
+    encoded = encode_problem(problem)
+    assert decode_problem(json.loads(json.dumps(encoded))) == problem_to_dict(problem)
+    assert upgrade_problem(problem_to_dict(problem)) == encoded
+    assert decode_problem(problem_to_dict(problem)) == problem_to_dict(problem)
+
+
+@pytest.mark.parametrize("decode, payload, match", [
+    (decode_counts, {"shape": [2, 2], "cells": [[2, 0, 1]]}, "outside shape"),
+    (decode_counts, {"shape": [2, 2], "cells": [[0, 1]]}, "malformed"),
+    (decode_counts, {"shape": [2], "cells": []}, "shape"),
+    (decode_mask, {"shape": [3, 3], "bits": "AA=="}, "needs 2"),
+    (decode_mask, {"shape": [1, 1], "bits": "not base64!"}, "base64"),
+])
+def test_format_2_codecs_refuse_malformed_payloads(decode, payload, match):
+    with pytest.raises(DurabilityError, match=match):
+        decode(payload)
 
 
 def test_resume_from_empty_history_checkpoint(demo_trace, tmp_path):

@@ -13,6 +13,7 @@ import pytest
 
 from repro.cli import main
 from repro.core import RASAScheduler
+from repro.core.config import RASAConfig
 from repro.core.rasa import MIN_SUBPROBLEM_BUDGET
 from repro.obs import (
     MetricsRegistry,
@@ -436,10 +437,16 @@ def test_budgets_all_floor_when_limit_below_floors():
     assert budgets == [pytest.approx(floor)] * 20
 
 
-def test_budgets_unlimited_without_time_limit():
-    scheduler = RASAScheduler()
-    budgets = scheduler._budgets(_fake_subproblems([1.0, 2.0]), Stopwatch())
-    assert all(b == float("inf") for b in budgets)
+def test_unbudgeted_schedule_never_splits_a_budget(small_cluster, monkeypatch):
+    """Only a budgeted solve splits time, so ``_budgets`` has no
+    unlimited case: an unbudgeted multi-shard schedule never calls it."""
+    def refuse(*_args):
+        raise AssertionError("an unbudgeted solve asked for a time budget")
+
+    monkeypatch.setattr(RASAScheduler, "_budgets", refuse)
+    scheduler = RASAScheduler(RASAConfig(max_subproblem_services=8))
+    result = scheduler.schedule(small_cluster.problem, time_limit=None)
+    assert len(result.reports) > 1
 
 
 # ----------------------------------------------------------------------

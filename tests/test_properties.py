@@ -22,22 +22,28 @@ from repro.core import (
 )
 from repro.core.config import RASAConfig
 from repro.core.rasa import RASAScheduler
+from repro.core.solution import _edge_ratio_sums
 from repro.migration import MigrationExecutor, MigrationPathBuilder
 from repro.partitioning import MultiStagePartitioner, balanced_partition
 from repro.solvers import BranchAndBoundSolver, GreedyAlgorithm, LinearModel, solve_milp
 from repro.solvers.greedy import PackingState, repair_unplaced
 
+from oracles import dense_edge_sums, dense_gained_affinity, dense_migration_plan
+
 # ----------------------------------------------------------------------
 # Strategies
 # ----------------------------------------------------------------------
 @st.composite
-def problems(draw, max_services: int = 6, max_machines: int = 4) -> RASAProblem:
+def problems(
+    draw, max_services: int = 6, max_machines: int = 4, min_machines: int = 2,
+    max_demand: int = 4,
+) -> RASAProblem:
     """Small random RASA instances with enough capacity to be feasible."""
     num_services = draw(st.integers(2, max_services))
-    num_machines = draw(st.integers(2, max_machines))
+    num_machines = draw(st.integers(min_machines, max_machines))
     services = []
     for i in range(num_services):
-        demand = draw(st.integers(1, 4))
+        demand = draw(st.integers(1, max_demand))
         cpu = draw(st.sampled_from([1.0, 2.0]))
         services.append(Service(f"s{i}", demand, {"cpu": cpu}))
     total_cpu = sum(s.demand * s.requests["cpu"] for s in services)
@@ -58,10 +64,13 @@ def problems(draw, max_services: int = 6, max_machines: int = 4) -> RASAProblem:
 
 
 @st.composite
-def constrained_problems(draw, max_services: int = 6, max_machines: int = 4) -> RASAProblem:
+def constrained_problems(
+    draw, max_services: int = 6, max_machines: int = 4, min_machines: int = 2,
+    max_demand: int = 4,
+) -> RASAProblem:
     """:func:`problems` plus 0–2 anti-affinity rules and a few unschedulable
     cells (every service keeps at least one machine)."""
-    base = draw(problems(max_services, max_machines))
+    base = draw(problems(max_services, max_machines, min_machines, max_demand))
     names = base.service_names()
     rules = [
         AntiAffinityRule(
@@ -324,6 +333,78 @@ def test_migration_invariants_hold_for_random_targets(data):
     assert trace.peak_overcommit <= 1e-9
     if plan.complete:
         assert np.array_equal(trace.final.x, target.x)
+
+
+# ----------------------------------------------------------------------
+# Sparse production code against the dense oracles (tests/oracles.py)
+# ----------------------------------------------------------------------
+@st.composite
+def spread_placements(draw, problem: RASAProblem) -> np.ndarray:
+    """Counts of 1–3 on a drawn share of the cells, demands ignored:
+    edges whose services share three or more machines are common."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (problem.num_services, problem.num_machines)
+    density = draw(st.sampled_from([0.3, 0.6, 0.9]))
+    return rng.integers(1, 4, size=shape) * (rng.random(shape) < density)
+
+
+@settings(max_examples=200)  # about 1 ms each; wide rows sharing 3+ machines are rare
+@given(data=st.data())
+def test_sparse_gained_affinity_equals_the_dense_oracle(data):
+    # Numpy sums a row of fewer than nine machines left to right, so
+    # wider rows are where a different order of the terms would show, and
+    # demands like 6 or 7 give ratios that round.
+    low, high = data.draw(st.sampled_from([(2, 6), (9, 16)]))
+    problem = data.draw(constrained_problems(
+        max_services=6, max_machines=high, min_machines=low, max_demand=9
+    ))
+    x = data.draw(st.one_of(
+        placements(problem), feasible_placements(problem), spread_placements(problem)
+    ))
+    assignment = Assignment(problem, x)
+    # Per edge first: a last-bit slip in one edge can vanish in the total.
+    assert _edge_ratio_sums(x, problem).tolist() == dense_edge_sums(assignment)
+    assert assignment.gained_affinity() == dense_gained_affinity(assignment)
+    assert assignment.gained_affinity(normalized=True) == dense_gained_affinity(
+        assignment, normalized=True
+    )
+
+
+def test_sparse_gained_affinity_keeps_numpy_order_on_three_shared_machines():
+    """Three terms on machines 0, 2 and 3 of ten, which numpy's pairwise
+    sum adds as ``r0 + (r2 + r3)``: left to right gives another float, so
+    the edge must be summed as the full row."""
+    services = [Service("a", 4, {"cpu": 1.0}), Service("b", 6, {"cpu": 1.0})]
+    machines = [Machine(f"m{i}", {"cpu": 100.0}) for i in range(10)]
+    problem = RASAProblem(services, machines, affinity={("a", "b"): 1.0})
+    x = np.zeros((2, 10), dtype=np.int64)
+    x[0, [0, 2, 3]] = [1, 1, 2]
+    x[1, [0, 2, 3]] = [1, 2, 2]
+    r0, r2, r3 = 1 / 6, 1 / 4, 1 / 3
+    assert (r0 + r2) + r3 != r0 + (r2 + r3)
+    assignment = Assignment(problem, x)
+    assert assignment.gained_affinity() == dense_gained_affinity(assignment)
+    assert assignment.gained_affinity() == r0 + (r2 + r3)
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_sparse_path_builder_emits_the_dense_oracles_plan(data):
+    """Same commands in the same steps, same ``complete`` flag, for any
+    start and goal: feasible or not, reachable or stalled."""
+    problem = data.draw(constrained_problems(max_services=7, max_machines=5))
+    original = Assignment(problem, data.draw(
+        st.one_of(feasible_placements(problem), placements(problem))
+    ))
+    target = Assignment(problem, data.draw(
+        st.one_of(feasible_placements(problem), placements(problem))
+    ))
+    sla_floor = data.draw(st.sampled_from([0.0, 0.5, 0.75, 1.0]))
+    plan = MigrationPathBuilder(sla_floor=sla_floor).build(problem, original, target)
+    oracle = dense_migration_plan(problem, original, target, sla_floor)
+    assert plan.steps == oracle.steps
+    assert plan.complete == oracle.complete
+    assert plan.moved_containers == oracle.moved_containers
 
 
 # ----------------------------------------------------------------------

@@ -296,6 +296,23 @@ def test_bad_value_inside_a_structured_loop_field_is_a_400(client, field, value,
     assert client.list_tenants() == []
 
 
+def test_infinite_time_limit_is_a_400(client):
+    """``time_limit`` is a finite budget or null: infinity would count as a
+    budget that no clock can spend, so it is refused by name."""
+    from repro.core.config import LoopSpec
+
+    with pytest.raises(ProblemValidationError, match="LoopSpec.time_limit"):
+        LoopSpec(time_limit=float("inf"))
+    with pytest.raises(ServiceError) as excinfo:
+        client.register_tenant({
+            "name": "c", "problem": problem_to_dict(_problem(7)),
+            "time_limit": float("inf"),
+        })
+    assert excinfo.value.status == 400
+    assert "LoopSpec.time_limit" in excinfo.value.payload["error"], excinfo.value.payload
+    assert client.list_tenants() == []
+
+
 def _route_templates(handler, **groups) -> list[tuple[str, str]]:
     """``(verb, path)`` per route row, ``<key>`` standing for its group."""
     rows = []
