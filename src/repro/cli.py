@@ -389,6 +389,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     *PROFILE, *COMMON,
 )
 def cmd_optimize(args: argparse.Namespace) -> int:
+    _parse("--time-limit", lambda value: LoopSpec(time_limit=value), args.time_limit)
     out = _make_output(args)
     problem = load_trace(args.trace)
 
@@ -461,6 +462,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         POPAlgorithm,
     )
 
+    _parse("--time-limit", lambda value: LoopSpec(time_limit=value), args.time_limit)
     out = _make_output(args)
     problem = load_trace(args.trace)
     total = problem.affinity.total_affinity or 1.0

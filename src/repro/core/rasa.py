@@ -7,37 +7,32 @@ assignment together with per-subproblem diagnostics and an anytime
 quality-over-time trajectory (used by the Fig. 10 benchmark).
 
 The solve phase is one loop over the subproblems in affinity-descending
-order, and each kind of solve has one mode:
+order, each shard solved by :func:`~repro.core.parallel.select_and_solve`,
+and each kind of solve has one mode:
 
 * A solve with a time limit solves each shard in-process at its merge
   turn, on a share of the remaining budget proportional to the shard's
   affinity; time a shard leaves unspent flows to the shards still
   unsolved.
-* A solve without one first hands every shard to the thread pool
-  (:mod:`repro.core.parallel`), one thread per CPU.  No layer below it
-  reads a clock, so each shard's result is a pure function of the shard.
-  What the pool delivers is merged at the shard's turn; a shard whose
-  thread raised is solved in-process at its turn instead — so
-  parallelism never loses shards or reorders the merge, and the result
-  is bit-identical to a one-at-a-time solve.
+* A solve without one first submits every shard to a thread pool, one
+  thread per CPU, and joins it.  No layer below it reads a clock, so each
+  shard's result is a pure function of the shard.  The loop then reads
+  each shard's future at the shard's turn; a shard whose thread raised is
+  solved in-process at its turn instead — so parallelism never loses
+  shards or reorders the merge, and the result is bit-identical to a
+  one-at-a-time solve.
 """
 
 from __future__ import annotations
 
+import contextvars
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.config import RASAConfig
-from repro.core.parallel import (
-    DefaultAlgorithmFactory,
-    ParallelDispatcher,
-    SubproblemTask,
-    TaskFailure,
-    TaskOutcome,
-    available_cpus,
-    select_and_solve,
-)
+from repro.core.config import _SCALARS, RASAConfig, _check_fields
+from repro.core.parallel import available_cpus, release_freed_heap, select_and_solve
 from repro.core.problem import RASAProblem
 from repro.core.solution import Assignment
 from repro.obs import (
@@ -193,7 +188,12 @@ class RASAScheduler:
 
         Returns:
             The merged placement plus per-phase diagnostics.
+
+        Raises:
+            ProblemValidationError: ``time_limit`` is neither None nor a
+                finite number above 0 (:class:`LoopSpec`'s rule).
         """
+        _check_fields({"time_limit": time_limit}, _SCALARS, "RASAScheduler.schedule")
         if not self.config.profile:
             return self._schedule(problem, time_limit)
         # Opt-in hotspot attribution: install a span profiler for the run
@@ -304,47 +304,61 @@ class RASAScheduler:
         """Solve and merge every shard in affinity-descending order.
 
         With more than one thread and more than one shard (an unbudgeted
-        solve), the thread pool solves the shards ahead of the merge.  The
-        walk over ``order`` then merges what the pool delivered and solves
-        every other shard in-process at its merge turn — all of them when
-        there was no pool, a shard whose thread raised otherwise — so one
-        bad shard never loses the other shards' results.  A budgeted walk
-        gives each shard its share of the time still left.
+        solve), a thread pool solves every shard and is joined before the
+        merge.  The walk over ``order`` then merges each shard's future and
+        solves every other shard in-process at its merge turn — all of them
+        when there was no pool, a shard whose thread raised otherwise — so
+        one bad shard never loses the other shards' results.  A budgeted
+        walk gives each shard its share of the time still left.
         """
         metrics = get_metrics()
         logger = get_logger("core.rasa")
-        factory = DefaultAlgorithmFactory()
-        outcomes: dict[int, TaskOutcome | TaskFailure] = {}
+        futures: dict[int, Future] = {}
         if threads > 1 and len(order) > 1:
             run_span.set_tag("workers", threads)
-            outcomes = self._dispatch(subproblems, order, factory, threads)
+
+            def timed(subproblem: Subproblem):
+                """When the shard's solve began on the run's clock, and the solve."""
+                return watch.elapsed, select_and_solve(subproblem, self.selector)
+
+            # Each thread runs in a copy of this context, so its spans carry
+            # the request's trace id and nest under ``rasa.dispatch``.
+            with get_tracer().span("rasa.dispatch", workers=threads, tasks=len(order)):
+                with ThreadPoolExecutor(
+                    max_workers=min(threads, len(order)),
+                    thread_name_prefix="rasa-solve",
+                ) as pool:
+                    futures = {
+                        i: pool.submit(contextvars.copy_context().run, timed, subproblems[i])
+                        for i in order
+                    }
+                release_freed_heap()
         # Deterministic merge: fixed affinity-descending order, regardless
         # of which thread finished first.
         for position, i in enumerate(order):
             subproblem = subproblems[i]
-            outcome = outcomes.get(i)
-            if isinstance(outcome, TaskOutcome):
-                label, result = outcome.label, outcome.result
-                solve_start = max(
-                    0.0, outcome.started_monotonic - watch.start_monotonic
-                )
+            pooled = None
+            if i in futures:
+                try:
+                    pooled = futures[i].result()
+                except Exception as exc:  # the solve raised on its thread
+                    logger.warning(
+                        "sequential retry %s",
+                        kv(subproblem=i, error=f"{type(exc).__name__}: {exc}"),
+                    )
+                    metrics.counter("rasa.parallel.task_failures").inc()
+                    metrics.counter("rasa.parallel.retries").inc()
+            if pooled is not None:
+                solve_start, (label, result) = pooled
             elif watch.expired:
                 continue  # anytime stop: the shard keeps its current placement
             else:
-                if outcome is not None:
-                    logger.warning(
-                        "sequential retry %s",
-                        kv(subproblem=i, error=outcome.error),
-                    )
-                    metrics.counter("rasa.parallel.retries").inc()
                 budget = None
                 if watch.time_limit is not None:
                     pending = [subproblems[j] for j in order[position:]]
                     budget = self._next_budget(pending, watch)
                 solve_start = watch.elapsed
-                label, result = select_and_solve(
-                    subproblem, self.selector, factory, budget
-                )
+                label, result = select_and_solve(subproblem, self.selector, budget)
             reports.append(
                 SubproblemReport(
                     subproblem=subproblem,
@@ -357,28 +371,6 @@ class RASAScheduler:
                 solve_start, watch,
             )
         return assignment
-
-    def _dispatch(
-        self,
-        subproblems: list[Subproblem],
-        order: list[int],
-        factory: DefaultAlgorithmFactory,
-        threads: int,
-    ) -> dict[int, TaskOutcome | TaskFailure]:
-        """Solve every shard on the thread pool; outcomes by shard index."""
-        tracer = get_tracer()
-        tasks = [
-            SubproblemTask(
-                index=i,
-                subproblem=subproblems[i],
-                selector=self.selector,
-                algorithm_factory=factory,
-            )
-            for i in order
-        ]
-        dispatcher = ParallelDispatcher(workers=threads)
-        with tracer.span("rasa.dispatch", workers=threads, tasks=len(tasks)):
-            return dispatcher.run(tasks)
 
     # ------------------------------------------------------------------
     # Shared helpers

@@ -64,15 +64,6 @@ class Stopwatch:
         self.time_limit = time_limit
 
     @property
-    def start_monotonic(self) -> float:
-        """``time.monotonic()`` timestamp of construction.
-
-        Lets callers translate monotonic timestamps taken elsewhere (e.g.
-        on a pool thread) into this stopwatch's elapsed-seconds timebase.
-        """
-        return self._start
-
-    @property
     def elapsed(self) -> float:
         """Seconds since construction."""
         return time.monotonic() - self._start

@@ -367,10 +367,13 @@ def test_design_field_table_lists_the_loop_flags():
 
 #: command line (TRACE = a generated cluster) -> what stderr must name.
 #: Each row ended in a bare traceback (or, ``--checkpoint-every 0``, ran
-#: with 16) on the parent commit.
+#: with 16; ``optimize``/``compare --time-limit 0``, solved no shard)
+#: before it was checked.
 BAD_INPUT = [
     (["cron", "TRACE", "--sla-floor", "2"], "sla_floor"),
     (["cron", "TRACE", "--time-limit", "-1"], "time_limit"),
+    (["optimize", "TRACE", "--time-limit", "0"], "--time-limit"),
+    (["compare", "TRACE", "--time-limit", "0"], "--time-limit"),
     (["cron", "TRACE", "--checkpoint-every", "-3"], "checkpoint_every"),
     (["cron", "TRACE", "--checkpoint-every", "0"], "checkpoint_every"),
     (["tenant", "register", "t0", "TRACE", "--slo", "{bad"], "--slo"),

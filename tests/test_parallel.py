@@ -1,6 +1,6 @@
-"""Parallel subproblem engine: determinism, fallback, budgets, and obs.
+"""The solve phase's thread pool: determinism, fallback, budgets, and obs.
 
-The engine's contract (see :mod:`repro.core.parallel`) is threefold:
+The pooled solve's contract (see :mod:`repro.core.rasa`) is threefold:
 
 * **Determinism** — for a fixed seed and no overall time limit, threaded
   runs are bit-identical to one-at-a-time runs: same assignment matrix,
@@ -20,20 +20,15 @@ only misbehaves off the main thread, so the in-process retry succeeds.
 
 from __future__ import annotations
 
+import logging
 import threading
 
 import numpy as np
 import pytest
 
 from repro.core import Assignment, RASAConfig, RASAScheduler
-from repro.core.parallel import (
-    DefaultAlgorithmFactory,
-    ParallelDispatcher,
-    SubproblemTask,
-    TaskFailure,
-    TaskOutcome,
-    run_task,
-)
+from repro.core.parallel import select_and_solve
+from repro.exceptions import ProblemValidationError
 from repro.obs import (
     MetricsRegistry,
     TraceContext,
@@ -51,6 +46,9 @@ SHARD_SERVICES = 12
 
 #: The solve phase's CPU helper, as the scheduler looks it up.
 CPU_HELPER = "repro.core.rasa.available_cpus"
+
+#: The label -> algorithm lookup of the per-shard step.
+MAKE_ALGORITHM = "repro.core.parallel.make_algorithm"
 
 
 def _config(**overrides) -> RASAConfig:
@@ -127,7 +125,7 @@ class _InstantAlgorithm:
 
 
 class RecordingFactory:
-    """Algorithm factory whose products log the budgets they were given."""
+    """Stands in for ``make_algorithm``; its algorithms log their budgets."""
 
     def __init__(self):
         self.budgets = []
@@ -210,15 +208,23 @@ def test_trajectory_timestamps_are_monotone(small_cluster, seq, two_cpus):
 # ----------------------------------------------------------------------
 # Resilience: error fallback
 # ----------------------------------------------------------------------
-def test_one_bad_shard_keeps_other_workers_results(small_cluster, seq, two_cpus):
+def test_one_bad_shard_keeps_other_workers_results(
+    small_cluster, seq, two_cpus, caplog, monkeypatch
+):
     """Only the poisoned shard retries; the rest come from the pool."""
+    # A configured CLI log level turns propagation off at the package
+    # root; caplog needs it back on.
+    monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
     target = seq.reports[1].subproblem.service_names[0]
     selector = WorkerPoisonedSelector(target_service=target)
-    result, metrics = _run(small_cluster.problem, _config(), selector=selector)
+    with caplog.at_level(logging.WARNING, logger="repro.core.rasa"):
+        result, metrics = _run(small_cluster.problem, _config(), selector=selector)
     _assert_identical(seq, result)
     counters = metrics.snapshot()["counters"]
     assert counters["rasa.parallel.retries"] == 1
     assert counters["rasa.parallel.task_failures"] == 1
+    [warning] = [r for r in caplog.records if r.levelno >= logging.WARNING]
+    assert "RuntimeError: poisoned shard" in warning.getMessage()
 
 
 # ----------------------------------------------------------------------
@@ -232,9 +238,7 @@ def test_only_an_unbudgeted_solve_pools_and_it_passes_no_clock(
     budget; with one, the shards are solved one at a time on the caller's
     thread, each on a finite share."""
     factory = RecordingFactory()
-    monkeypatch.setattr(
-        "repro.core.rasa.DefaultAlgorithmFactory", lambda: factory
-    )
+    monkeypatch.setattr(MAKE_ALGORITHM, factory)
     for time_limit in (None, 8.0):
         factory.budgets.clear()
         with use_metrics(MetricsRegistry()), use_tracer(Tracer()) as tracer:
@@ -254,9 +258,7 @@ def test_only_an_unbudgeted_solve_pools_and_it_passes_no_clock(
 
 def test_sequential_budgets_redistribute_unspent_time(small_cluster, monkeypatch):
     factory = RecordingFactory()
-    monkeypatch.setattr(
-        "repro.core.rasa.DefaultAlgorithmFactory", lambda: factory
-    )
+    monkeypatch.setattr(MAKE_ALGORITHM, factory)
     limit = 8.0
     config = _config()
     RASAScheduler(config=config).schedule(small_cluster.problem, time_limit=limit)
@@ -311,7 +313,7 @@ def test_pool_thread_spans_keep_the_request_trace_id(small_cluster, two_cpus):
 
 
 # ----------------------------------------------------------------------
-# Dispatcher / worker unit tests
+# The per-shard step, and the name the scheduler calls it by
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def shards(small_cluster):
@@ -319,55 +321,54 @@ def shards(small_cluster):
     return scheduler.partitioner.partition(small_cluster.problem).subproblems
 
 
-def test_dispatcher_rejects_bad_worker_count():
-    with pytest.raises(ValueError):
-        ParallelDispatcher(workers=0)
-
-
-def test_run_task_roundtrip(shards):
-    """The thread entry point solves against the shard itself and records
+def test_select_and_solve_roundtrip(shards):
+    """The per-shard step solves against the shard itself and records
     into the process tracer and registry."""
     subproblem = shards[0]
-    task = SubproblemTask(
-        index=0,
-        subproblem=subproblem,
-        selector=HeuristicSelector(),
-        algorithm_factory=DefaultAlgorithmFactory(),
-    )
     with use_metrics(MetricsRegistry()) as metrics, use_tracer(Tracer()) as tracer:
-        outcome = run_task(task)
-    assert isinstance(outcome, TaskOutcome)
+        label, result = select_and_solve(subproblem, HeuristicSelector())
     assert [span.name for span in tracer.finished_roots()] == [
         "rasa.select", "rasa.solve"
     ]
     assert metrics.snapshot()["counters"]["rasa.subproblems.solved"] == 1
-    assert outcome.result.assignment.problem is subproblem.problem
-    assert outcome.label in ("mip", "cg")
+    assert result.assignment.problem is subproblem.problem
+    assert label in ("mip", "cg")
 
 
-def test_run_task_carries_the_mip_bound(shards):
-    """A pooled MIP solve returns its dual bound with the result."""
-    subproblem = shards[0]
-    task = SubproblemTask(
-        index=0,
-        subproblem=subproblem,
-        selector=FixedSelector("mip"),
-        algorithm_factory=DefaultAlgorithmFactory(),
-    )
-    result = run_task(task).result
+def test_select_and_solve_carries_the_mip_bound(shards):
+    """A MIP shard solve returns its dual bound with the result."""
+    _, result = select_and_solve(shards[0], FixedSelector("mip"))
     assert result.bound >= result.objective
 
 
-def test_dispatcher_maps_raise_to_error(shards):
-    task = SubproblemTask(
-        index=5,
-        subproblem=shards[-1],
-        selector=WorkerPoisonedSelector(),
-        algorithm_factory=DefaultAlgorithmFactory(),
-    )
-    with use_metrics(MetricsRegistry()) as metrics:
-        results = ParallelDispatcher(workers=1).run([task])
-    failure = results[5]
-    assert isinstance(failure, TaskFailure)
-    assert failure.error == "RuntimeError: poisoned shard"
-    assert metrics.snapshot()["counters"]["rasa.parallel.task_failures"] == 1
+@pytest.mark.parametrize(
+    "cpus,time_limit", [(2, None), (1, None), (2, 8.0)],
+    ids=["pooled", "one-cpu", "budgeted"],
+)
+def test_every_shard_goes_through_the_schedulers_binding(
+    small_cluster, monkeypatch, cpus, time_limit
+):
+    """Rebinding ``repro.core.rasa.select_and_solve`` (as the benchmark's
+    span wrappers do) sees every shard, pooled or not."""
+    calls = []
+
+    def counting(subproblem, selector, budget=None):
+        calls.append(subproblem.service_names)
+        return select_and_solve(subproblem, selector, budget)
+
+    monkeypatch.setattr(CPU_HELPER, lambda: cpus)
+    monkeypatch.setattr("repro.core.rasa.select_and_solve", counting)
+    monkeypatch.setattr(MAKE_ALGORITHM, RecordingFactory())
+    result, _ = _run(small_cluster.problem, _config(), time_limit=time_limit)
+    assert len(calls) == len(result.partition.subproblems) == 3
+    assert sorted(calls) == sorted(r.subproblem.service_names for r in result.reports)
+
+
+@pytest.mark.parametrize("time_limit", [-1, 0, float("nan"), float("inf")])
+def test_schedule_refuses_a_time_limit_no_clock_can_spend(small_cluster, time_limit):
+    """A budget at or below 0 once solved no shard; nan and inf took the
+    budgeted path.  Each is refused, naming the field."""
+    with pytest.raises(ProblemValidationError, match="time_limit"):
+        RASAScheduler(config=_config()).schedule(
+            small_cluster.problem, time_limit=time_limit
+        )
