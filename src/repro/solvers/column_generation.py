@@ -33,6 +33,7 @@ from repro.solvers.patterns import (
     patterns_from_assignment,
     price_pattern_greedy,
     price_pattern_mip,
+    reused_pricing_models,
 )
 
 #: Minimum reduced cost treated as an actual improvement.
@@ -62,7 +63,15 @@ class ColumnGenerationAlgorithm:
 
     # ------------------------------------------------------------------
     def solve(self, problem: RASAProblem, time_limit: float | None = None) -> SolveResult:
-        """Run Algorithm 1 and return the best integral placement found."""
+        """Run Algorithm 1 and return the best integral placement found.
+
+        Each machine group's pricing model is built once for the solve and
+        re-priced with every round's duals.
+        """
+        with reused_pricing_models():
+            return self._solve(problem, time_limit)
+
+    def _solve(self, problem: RASAProblem, time_limit: float | None) -> SolveResult:
         watch = Stopwatch(time_limit)
         metrics = get_metrics()
         tracer = get_tracer()

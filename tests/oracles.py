@@ -9,9 +9,14 @@ production result is *equal* (``==``, not approximately) to the oracle's.
   per affinity edge, summed by numpy over every machine.
 * :func:`dense_migration_plan` — Algorithm 2 with a per-batch dense
   ``books.x - goal`` scan, one ``np.nonzero`` per machine column.
+* :func:`enumerated_pricing` — the column generation pricing problem
+  (``GenPattern``) solved by trying every count vector, from the problem's
+  arrays alone (no ``repro.solvers`` code).
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -123,3 +128,40 @@ def dense_migration_plan(
     if plan.complete and not np.array_equal(books.x, goal):
         plan.complete = False
     return plan
+
+
+def enumerated_pricing(
+    problem: RASAProblem,
+    capacity: tuple[float, ...],
+    schedulable: tuple[bool, ...],
+    duals: np.ndarray,
+) -> tuple[float, np.ndarray]:
+    """The best reduced cost ``value(p) - duals @ p`` over one machine's
+    patterns, and a pattern reaching it.
+
+    Tries every count vector with ``p_s <= min(d_s, fit_s)`` (0 where the
+    machine bars ``s``) and keeps those within ``capacity`` and every
+    anti-affinity limit.  ``value`` is Definition 1 on one machine:
+    ``sum_e w_e * min(p_s / d_s, p_t / d_t)``.  The empty pattern is always
+    feasible, so the maximum is at least 0.
+    """
+    demands = problem.demands.astype(float)
+    requests = problem.requests_matrix
+    capacity = np.asarray(capacity, dtype=float)
+    safe = np.where(requests > 0, requests, 1.0)
+    fit = np.floor(np.where(requests > 0, capacity / safe, np.inf).min(axis=1) + 1e-9)
+    bound = np.where(np.asarray(schedulable, dtype=bool), np.minimum(demands, fit), 0.0)
+    grid = np.array(
+        list(itertools.product(*(range(int(b) + 1) for b in bound))), dtype=np.int64
+    )
+    keep = (grid @ requests <= capacity + 1e-9).all(axis=1)
+    for rule in problem.anti_affinity:
+        members = [problem.service_index(name) for name in rule.services]
+        keep &= grid[:, members].sum(axis=1) <= rule.limit
+    grid = grid[keep]
+    value = np.zeros(len(grid))
+    for s, t, w in problem.edges:
+        value += w * np.minimum(grid[:, s] / demands[s], grid[:, t] / demands[t])
+    reduced = value - grid @ np.asarray(duals, dtype=float)
+    best = int(np.argmax(reduced))
+    return float(reduced[best]), grid[best]

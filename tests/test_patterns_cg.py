@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -128,25 +133,32 @@ def test_cg_never_worse_than_greedy_seed(small_cluster):
     assert cg.objective >= greedy.objective - 1e-9
 
 
+def _pricing_problem():
+    from repro.workloads.generator import ClusterSpec, generate_cluster
+
+    return generate_cluster(ClusterSpec(
+        name="test-pricing", num_services=16, num_containers=64,
+        num_machines=4, seed=5,
+    )).problem
+
+
 def test_pricing_milp_gets_what_is_left_of_the_cg_budget(monkeypatch):
-    """Unbudgeted CG prices with no wall clock; budgeted CG never gives a
-    pricing MILP more time than its own budget has left."""
+    """Every pricing MILP is solved exactly (gap 0) without HiGHS's
+    feasibility jump; unbudgeted CG prices with no wall clock; budgeted CG
+    never gives a pricing MILP more time than its own budget has left."""
     import time
 
     from repro.solvers import patterns
     from repro.solvers.column_generation import ROUNDING_FRACTION
-    from repro.workloads.generator import ClusterSpec, generate_cluster
 
-    problem = generate_cluster(ClusterSpec(
-        name="test-pricing", num_services=16, num_containers=64,
-        num_machines=4, seed=5,
-    )).problem
+    problem = _pricing_problem()
     calls = []  # (time_limit, entered, returned)
     real = patterns.solve_milp
 
-    def spy(model, time_limit=None, gap_tolerance=1e-6):
+    def spy(model, time_limit=None, **kwargs):
+        assert kwargs == {"gap_tolerance": 0.0, "feasibility_jump": False}
         entered = time.monotonic()
-        result = real(model, time_limit=time_limit, gap_tolerance=gap_tolerance)
+        result = real(model, time_limit=time_limit, **kwargs)
         calls.append((time_limit, entered, time.monotonic()))
         return result
 
@@ -166,6 +178,92 @@ def test_pricing_milp_gets_what_is_left_of_the_cg_budget(monkeypatch):
     for limit, entered, done in calls:
         assert 0.0 < limit <= cg_budget - (returned - first_entered)
         returned = done
+
+
+def test_cg_builds_each_groups_pricing_model_once(monkeypatch):
+    """One CG solve builds one pricing model per group and re-prices it with
+    each round's duals; every model HiGHS gets is byte-identical to a fresh
+    one-shot build with the same duals."""
+    from test_mip_algorithm import make_model_digests
+
+    from repro.solvers import column_generation, patterns
+    from repro.solvers.branch_and_bound import MILPResult
+
+    def digest(model):
+        return (
+            make_model_digests.model_digest(model),
+            make_model_digests.model_digest(model, arrays=("ub",), matrices=()),
+        )
+
+    problem = _pricing_problem()
+    groups = group_machines(problem)
+    builds = []
+    real_build = patterns.build_rasa_model
+
+    def counting_build(*args, **kwargs):
+        builds.append(args)
+        return real_build(*args, **kwargs)
+
+    priced = []  # (group, duals, digests of the model HiGHS got)
+    real_price = column_generation.price_pattern_mip
+    real_solve = patterns.solve_milp
+
+    def price(problem, group, duals, time_limit=None):
+        priced.append((group, duals.copy(), None))
+        return real_price(problem, group, duals, time_limit)
+
+    def solve(model, **kwargs):
+        group, duals, _ = priced[-1]
+        priced[-1] = (group, duals, digest(model))
+        return real_solve(model, **kwargs)
+
+    monkeypatch.setattr(patterns, "build_rasa_model", counting_build)
+    monkeypatch.setattr(column_generation, "price_pattern_mip", price)
+    monkeypatch.setattr(patterns, "solve_milp", solve)
+    ColumnGenerationAlgorithm().solve(problem)
+    solve_builds = len(builds)
+
+    fresh = []
+    monkeypatch.setattr(
+        patterns, "solve_milp",
+        lambda model, **_: fresh.append(digest(model)) or MILPResult(
+            "no_incumbent", None, float("inf"), bound=float("-inf")
+        ),
+    )
+    for group, duals, seen in priced:
+        patterns.price_pattern_mip(problem, group, duals)
+        assert fresh[-1] == seen
+    assert len(priced) > 2 * len(groups)  # several rounds re-priced
+    assert solve_builds == len({group.key for group, _, _ in priced}) == len(groups)
+    assert len(builds) == solve_builds + len(priced)  # one-shot outside a solve
+
+
+_WARNING_FREE_CG = """
+from repro.solvers import ColumnGenerationAlgorithm
+from repro.workloads.generator import ClusterSpec, generate_cluster
+
+problem = generate_cluster(ClusterSpec(
+    name="warnings", num_services=16, num_containers=64, num_machines=4, seed=5,
+)).problem
+ColumnGenerationAlgorithm().solve(problem)
+"""
+
+
+def test_cg_solve_is_warning_free_under_w_error():
+    """Pricing's HiGHS option draws a scipy warning per call; the filter
+    ``milp_backend`` installs at import keeps a CG solve clean even where
+    every warning is an error."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _WARNING_FREE_CG],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
 
 
 def test_cg_on_anti_affinity_spread():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from oracles import enumerated_pricing
 from test_migration import _rule_pair
 from test_properties import constrained_problems
 
@@ -120,6 +121,43 @@ def test_exact_pricing_dominates_greedy_pricing(data):
         exact_net = exact.value - float(duals @ exact.counts)
         greedy_net = greedy.value - float(duals @ greedy.counts)
         assert exact_net >= greedy_net - 1e-6
+
+
+@st.composite
+def priced_problems(draw) -> tuple[RASAProblem, np.ndarray]:
+    """A constrained instance of at most 5 services and a dual price per
+    service (0 for about a quarter of them)."""
+    problem = draw(constrained_problems(max_services=5, max_machines=3))
+    price = st.one_of(
+        st.just(0.0), st.floats(0.0, 3.0, allow_nan=False, allow_infinity=False)
+    )
+    return problem, np.array([draw(price) for _ in range(problem.num_services)])
+
+
+def tied_pricing_problem() -> tuple[RASAProblem, np.ndarray]:
+    """Two disjoint pairs of equal value on machines that hold one pair:
+    two patterns tie for the best reduced cost."""
+    services = [Service(f"s{i}", 1, {"cpu": 1.0}) for i in range(4)]
+    machines = [Machine(f"m{i}", {"cpu": 2.0}) for i in range(2)]
+    edges = {("s0", "s1"): 1.0, ("s2", "s3"): 1.0}
+    return RASAProblem(services, machines, affinity=edges), np.full(4, 0.25)
+
+
+@given(instance=priced_problems())
+@example(instance=tied_pricing_problem())
+def test_exact_pricing_reaches_the_enumerated_maximum(instance):
+    """``price_pattern_mip``'s reduced cost is the best any pattern of the
+    group's machine reaches, as :func:`oracles.enumerated_pricing` finds
+    by trying every count vector (HiGHS's absolute gap is 1e-6)."""
+    problem, duals = instance
+    for group in group_machines(problem):
+        pattern = price_pattern_mip(problem, group, duals)
+        assert pattern is not None
+        best, _counts = enumerated_pricing(
+            problem, group.capacity, group.schedulable, duals
+        )
+        reduced = pattern.value - float(duals @ pattern.counts)
+        assert abs(reduced - best) <= 1e-6
 
 
 # ----------------------------------------------------------------------
