@@ -11,7 +11,6 @@ paper's 16–72 % band, and the gap to ONLY COLLOCATED small.
 
 from __future__ import annotations
 
-import numpy as np
 from conftest import TIME_LIMIT, record_result
 
 from repro.cluster import NetworkSimulator, relative_improvement

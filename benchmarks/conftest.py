@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.selection import GCNSelector, MLPSelector, label_subproblem, sample_subproblems
-from repro.workloads import evaluation_clusters, load_cluster, training_clusters
+from repro.workloads import evaluation_clusters, training_clusters
 
 #: Stand-in for the paper's one-minute time-out at our reduced scale.
 TIME_LIMIT = 8.0

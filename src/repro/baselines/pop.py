@@ -18,7 +18,7 @@ from repro.core.problem import RASAProblem
 from repro.core.rasa import RASAScheduler
 from repro.partitioning.random_partition import RandomPartitioner
 from repro.selection.selector import FixedSelector
-from repro.solvers.base import SolveResult, Stopwatch
+from repro.solvers.base import SolveResult
 
 
 class POPAlgorithm:
@@ -41,7 +41,6 @@ class POPAlgorithm:
 
     def solve(self, problem: RASAProblem, time_limit: float | None = None) -> SolveResult:
         """Partition randomly, solve each shard with MIP, merge."""
-        watch = Stopwatch(time_limit)
         scheduler = RASAScheduler(
             config=RASAConfig(seed=self.seed),
             partitioner=RandomPartitioner(
@@ -55,10 +54,6 @@ class POPAlgorithm:
             assignment=result.assignment,
             algorithm=self.name,
             status="feasible",
-            runtime_seconds=watch.elapsed,
+            runtime_seconds=result.runtime_seconds,
             objective=result.assignment.gained_affinity(),
-            trajectory=[
-                (t, gained * problem.affinity.total_affinity)
-                for t, gained in result.trajectory
-            ],
         )

@@ -3,8 +3,7 @@
 :class:`RASAScheduler` is the package's main entry point.  It wires the
 multi-stage partitioner, an algorithm selector, and the scheduling algorithm
 pool into the full three-phase pipeline, returning the merged cluster-wide
-assignment together with per-subproblem diagnostics and an anytime
-quality-over-time trajectory (used by the Fig. 10 benchmark).
+assignment together with per-subproblem diagnostics.
 
 The solve phase is one loop over the subproblems in affinity-descending
 order, each shard solved by :func:`~repro.core.parallel.select_and_solve`,
@@ -76,12 +75,6 @@ class RASAResult:
             merge (affinity-descending) order — identical between the
             one-at-a-time and pooled solves.
         runtime_seconds: Total wall-clock time.
-        trajectory: Cumulative ``(elapsed_seconds, normalized_gained)``
-            points — RASA is an anytime algorithm (halting mid-run returns
-            the current best).  Each subproblem solve contributes its full
-            incumbent history (offset by the solve's start time), restoring
-            the paper's Fig. 10 anytime-curve resolution.  Timestamps are
-            non-decreasing even when parallel workers finish out of order.
 
     The run's solver counters and per-phase duration histograms go to the
     process metrics registry (``rasa optimize --metrics-out``, ``/metrics``);
@@ -93,55 +86,6 @@ class RASAResult:
     partition: PartitionResult
     reports: list[SubproblemReport] = field(default_factory=list)
     runtime_seconds: float = 0.0
-    trajectory: list[tuple[float, float]] = field(default_factory=list)
-
-    def summary_dict(self) -> dict:
-        """JSON-safe, ``schema_version``-tagged summary of the run.
-
-        The wire shape the multi-tenant service returns for an optimize
-        call: the headline quality/runtime numbers plus per-subproblem
-        algorithm choices — everything a remote client needs short of the
-        full placement matrix (fetch the migration plan for that).
-        """
-        from repro.schemas import tag_schema
-
-        return tag_schema({
-            "gained_affinity": float(self.gained_affinity),
-            "runtime_seconds": float(self.runtime_seconds),
-            "num_services": self.assignment.problem.num_services,
-            "num_machines": self.assignment.problem.num_machines,
-            "num_subproblems": len(self.reports),
-            "algorithms": sorted(
-                {report.selected_algorithm for report in self.reports}
-            ),
-            "subproblems": [
-                {
-                    "services": report.subproblem.num_services,
-                    "algorithm": report.selected_algorithm,
-                    "status": report.result.status,
-                    "objective": float(report.result.objective),
-                }
-                for report in self.reports
-            ],
-            "trajectory": [
-                [float(t), float(v)] for t, v in self.trajectory
-            ],
-        })
-
-
-def _append_point(
-    trajectory: list[tuple[float, float]], elapsed: float, value: float
-) -> None:
-    """Append a trajectory point, keeping timestamps non-decreasing.
-
-    Parallel workers start at overlapping wall-clock offsets, so mapping
-    their incumbent histories into the merge order can step backwards in
-    time; clamping to the previous timestamp keeps the anytime curve a
-    valid function of elapsed time.
-    """
-    if trajectory:
-        elapsed = max(elapsed, trajectory[-1][0])
-    trajectory.append((elapsed, value))
 
 
 class RASAScheduler:
@@ -226,7 +170,6 @@ class RASAScheduler:
 
             merged = partition.trivial_assignment.copy()
             assignment = Assignment(problem, merged)
-            trajectory = [(watch.elapsed, assignment.gained_affinity(normalized=True))]
 
             reports: list[SubproblemReport] = []
             # Solve high-affinity shards first so early stopping keeps the
@@ -238,8 +181,8 @@ class RASAScheduler:
             )
             threads = available_cpus() if time_limit is None else 1
             assignment = self._solve(
-                problem, partition.subproblems, order, assignment, trajectory,
-                reports, watch, threads, run_span,
+                partition.subproblems, order, assignment, reports, watch, threads,
+                run_span,
             )
 
             # Containers the solvers left unplaced go to the cluster's
@@ -247,9 +190,6 @@ class RASAScheduler:
             with tracer.span("rasa.repair"):
                 repaired = repair_unplaced(problem, assignment.x)
                 assignment = Assignment(problem, repaired)
-            _append_point(
-                trajectory, watch.elapsed, assignment.gained_affinity(normalized=True)
-            )
 
             if self.config.local_search_seconds > 0:
                 from repro.solvers.local_search import LocalSearchImprover
@@ -260,9 +200,6 @@ class RASAScheduler:
                     assignment = LocalSearchImprover().improve(
                         problem, assignment, time_limit=self.config.local_search_seconds
                     )
-                _append_point(
-                    trajectory, watch.elapsed, assignment.gained_affinity(normalized=True)
-                )
 
             gained = assignment.gained_affinity(normalized=True)
             run_span.set_tag("gained_affinity", gained)
@@ -283,7 +220,6 @@ class RASAScheduler:
             partition=partition,
             reports=reports,
             runtime_seconds=watch.elapsed,
-            trajectory=trajectory,
         )
 
     # ------------------------------------------------------------------
@@ -291,11 +227,9 @@ class RASAScheduler:
     # ------------------------------------------------------------------
     def _solve(
         self,
-        problem: RASAProblem,
         subproblems: list[Subproblem],
         order: list[int],
         assignment: Assignment,
-        trajectory: list[tuple[float, float]],
         reports: list[SubproblemReport],
         watch: Stopwatch,
         threads: int,
@@ -316,11 +250,6 @@ class RASAScheduler:
         futures: dict[int, Future] = {}
         if threads > 1 and len(order) > 1:
             run_span.set_tag("workers", threads)
-
-            def timed(subproblem: Subproblem):
-                """When the shard's solve began on the run's clock, and the solve."""
-                return watch.elapsed, select_and_solve(subproblem, self.selector)
-
             # Each thread runs in a copy of this context, so its spans carry
             # the request's trace id and nest under ``rasa.dispatch``.
             with get_tracer().span("rasa.dispatch", workers=threads, tasks=len(order)):
@@ -329,7 +258,10 @@ class RASAScheduler:
                     thread_name_prefix="rasa-solve",
                 ) as pool:
                     futures = {
-                        i: pool.submit(contextvars.copy_context().run, timed, subproblems[i])
+                        i: pool.submit(
+                            contextvars.copy_context().run,
+                            select_and_solve, subproblems[i], self.selector,
+                        )
                         for i in order
                     }
                 release_freed_heap()
@@ -349,7 +281,7 @@ class RASAScheduler:
                     metrics.counter("rasa.parallel.task_failures").inc()
                     metrics.counter("rasa.parallel.retries").inc()
             if pooled is not None:
-                solve_start, (label, result) = pooled
+                label, result = pooled
             elif watch.expired:
                 continue  # anytime stop: the shard keeps its current placement
             else:
@@ -357,7 +289,6 @@ class RASAScheduler:
                 if watch.time_limit is not None:
                     pending = [subproblems[j] for j in order[position:]]
                     budget = self._next_budget(pending, watch)
-                solve_start = watch.elapsed
                 label, result = select_and_solve(subproblem, self.selector, budget)
             reports.append(
                 SubproblemReport(
@@ -366,45 +297,29 @@ class RASAScheduler:
                     result=result,
                 )
             )
-            assignment = self._merge_result(
-                problem, assignment, subproblem, result, trajectory,
-                solve_start, watch,
-            )
+            assignment = self._merge_result(assignment, subproblem, result, watch)
         return assignment
 
     # ------------------------------------------------------------------
     # Shared helpers
     # ------------------------------------------------------------------
+    @staticmethod
     def _merge_result(
-        self,
-        problem: RASAProblem,
         assignment: Assignment,
         subproblem: Subproblem,
         result: SolveResult,
-        trajectory: list[tuple[float, float]],
-        solve_start: float,
         watch: Stopwatch,
     ) -> Assignment:
-        """Overlay one shard's solution and extend the anytime trajectory."""
-        tracer = get_tracer()
-        metrics = get_metrics()
+        """Overlay one shard's solution on the cluster-wide placement."""
         merge_start = watch.elapsed
-        with tracer.span("rasa.merge", services=subproblem.num_services):
+        with get_tracer().span("rasa.merge", services=subproblem.num_services):
             assignment = assignment.merge_subassignment(
                 result.assignment,
                 subproblem.service_names,
                 subproblem.machine_names,
             )
-        metrics.histogram("rasa.phase.merge.seconds").observe(
+        get_metrics().histogram("rasa.phase.merge.seconds").observe(
             watch.elapsed - merge_start
-        )
-        # One evaluation serves both points; dividing by the graph total is
-        # the same operation ``gained_affinity(normalized=True)`` performs.
-        gained = assignment.gained_affinity()
-        graph_total = problem.affinity.total_affinity
-        self._extend_trajectory(trajectory, gained, graph_total, result, solve_start)
-        _append_point(
-            trajectory, watch.elapsed, gained / graph_total if graph_total else 0.0
         )
         return assignment
 
@@ -421,35 +336,6 @@ class RASAScheduler:
         if remaining is not None:
             budget = max(MIN_SUBPROBLEM_BUDGET, min(budget, remaining))
         return budget
-
-    @staticmethod
-    def _extend_trajectory(
-        trajectory: list[tuple[float, float]],
-        merged_unnorm: float,
-        total: float,
-        result: SolveResult,
-        solve_start: float,
-    ) -> None:
-        """Merge a subproblem's incumbent history into the run trajectory.
-
-        The solver trajectory is ``(elapsed_since_solver_start, objective)``
-        in the subproblem's unnormalized gained-affinity scale.  Each
-        incumbent is mapped to the overall curve by offsetting its timestamp
-        by the solve's start time and estimating the cluster-wide gained
-        affinity it would have produced: the merged value minus the part of
-        the final objective the incumbent had not yet reached.  Values are
-        clamped to keep the anytime curve monotone (an incumbent is only
-        adopted when it improves the merged placement).  ``merged_unnorm``
-        is the merged placement's gained affinity, ``total`` the graph's.
-        """
-        if total <= 0 or not result.trajectory:
-            return
-        floor = trajectory[-1][1] if trajectory else 0.0
-        for elapsed, objective in result.trajectory:
-            estimate = (merged_unnorm - max(0.0, result.objective - objective)) / total
-            value = min(1.0, max(floor, estimate))
-            _append_point(trajectory, solve_start + max(0.0, elapsed), value)
-            floor = value
 
     def _budgets(self, subproblems: list[Subproblem], watch: Stopwatch) -> list[float]:
         """Split the remaining budget proportionally to shard affinity.

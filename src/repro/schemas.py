@@ -3,9 +3,8 @@
 Every serializable artifact the system hands across a process boundary —
 :class:`~repro.cluster.cronjob.CycleReport`,
 :class:`~repro.migration.plan.MigrationPlan`,
-:class:`~repro.migration.executor.ExecutionTrace`,
-:class:`~repro.faults.plan.FaultPlan`, and the
-:meth:`~repro.core.rasa.RASAResult.summary_dict` service summary — tags its
+:class:`~repro.migration.executor.ExecutionTrace` and
+:class:`~repro.faults.plan.FaultPlan` — tags its
 ``to_dict`` payload with the shared :data:`SCHEMA_VERSION` and validates it
 in ``from_dict``.  The multi-tenant optimizer service
 (:mod:`repro.service`) speaks *only* these tagged payloads, so a client

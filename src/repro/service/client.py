@@ -27,7 +27,7 @@ import urllib.error
 import urllib.request
 from typing import Any
 
-from repro.obs.context import TraceIdFactory, normalize_trace_id
+from repro.obs.context import TraceIdFactory
 from repro.schemas import tag_schema
 
 

@@ -14,7 +14,7 @@ from repro.solvers.base import SchedulingAlgorithm, SolveResult, Stopwatch
 from repro.solvers.branch_and_bound import BranchAndBoundSolver, MILPResult
 from repro.solvers.column_generation import ColumnGenerationAlgorithm
 from repro.solvers.greedy import GreedyAlgorithm, repair_unplaced
-from repro.solvers.local_search import LocalSearchAlgorithm, LocalSearchImprover
+from repro.solvers.local_search import LocalSearchImprover
 from repro.solvers.lp import LinearModel, LPResult, solve_lp
 from repro.solvers.milp_backend import solve_milp
 from repro.solvers.mip import MIPAlgorithm, build_rasa_model
@@ -25,7 +25,6 @@ __all__ = [
     "GreedyAlgorithm",
     "LPResult",
     "LinearModel",
-    "LocalSearchAlgorithm",
     "LocalSearchImprover",
     "MILPResult",
     "MIPAlgorithm",

@@ -10,7 +10,7 @@ selection layer and the benchmarks can treat them uniformly.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 from repro.core.problem import RASAProblem
@@ -28,8 +28,6 @@ class SolveResult:
         status: Backend status string (``"optimal"``, ``"feasible"``, ...).
         runtime_seconds: Wall-clock time the solve took.
         objective: Gained affinity of ``assignment`` (unnormalized).
-        trajectory: Optional ``(elapsed_seconds, objective)`` incumbent
-            history for quality-vs-runtime plots (paper Fig. 10).
         bound: Proven upper bound on the objective any placement of this
             solve could reach (same scale as ``objective``), or None for
             algorithms that prove none.
@@ -40,7 +38,6 @@ class SolveResult:
     status: str
     runtime_seconds: float
     objective: float
-    trajectory: list[tuple[float, float]] = field(default_factory=list)
     bound: float | None = None
 
 

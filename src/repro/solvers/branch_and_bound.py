@@ -1,10 +1,10 @@
 """From-scratch branch-and-bound MILP solver over HiGHS LP relaxations.
 
 This is the "we build the substrate ourselves" half of the solver pool: a
-best-first branch-and-bound that only needs an LP oracle.  It exposes the
-incumbent-over-time trajectory, which the Figure 10 (quality vs. runtime)
-benchmark relies on, and supports warm-start incumbents and anytime
-interruption via a wall-clock budget.
+best-first branch-and-bound that only needs an LP oracle.  It records its
+incumbent improvements (``MILPResult.incumbents``, which its own tests
+read) and supports warm-start incumbents and anytime interruption via a
+wall-clock budget.
 
 The paper used Gurobi; :mod:`repro.solvers.milp_backend` offers scipy's
 HiGHS MILP as the off-the-shelf equivalent, while this module removes even
@@ -51,7 +51,9 @@ class MILPResult:
         objective: Its objective value (minimization scale), ``inf`` if none.
         bound: Best proven lower bound on the optimum.
         nodes_explored: Branch-and-bound nodes processed.
-        incumbents: Incumbent improvements over time, oldest first.
+        incumbents: Incumbent improvements over time, oldest first; only
+            :class:`BranchAndBoundSolver` records them (HiGHS reports its
+            final solution alone).
     """
 
     status: str
@@ -93,7 +95,7 @@ class BranchAndBoundSolver:
         node_limit: Safety cap on explored nodes (0 disables the cap).
         rounding_dive: Try rounding each node's fractional relaxation into a
             feasible incumbent (cheap anytime behaviour: early incumbents
-            tighten pruning and give the Fig. 10 trajectory its shape).
+            tighten pruning).
     """
 
     def __init__(

@@ -33,7 +33,7 @@ from repro.solvers.patterns import (
     patterns_from_assignment,
     price_pattern_greedy,
     price_pattern_mip,
-    reused_pricing_models,
+    pricing_model,
 )
 
 #: Minimum reduced cost treated as an actual improvement.
@@ -65,24 +65,19 @@ class ColumnGenerationAlgorithm:
     def solve(self, problem: RASAProblem, time_limit: float | None = None) -> SolveResult:
         """Run Algorithm 1 and return the best integral placement found.
 
-        Each machine group's pricing model is built once for the solve and
-        re-priced with every round's duals.
+        Each machine group's pricing model is built at the group's first
+        exact pricing call and re-priced with every later round's duals.
         """
-        with reused_pricing_models():
-            return self._solve(problem, time_limit)
-
-    def _solve(self, problem: RASAProblem, time_limit: float | None) -> SolveResult:
         watch = Stopwatch(time_limit)
         metrics = get_metrics()
         tracer = get_tracer()
         metrics.counter("solver.cg.solves").inc()
-        trajectory: list[tuple[float, float]] = []
 
         groups = group_machines(problem)
+        models: dict[int, LinearModel] = {}
         seed = GreedyAlgorithm().solve(problem)
         incumbent = seed.assignment
         incumbent_obj = seed.objective
-        trajectory.append((watch.elapsed, incumbent_obj))
 
         columns = patterns_from_assignment(problem, incumbent.x, groups)
         seen: set[tuple[int, bytes]] = {
@@ -115,7 +110,7 @@ class ColumnGenerationAlgorithm:
                     left = None if cg_budget is None else cg_budget - watch.elapsed
                     if left is not None and left <= 0:
                         break
-                    pattern = self._price(problem, group, coverage_duals, left)
+                    pattern = self._price(problem, g, group, models, coverage_duals, left)
                     if pattern is None:
                         continue
                     reduced = pattern.value - float(coverage_duals @ pattern.counts)
@@ -148,7 +143,6 @@ class ColumnGenerationAlgorithm:
                 tracer.event(
                     "cg.incumbent", elapsed=watch.elapsed, objective=incumbent_obj
                 )
-        trajectory.append((watch.elapsed, incumbent_obj))
         metrics.histogram("solver.cg.seconds").observe(watch.elapsed)
 
         return SolveResult(
@@ -157,20 +151,25 @@ class ColumnGenerationAlgorithm:
             status="feasible",
             runtime_seconds=watch.elapsed,
             objective=incumbent_obj,
-            trajectory=trajectory,
         )
 
     def _price(
         self,
         problem: RASAProblem,
+        g: int,
         group: MachineGroup,
+        models: dict[int, LinearModel],
         duals: np.ndarray,
         time_limit: float | None,
     ) -> Pattern | None:
-        """The pricing pattern, within what is left of the CG budget."""
+        """Group ``g``'s pricing pattern, within what is left of the CG
+        budget; exact pricing builds the group's model into ``models`` on
+        first use."""
         if self.pricing == "greedy":
             return price_pattern_greedy(problem, group, duals)
-        return price_pattern_mip(problem, group, duals, time_limit=time_limit)
+        if g not in models:
+            models[g] = pricing_model(problem, group)
+        return price_pattern_mip(problem, group, models[g], duals, time_limit=time_limit)
 
 
 class _Master:

@@ -4,8 +4,8 @@ The paper's future work calls for more high-quality-high-efficiency
 solver-based algorithms; this module provides the classical complement to
 the solver pool: a hill climber over single-container relocations that
 strictly improve gained affinity while preserving feasibility.  It is
-cheap, anytime, and used as an optional post-pass of the RASA pipeline
-(``RASAConfig.local_search_seconds``) and as an ablation subject.
+cheap, anytime, and runs as an optional post-pass of the RASA pipeline
+(``RASAConfig.local_search_seconds``).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.core.problem import RASAProblem
 from repro.core.solution import Assignment
-from repro.solvers.base import SolveResult, Stopwatch
+from repro.solvers.base import Stopwatch
 from repro.solvers.greedy import PackingState, neighbor_table
 
 
@@ -97,29 +97,3 @@ class LocalSearchImprover:
             else:
                 state.place(s, int(source))  # undo
         return moved
-
-
-class LocalSearchAlgorithm:
-    """Greedy + local search as a standalone pool member (ablation aid)."""
-
-    name = "greedy+ls"
-
-    def __init__(self, improver: LocalSearchImprover | None = None) -> None:
-        self.improver = improver or LocalSearchImprover()
-
-    def solve(self, problem: RASAProblem, time_limit: float | None = None) -> SolveResult:
-        """Run the greedy portfolio, then polish with local search."""
-        from repro.solvers.greedy import GreedyAlgorithm
-
-        watch = Stopwatch(time_limit)
-        seed = GreedyAlgorithm().solve(problem, time_limit=time_limit)
-        polished = self.improver.improve(
-            problem, seed.assignment, time_limit=watch.remaining
-        )
-        return SolveResult(
-            assignment=polished,
-            algorithm=self.name,
-            status="heuristic",
-            runtime_seconds=watch.elapsed,
-            objective=polished.gained_affinity(),
-        )

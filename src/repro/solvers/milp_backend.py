@@ -5,7 +5,9 @@ commercial solver; HiGHS (open source, vendored by scipy) plays that role
 here, for the flat MIP, column-generation pricing and master rounding
 alike.  :func:`solve_milp` takes a :class:`~repro.solvers.lp.LinearModel`
 (minimization form) and returns a
-:class:`~repro.solvers.branch_and_bound.MILPResult`.
+:class:`~repro.solvers.branch_and_bound.MILPResult` holding HiGHS's final
+solution and dual bound; HiGHS reports no incumbent history, so the
+result's ``incumbents`` stays empty.
 
 :class:`~repro.solvers.branch_and_bound.BranchAndBoundSolver` returns the
 same result type from a search of our own; it is not a pipeline path but
@@ -23,14 +25,13 @@ their placements are pinned byte for byte.
 
 from __future__ import annotations
 
-import time
 import warnings
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.exceptions import SolverError
-from repro.solvers.branch_and_bound import IncumbentRecord, MILPResult
+from repro.solvers.branch_and_bound import MILPResult
 from repro.solvers.lp import LinearModel
 
 #: Relative optimality gap the flat MIP and master rounding accept as
@@ -83,7 +84,6 @@ def solve_milp(
     if time_limit is not None:
         options["time_limit"] = float(time_limit)
 
-    started = time.monotonic()
     result = milp(
         c=model.c,
         constraints=constraints or None,
@@ -91,7 +91,6 @@ def solve_milp(
         bounds=Bounds(model.lb, model.ub),
         options=options,
     )
-    elapsed = time.monotonic() - started
 
     # scipy milp status codes: 0 optimal, 1 iteration/time limit, 2 infeasible,
     # 3 unbounded, 4 other.
@@ -124,7 +123,4 @@ def solve_milp(
         objective=objective,
         bound=bound,
         nodes_explored=nodes,
-        # HiGHS reports only its final incumbent, found by the time it
-        # returned.
-        incumbents=[IncumbentRecord(elapsed, objective)],
     )

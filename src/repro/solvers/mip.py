@@ -42,7 +42,7 @@ from scipy import sparse
 
 from repro.core.problem import RASAProblem
 from repro.core.solution import Assignment
-from repro.obs import get_metrics, get_tracer
+from repro.obs import get_metrics
 from repro.solvers.base import SolveResult, Stopwatch
 from repro.solvers.branch_and_bound import MILPResult
 from repro.solvers.greedy import GreedyAlgorithm
@@ -74,7 +74,6 @@ class MIPAlgorithm:
         """
         watch = Stopwatch(time_limit)
         metrics = get_metrics()
-        tracer = get_tracer()
         metrics.counter("solver.mip.solves").inc()
         model, layout = build_rasa_model(problem)
         metrics.histogram("solver.mip.variables").observe(layout.num_variables)
@@ -89,18 +88,10 @@ class MIPAlgorithm:
                 objective=0.0,
                 bound=0.0,
             )
-        solve_start = watch.elapsed
         milp_result = solve_milp(
             model, time_limit=time_limit, gap_tolerance=GAP_TOLERANCE
         )
         metrics.counter("solver.mip.nodes").inc(milp_result.nodes_explored)
-        # Incumbents on this solve's clock, which started before the model build.
-        trajectory = [
-            (solve_start + r.elapsed_seconds, -r.objective)
-            for r in milp_result.incumbents
-        ]
-        for elapsed, objective in trajectory:
-            tracer.event("mip.incumbent", elapsed=elapsed, objective=objective)
         assignment = extract_assignment(problem, layout, milp_result)
         objective = assignment.gained_affinity()
         status = milp_result.status
@@ -124,7 +115,6 @@ class MIPAlgorithm:
             status=status,
             runtime_seconds=watch.elapsed,
             objective=objective,
-            trajectory=trajectory,
             bound=bound,
         )
 

@@ -20,20 +20,19 @@ HiGHS's feasibility-jump heuristic, which cost more than the 1-node
 search itself: a call went 5.7 → 2.1 ms (2-CPU container, scipy 1.17).
 The heuristic stays on for the flat MIP and master rounding, whose
 searches it can shorten.  And a column generation solve builds each
-group's model once (:func:`reused_pricing_models`), since between calls
-only the duals change: 2.1 → 1.8 ms.
+group's model once (:func:`pricing_model`) and hands it to every
+:func:`price_pattern_mip` call, since between calls only the duals
+change: 2.1 → 1.8 ms.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.core.problem import RASAProblem
+from repro.solvers.lp import LinearModel
 from repro.solvers.milp_backend import solve_milp
 from repro.solvers.mip import build_rasa_model, container_fit
 
@@ -175,92 +174,47 @@ def patterns_from_assignment(
 # ----------------------------------------------------------------------
 # Pricing
 # ----------------------------------------------------------------------
-class MIPPricer:
-    """Exact pricing for one machine group: maximize ``value(p) - duals @ p``.
+def pricing_model(problem: RASAProblem, group: MachineGroup) -> LinearModel:
+    """Exact pricing's model for one machine group, before any duals.
 
-    The model is :func:`~repro.solvers.mip.build_rasa_model` over one bin —
-    a single machine of the group — without the demand rows; pricing's own
-    part is the duals as ``x`` costs and the per-service bound (0 where
-    the group bars the service, else what demand and
-    :func:`~repro.solvers.mip.container_fit` allow).  Only the costs
-    depend on the duals, so the model is built once and each
-    :meth:`price` overwrites ``c[:n]``: the bytes HiGHS gets are those of
-    a fresh build with the same duals.
-
-    The MILP is solved exactly (gap 0) and without HiGHS's feasibility
-    jump, which costs more than the search on models this small (see
-    :mod:`repro.solvers.milp_backend`).
+    It is :func:`~repro.solvers.mip.build_rasa_model` over one bin — a
+    single machine of the group — without the demand rows; pricing's own
+    part is the per-service bound (0 where the group bars the service, else
+    what demand and :func:`~repro.solvers.mip.container_fit` allow) and the
+    duals as ``x`` costs, which each :func:`price_pattern_mip` call writes.
+    Only those costs change between calls, so one model serves every call
+    for the group: the bytes HiGHS gets are those of a fresh build with the
+    same duals.
     """
-
-    def __init__(self, problem: RASAProblem, group: MachineGroup) -> None:
-        n = problem.num_services
-        # One all-schedulable machine of the group: a column per service,
-        # with schedulability living in the bounds below.
-        machine = replace(
-            group, machine_indices=group.machine_indices[:1], schedulable=(True,) * n
-        )
-        model, layout = build_rasa_model(problem, [machine], sla=False)
-        fit = container_fit(problem, layout.capacities)[:, 0]
-        model.ub[:n] = np.where(group.schedulable, np.minimum(model.ub[:n], fit), 0.0)
-        self.problem = problem
-        self.group = group
-        self.model = model
-
-    def price(self, duals: np.ndarray, time_limit: float | None = None) -> Pattern | None:
-        """The best pattern under ``duals``, or None if the solve produced
-        nothing."""
-        n = self.problem.num_services
-        self.model.c[:n] = duals
-        result = solve_milp(
-            self.model, time_limit=time_limit, gap_tolerance=0.0, feasibility_jump=False
-        )
-        if result.x is None:
-            return None
-        counts = np.rint(result.x[:n]).astype(np.int64)
-        counts = np.clip(counts, 0, None)
-        if not pattern_is_feasible(self.problem, self.group, counts):
-            return None
-        return Pattern(counts, pattern_value(self.problem, counts))
-
-
-#: The pricers of the enclosing :func:`reused_pricing_models` block, by
-#: group key; None outside one.
-_PRICERS: ContextVar[dict[tuple, MIPPricer] | None] = ContextVar(
-    "repro_mip_pricers", default=None
-)
-
-
-@contextmanager
-def reused_pricing_models() -> Iterator[None]:
-    """Inside the block, :func:`price_pattern_mip` builds one model per group.
-
-    A column generation solve holds this block open for its length, so no
-    pricing model outlives the solve.  The scope is per context (hence per
-    thread), so shards solving on pool threads keep theirs apart.  Every
-    exact pricing call still goes through :func:`price_pattern_mip`, the
-    one name the benchmark's traced pass times pricing by.
-    """
-    token = _PRICERS.set({})
-    try:
-        yield
-    finally:
-        _PRICERS.reset(token)
+    n = problem.num_services
+    # One all-schedulable machine of the group: a column per service, with
+    # schedulability living in the bounds below.
+    machine = replace(
+        group, machine_indices=group.machine_indices[:1], schedulable=(True,) * n
+    )
+    model, layout = build_rasa_model(problem, [machine], sla=False)
+    fit = container_fit(problem, layout.capacities)[:, 0]
+    model.ub[:n] = np.where(group.schedulable, np.minimum(model.ub[:n], fit), 0.0)
+    return model
 
 
 def price_pattern_mip(
     problem: RASAProblem,
     group: MachineGroup,
+    model: LinearModel,
     duals: np.ndarray,
     time_limit: float | None = None,
 ) -> Pattern | None:
     """Exact pricing: maximize ``value(p) - duals @ p`` over feasible patterns.
 
-    A one-shot :class:`MIPPricer` outside a :func:`reused_pricing_models`
-    block; inside one, the block's pricer for ``group``.
+    Writes ``duals`` into ``model``'s ``x`` costs and solves it exactly
+    (gap 0) without HiGHS's feasibility jump, which costs more than the
+    search on models this small (see :mod:`repro.solvers.milp_backend`).
 
     Args:
         problem: The instance.
         group: Machine group to price for.
+        model: :func:`pricing_model` of ``problem`` and ``group``.
         duals: Coverage dual prices ``pi_s`` (length N).
         time_limit: Budget for the pricing MILP; None solves it to
             optimality.
@@ -268,13 +222,15 @@ def price_pattern_mip(
     Returns:
         The best pattern found, or None if the solve produced nothing.
     """
-    pricers = _PRICERS.get()
-    pricer = None if pricers is None else pricers.get(group.key)
-    if pricer is None or pricer.problem is not problem:
-        pricer = MIPPricer(problem, group)
-        if pricers is not None:
-            pricers[group.key] = pricer
-    return pricer.price(duals, time_limit)
+    n = problem.num_services
+    model.c[:n] = duals
+    result = solve_milp(model, time_limit=time_limit, gap_tolerance=0.0, feasibility_jump=False)
+    if result.x is None:
+        return None
+    counts = np.clip(np.rint(result.x[:n]).astype(np.int64), 0, None)
+    if not pattern_is_feasible(problem, group, counts):
+        return None
+    return Pattern(counts, pattern_value(problem, counts))
 
 
 def price_pattern_greedy(

@@ -71,7 +71,8 @@ def instances():
 
 
 def pricing_models(problem, groups) -> list:
-    """The model ``price_pattern_mip`` hands the backend, per group."""
+    """The model ``price_pattern_mip`` hands the backend, per group, priced
+    on its own fresh ``pricing_model``."""
     duals = np.random.default_rng(7).uniform(0.0, 2.0, problem.num_services)
     seen: list = []
 
@@ -81,7 +82,8 @@ def pricing_models(problem, groups) -> list:
 
     with mock.patch.object(patterns, "solve_milp", capture):
         for group in groups:
-            patterns.price_pattern_mip(problem, group, duals)
+            model = patterns.pricing_model(problem, group)
+            patterns.price_pattern_mip(problem, group, model, duals)
     return seen
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.baselines import (
@@ -61,12 +60,6 @@ def test_rasa_result_feasible_and_improving(small_cluster):
     assert 0.0 <= result.gained_affinity <= 1.0
 
 
-def test_rasa_trajectory_monotone_nondecreasing(small_cluster):
-    result = RASAScheduler().schedule(small_cluster.problem, time_limit=8)
-    values = [v for _t, v in result.trajectory]
-    assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
-
-
 def test_rasa_reports_selected_algorithms(small_cluster):
     result = RASAScheduler().schedule(small_cluster.problem, time_limit=8)
     assert result.reports
@@ -95,13 +88,6 @@ def test_rasa_no_partition_on_tiny(tiny_problem):
     scheduler = RASAScheduler(partitioner=NoPartitioner())
     result = scheduler.schedule(tiny_problem, time_limit=20)
     assert result.gained_affinity == pytest.approx(1.0)
-
-
-def test_pop_trajectory_present(small_cluster):
-    result = POPAlgorithm().solve(small_cluster.problem, time_limit=6)
-    assert result.trajectory
-    values = [v for _t, v in result.trajectory]
-    assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
 
 
 def test_applsci19_groups_fit_reference_machine(small_cluster):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import Assignment, Machine, RASAConfig, RASAProblem, RASAScheduler, Service
-from repro.solvers import GreedyAlgorithm, LocalSearchAlgorithm, LocalSearchImprover
+from repro.solvers import GreedyAlgorithm, LocalSearchImprover
 
 
 def test_local_search_never_degrades(small_cluster):
@@ -49,11 +49,11 @@ def test_local_search_noop_on_optimum():
 
 
 def test_local_search_algorithm_wrapper(small_cluster):
+    """The greedy portfolio's placement, polished, never falls below it."""
     problem = small_cluster.problem
-    result = LocalSearchAlgorithm().solve(problem, time_limit=8)
-    greedy = GreedyAlgorithm().solve(problem)
-    assert result.objective >= greedy.objective - 1e-9
-    assert result.algorithm == "greedy+ls"
+    greedy = GreedyAlgorithm().solve(problem, time_limit=8)
+    polished = LocalSearchImprover().improve(problem, greedy.assignment, time_limit=8)
+    assert polished.gained_affinity() >= greedy.objective - 1e-9
 
 
 def test_rasa_with_local_search_polish(small_cluster):

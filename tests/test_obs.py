@@ -450,22 +450,6 @@ def test_unbudgeted_schedule_never_splits_a_budget(small_cluster, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Trajectory fidelity
-# ----------------------------------------------------------------------
-def test_trajectory_includes_solver_incumbent_history(small_cluster):
-    with use_metrics(MetricsRegistry()):
-        result = RASAScheduler().schedule(small_cluster.problem, time_limit=8)
-    solver_points = sum(len(r.result.trajectory) for r in result.reports)
-    # Partition point + per-solve incumbent history + merge/repair points.
-    assert len(result.trajectory) >= 1 + solver_points + len(result.reports)
-    times = [t for t, _v in result.trajectory]
-    values = [v for _t, v in result.trajectory]
-    assert times == sorted(times)
-    assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
-    assert all(0.0 <= v <= 1.0 for v in values)
-
-
-# ----------------------------------------------------------------------
 # CLI smoke
 # ----------------------------------------------------------------------
 @pytest.fixture

@@ -4,13 +4,14 @@ The pooled solve's contract (see :mod:`repro.core.rasa`) is threefold:
 
 * **Determinism** — for a fixed seed and no overall time limit, threaded
   runs are bit-identical to one-at-a-time runs: same assignment matrix,
-  same objective, same trajectory *values*, same merge order.
+  same objective, same merge order, and each shard's same solver
+  objective, status and bound.
 * **Resilience** — a raising pool thread falls back to an in-process
   retry, and one bad shard never loses the results the other threads
   already produced.
-* **Completeness** — pool threads record spans, metric samples and
-  incumbent trajectories into the process tracer/registry, nested under
-  ``rasa.dispatch`` and stamped with the request's trace id.
+* **Completeness** — pool threads record spans and metric samples into
+  the process tracer/registry, nested under ``rasa.dispatch`` and
+  stamped with the request's trace id.
 
 The CPU helper the solve phase sizes its pool with is patched, so the
 reference runs one shard at a time and the pooled runs use the same
@@ -138,15 +139,14 @@ class RecordingFactory:
 # Determinism: threaded ≡ one at a time
 # ----------------------------------------------------------------------
 def _assert_identical(sequential, parallel):
-    """Bit-identical assignments and value-identical trajectories.
-
-    Trajectory *timestamps* legitimately differ between runs (wall-clock),
-    so the anytime-curve comparison is on the value sequence.
-    """
+    """Bit-identical assignments, and per shard the same solver objective,
+    status and bound in the same merge order."""
     assert sequential.assignment.x.tobytes() == parallel.assignment.x.tobytes()
     assert parallel.gained_affinity == sequential.gained_affinity
-    assert [v for _, v in parallel.trajectory] == [
-        v for _, v in sequential.trajectory
+    assert [
+        (r.result.objective, r.result.status, r.result.bound) for r in parallel.reports
+    ] == [
+        (r.result.objective, r.result.status, r.result.bound) for r in sequential.reports
     ]
     assert [r.selected_algorithm for r in parallel.reports] == [
         r.selected_algorithm for r in sequential.reports
@@ -185,9 +185,6 @@ def test_threaded_solves_are_bit_identical_over_repeats(monkeypatch):
     for _ in range(5):
         threaded, _ = _run(problem, config)
         _assert_identical(reference, threaded)
-        assert [r.result.objective for r in threaded.reports] == [
-            r.result.objective for r in reference.reports
-        ]
 
 
 def test_merge_order_is_affinity_descending(small_cluster, seq, two_cpus):
@@ -195,14 +192,6 @@ def test_merge_order_is_affinity_descending(small_cluster, seq, two_cpus):
     for result in (seq, parallel):
         affinities = [r.subproblem.total_affinity for r in result.reports]
         assert affinities == sorted(affinities, reverse=True)
-
-
-def test_trajectory_timestamps_are_monotone(small_cluster, seq, two_cpus):
-    parallel, _ = _run(small_cluster.problem, _config())
-    for result in (seq, parallel):
-        times = [t for t, _ in result.trajectory]
-        assert times == sorted(times), "trajectory timestamps went backwards"
-        assert all(t >= 0.0 for t in times)
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,6 @@ import pytest
 from repro.core import AntiAffinityRule, Machine, RASAProblem, Service
 from repro.solvers import ColumnGenerationAlgorithm, GreedyAlgorithm, MIPAlgorithm
 from repro.solvers.patterns import (
-    Pattern,
     empty_pattern,
     group_machines,
     pattern_is_feasible,
@@ -21,6 +20,7 @@ from repro.solvers.patterns import (
     patterns_from_assignment,
     price_pattern_greedy,
     price_pattern_mip,
+    pricing_model,
 )
 
 
@@ -76,7 +76,8 @@ def test_patterns_from_assignment_harvests_and_dedupes(tiny_problem):
 def test_mip_pricing_ignores_duals_zero(tiny_problem):
     groups = group_machines(tiny_problem)
     duals = np.zeros(tiny_problem.num_services)
-    pattern = price_pattern_mip(tiny_problem, groups[0], duals, time_limit=10)
+    model = pricing_model(tiny_problem, groups[0])
+    pattern = price_pattern_mip(tiny_problem, groups[0], model, duals, time_limit=10)
     assert pattern is not None
     # With zero duals the pricer maximizes raw pattern value: collocating
     # all of a and b (value 10 + partial c edge) fits one machine.
@@ -89,7 +90,8 @@ def test_mip_pricing_keeps_barred_service_at_zero(constrained_problem):
     barred = [g for g in group_machines(constrained_problem) if not g.schedulable[db]]
     assert barred
     for group in barred:
-        pattern = price_pattern_mip(constrained_problem, group, duals, time_limit=10)
+        model = pricing_model(constrained_problem, group)
+        pattern = price_pattern_mip(constrained_problem, group, model, duals, time_limit=10)
         assert pattern is not None and pattern.counts.sum() > 0
         assert pattern.counts[db] == 0
 
@@ -183,7 +185,7 @@ def test_pricing_milp_gets_what_is_left_of_the_cg_budget(monkeypatch):
 def test_cg_builds_each_groups_pricing_model_once(monkeypatch):
     """One CG solve builds one pricing model per group and re-prices it with
     each round's duals; every model HiGHS gets is byte-identical to a fresh
-    one-shot build with the same duals."""
+    build with the same duals."""
     from test_mip_algorithm import make_model_digests
 
     from repro.solvers import column_generation, patterns
@@ -208,9 +210,9 @@ def test_cg_builds_each_groups_pricing_model_once(monkeypatch):
     real_price = column_generation.price_pattern_mip
     real_solve = patterns.solve_milp
 
-    def price(problem, group, duals, time_limit=None):
+    def price(problem, group, model, duals, time_limit=None):
         priced.append((group, duals.copy(), None))
-        return real_price(problem, group, duals, time_limit)
+        return real_price(problem, group, model, duals, time_limit)
 
     def solve(model, **kwargs):
         group, duals, _ = priced[-1]
@@ -231,11 +233,13 @@ def test_cg_builds_each_groups_pricing_model_once(monkeypatch):
         ),
     )
     for group, duals, seen in priced:
-        patterns.price_pattern_mip(problem, group, duals)
+        patterns.price_pattern_mip(
+            problem, group, patterns.pricing_model(problem, group), duals
+        )
         assert fresh[-1] == seen
     assert len(priced) > 2 * len(groups)  # several rounds re-priced
     assert solve_builds == len({group.key for group, _, _ in priced}) == len(groups)
-    assert len(builds) == solve_builds + len(priced)  # one-shot outside a solve
+    assert len(builds) == solve_builds + len(priced)  # one fresh build per check
 
 
 _WARNING_FREE_CG = """

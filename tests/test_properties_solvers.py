@@ -23,6 +23,7 @@ from repro.solvers.patterns import (
     pattern_is_feasible,
     price_pattern_greedy,
     price_pattern_mip,
+    pricing_model,
 )
 
 @st.composite
@@ -99,7 +100,8 @@ def test_pricing_always_returns_feasible_patterns(data):
         ]
     )
     for group in group_machines(problem):
-        exact = price_pattern_mip(problem, group, duals, time_limit=5)
+        model = pricing_model(problem, group)
+        exact = price_pattern_mip(problem, group, model, duals, time_limit=5)
         if exact is not None:
             assert pattern_is_feasible(problem, group, exact.counts)
             assert exact.value >= -1e-9
@@ -114,7 +116,8 @@ def test_exact_pricing_dominates_greedy_pricing(data):
     problem = data.draw(homogeneous_problems())
     duals = np.zeros(problem.num_services)
     for group in group_machines(problem):
-        exact = price_pattern_mip(problem, group, duals, time_limit=5)
+        model = pricing_model(problem, group)
+        exact = price_pattern_mip(problem, group, model, duals, time_limit=5)
         greedy = price_pattern_greedy(problem, group, duals)
         if exact is None or greedy is None:
             continue
@@ -151,7 +154,7 @@ def test_exact_pricing_reaches_the_enumerated_maximum(instance):
     by trying every count vector (HiGHS's absolute gap is 1e-6)."""
     problem, duals = instance
     for group in group_machines(problem):
-        pattern = price_pattern_mip(problem, group, duals)
+        pattern = price_pattern_mip(problem, group, pricing_model(problem, group), duals)
         assert pattern is not None
         best, _counts = enumerated_pricing(
             problem, group.capacity, group.schedulable, duals

@@ -254,24 +254,3 @@ def test_tenant_spec_needs_exactly_one_source(small_cluster):
         TenantSpec(name="x", problem=payload, trace={"base": payload})
     with pytest.raises(ProblemValidationError):
         TenantSpec(name="../etc", problem=payload)
-
-
-# ----------------------------------------------------------------------
-# RASAResult.summary_dict
-# ----------------------------------------------------------------------
-def test_rasa_result_summary_dict(small_cluster):
-    result = api.optimize(small_cluster.problem, time_limit=None)
-    summary = result.summary_dict()
-    assert summary[SCHEMA_KEY] == SCHEMA_VERSION
-    assert summary["gained_affinity"] == pytest.approx(result.gained_affinity)
-    assert summary["num_services"] == small_cluster.problem.num_services
-    assert summary["num_machines"] == small_cluster.problem.num_machines
-    assert summary["num_subproblems"] == len(result.reports)
-    assert len(summary["subproblems"]) == len(result.reports)
-    for entry in summary["subproblems"]:
-        assert set(entry) == {"services", "algorithm", "status", "objective"}
-    assert all(len(point) == 2 for point in summary["trajectory"])
-    # The summary is plain data: it must survive JSON.
-    import json
-
-    assert json.loads(json.dumps(summary)) == summary

@@ -14,7 +14,6 @@ from repro.selection import (
     sample_subproblems,
     selection_accuracy,
 )
-from repro.selection.labeling import LabeledExample
 from repro.ml import build_feature_graph
 
 
