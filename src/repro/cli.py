@@ -801,12 +801,14 @@ def _print_document(document) -> int:
 @_command("tenant", "talk to a running optimizer service", TENANT_ACTIONS)
 def cmd_tenant(args: argparse.Namespace) -> int:
     _help, _arguments, call = TENANT_ACTIONS[args.tenant_action]
-    return _print_document(call(_make_client(args), args))
+    with _make_client(args) as client:
+        return _print_document(call(client, args))
 
 
 @_command("alerts", "every tenant's active SLO burn-rate alerts", *CLIENT, *COMMON)
 def cmd_alerts(args: argparse.Namespace) -> int:
-    return _print_document(_make_client(args).all_alerts())
+    with _make_client(args) as client:
+        return _print_document(client.all_alerts())
 
 
 def _render_top(tenants: list[dict], alerts: list[dict], out) -> None:
@@ -851,17 +853,17 @@ def _render_top(tenants: list[dict], alerts: list[dict], out) -> None:
 )
 def cmd_top(args: argparse.Namespace) -> int:
     out = _make_output(args)
-    client = _make_client(args)
     if args.iterations < 1:
         raise ProblemValidationError("--iterations must be >= 1")
     try:
-        for iteration in range(args.iterations):
-            if iteration:
-                time.sleep(max(0.0, args.interval))
-                out("")
-            tenants = client.list_tenants()
-            alerts = client.all_alerts().get("alerts", [])
-            _render_top(tenants, alerts, out)
+        with _make_client(args) as client:
+            for iteration in range(args.iterations):
+                if iteration:
+                    time.sleep(max(0.0, args.interval))
+                    out("")
+                tenants = client.list_tenants()
+                alerts = client.all_alerts().get("alerts", [])
+                _render_top(tenants, alerts, out)
     except KeyboardInterrupt:
         return EXIT_INTERRUPTED
     return 0

@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import json
 import re
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -177,6 +178,75 @@ def _natural(text: str) -> int | None:
         return None
 
 
+class _HttpServer(ThreadingHTTPServer):
+    """A threading HTTP server that knows its open connections.
+
+    Each connection is served on its own daemon thread and is either
+    idle (waiting for its next request line) or busy (serving a
+    request).  :meth:`close_connections` ends the idle ones at once, lets
+    a busy one finish its response and then close, and joins the threads.
+    """
+
+    def __init__(self, address: tuple[str, int], handler: type, owner: Any) -> None:
+        super().__init__(address, handler)
+        self.owner = owner
+        #: Set when the listener stops; no request starts after it.
+        self.stopping = False
+        self._lock = threading.Lock()
+        self._connections: dict[socket.socket, threading.Thread] = {}
+        self._busy: set[socket.socket] = set()
+
+    def process_request(self, request: socket.socket, client_address: Any) -> None:
+        # ThreadingMixIn's, except that the thread is kept for joining.
+        thread = threading.Thread(
+            target=self.process_request_thread,
+            args=(request, client_address),
+            daemon=True,
+        )
+        with self._lock:
+            self._connections[request] = thread
+        thread.start()
+
+    def process_request_thread(self, request: socket.socket, client_address: Any) -> None:
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            with self._lock:
+                del self._connections[request]
+                self._busy.discard(request)
+
+    def mark(self, connection: socket.socket, busy: bool) -> bool:
+        """Record whether ``connection`` is serving; False once stopping."""
+        with self._lock:
+            if self.stopping:
+                return False
+            if busy:
+                self._busy.add(connection)
+            else:
+                self._busy.discard(connection)
+            return True
+
+    def close_connections(self, timeout: float) -> None:
+        """End idle connections, then join every connection's thread.
+
+        Shutting an idle socket down hands its thread's blocked read an
+        end-of-stream, so the thread leaves without reading a request.
+        """
+        with self._lock:
+            self.stopping = True
+            idle = [c for c in self._connections if c not in self._busy]
+            threads = list(self._connections.values())
+        for connection in idle:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:  # the client closed it first
+                pass
+        deadline = time.monotonic() + timeout
+        for thread in threads:
+            if thread is not threading.current_thread():
+                thread.join(max(0.0, deadline - time.monotonic()))
+
+
 class HttpListener:
     """A threading HTTP server on a daemon thread — the one bind site.
 
@@ -206,7 +276,7 @@ class HttpListener:
         self.host = host
         self.name = name
         self._requested_port = port
-        self._httpd: ThreadingHTTPServer | None = None
+        self._httpd: _HttpServer | None = None
         self._thread: threading.Thread | None = None
 
     @property
@@ -224,9 +294,9 @@ class HttpListener:
     def start(self) -> int:
         """Bind and serve in a daemon thread (idempotent); returns the port."""
         if self._httpd is None:
-            httpd = ThreadingHTTPServer((self.host, self._requested_port), self.handler)
-            httpd.daemon_threads = True
-            httpd.owner = self.owner  # type: ignore[attr-defined]
+            httpd = _HttpServer(
+                (self.host, self._requested_port), self.handler, self.owner
+            )
             self._httpd = httpd
             self._thread = threading.Thread(
                 target=httpd.serve_forever, name=self.name, daemon=True
@@ -235,12 +305,21 @@ class HttpListener:
         return self.port
 
     def stop(self) -> None:
-        """Shut the listener down and join its thread (idempotent)."""
+        """Stop serving and join the listener's threads (idempotent).
+
+        The listening socket closes first, so nothing connects after.
+        Idle keep-alive connections end at once; a request in flight
+        still gets its response, marked ``Connection: close``, and its
+        connection then closes.  Every connection thread has exited when
+        this returns, unless a request is still running after 5 seconds.
+        """
         httpd, self._httpd = self._httpd, None
         thread, self._thread = self._thread, None
         if httpd is not None:
+            httpd.stopping = True  # every answer from now on closes
             httpd.shutdown()
             httpd.server_close()
+            httpd.close_connections(timeout=5.0)
         if thread is not None:
             thread.join(timeout=5.0)
 
@@ -260,8 +339,12 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
     per row, written with the ``respond*`` methods and the input helpers.
     """
 
-    # Served responses are tiny; keep connections simple.
+    # Keep-alive: a client reuses one connection for all its requests.
     protocol_version = "HTTP/1.1"
+
+    # Headers and body go out in two writes; with Nagle on, the client's
+    # delayed ACK holds the second one for ~40 ms on a reused connection.
+    disable_nagle_algorithm = True
 
     #: Logger for request failures and the stdlib's own messages
     #: (subclasses override).
@@ -270,6 +353,22 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
     #: ``(verb, compiled path pattern, handler-method name)`` rows; a
     #: pattern group named ``tenant`` also labels the access-log line.
     routes: "tuple[tuple[str, re.Pattern[str], str], ...]" = ()
+
+    def handle_one_request(self) -> None:
+        # Idle until the next request line; a stopped listener ends the
+        # connection here instead.
+        if not self.server.mark(self.connection, busy=False):
+            self.close_connection = True
+            return
+        super().handle_one_request()
+
+    def parse_request(self) -> bool:
+        # A request line arrived: it is served unless the listener
+        # stopped meanwhile, in which case nothing is answered.
+        if not self.server.mark(self.connection, busy=True):
+            self.close_connection = True
+            return False
+        return super().parse_request()
 
     def handle_request(self) -> None:
         """Serve one request of any verb through the pipeline."""
@@ -427,10 +526,12 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         if allow is not None:
             self.send_header("Allow", allow)
-        if self._body_unread:
+        if self._body_unread or self.server.stopping:
             # The declared request body was never read (the request was
             # refused first, or its Content-Length is unusable), so what
-            # follows on the socket is not a request line.
+            # follows on the socket is not a request line; or the
+            # listener is stopping, so this is the connection's last
+            # response.
             self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)

@@ -3,8 +3,21 @@
 :class:`ServiceClient` mirrors the REST surface of
 :class:`~repro.service.app.OptimizerService` one method per endpoint, so
 scripts and the ``rasa tenant ...`` CLI never hand-build URLs.  It is
-``urllib.request`` only — the client must work in the same
-no-new-dependencies environment the service does.
+``http.client`` only — the client must work in the same
+no-new-dependencies environment the service does.  (Unlike
+``urllib.request`` it does not read ``http_proxy``/``HTTP_PROXY``: calls
+always go straight to ``base_url``.)
+
+Each calling thread keeps one HTTP/1.1 connection to the service and
+reuses it for every request, so a call costs one round trip instead of
+a TCP handshake, a teardown and a server thread.  Two rules govern
+reuse.  Before an idle connection is reused, the client checks that the
+server has not closed it (a ``Connection: close`` answer, a stopped
+listener) and reconnects if it has.  A request that fails after it was
+sent is never sent again: a POST may already have run.
+:meth:`ServiceClient.close` (or leaving a ``with`` block) closes every
+thread's connection; a client that is dropped without it closes them
+when it is garbage-collected.
 
 Every request carries a W3C ``traceparent`` header minted from the
 client's own deterministic :class:`~repro.obs.context.TraceIdFactory`
@@ -21,14 +34,39 @@ and the server's JSON error document.
 
 from __future__ import annotations
 
+import http.client
 import json
+import select
+import socket
+import threading
 import time
-import urllib.error
-import urllib.request
+import weakref
 from typing import Any
+from urllib.parse import urlsplit
 
 from repro.obs.context import TraceIdFactory
 from repro.schemas import tag_schema
+
+#: Connection class per URL scheme.
+_CONNECTIONS = {"http": http.client.HTTPConnection,
+                "https": http.client.HTTPSConnection}
+
+
+def _readable(sock: socket.socket) -> bool:
+    """Whether ``sock`` has bytes or an end-of-stream waiting (no blocking)."""
+    if hasattr(select, "poll"):  # no FD_SETSIZE ceiling, unlike select()
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])
+
+
+def _close_all(lock: threading.Lock, connections: "weakref.WeakSet") -> None:
+    """Close every connection a client has open (its close and finalizer)."""
+    with lock:
+        open_now = list(connections)
+    for connection in open_now:
+        connection.close()
 
 
 class ServiceError(RuntimeError):
@@ -80,31 +118,90 @@ class ServiceClient:
         self.connect_backoff = float(connect_backoff)
         #: trace id of the most recent request (what the CLI prints).
         self.last_trace_id: str | None = None
+        parts = urlsplit(self.base_url)
+        self._scheme, self._netloc, self._prefix = (
+            parts.scheme, parts.netloc, parts.path
+        )
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        # Every thread's connection, for close(); a dead thread's one
+        # leaves with its thread-local slot.
+        self._connections: weakref.WeakSet = weakref.WeakSet()
+        # A client dropped without close() still closes its connections.
+        weakref.finalize(self, _close_all, self._lock, self._connections)
+
+    def close(self) -> None:
+        """Close every thread's connection (idempotent).
+
+        A later request opens a fresh connection, so closing is also how
+        a caller drops connections it no longer needs.
+        """
+        _close_all(self._lock, self._connections)
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
-    def _open(self, request: urllib.request.Request) -> bytes:
-        """``urlopen`` with bounded retry on connection-refused only.
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's connection, open and safe to send on.
+
+        An idle connection the server has closed (or written to unasked)
+        is closed and reconnected here, before anything is sent on it.
+        """
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            factory = _CONNECTIONS.get(self._scheme)
+            if factory is None:
+                raise ValueError(f"unsupported service URL {self.base_url!r}")
+            connection = factory(self._netloc, timeout=self.timeout)
+            self._local.connection = connection
+            with self._lock:
+                self._connections.add(connection)
+        elif connection.sock is not None and not _readable(connection.sock):
+            return connection
+        connection.close()
+        self._connect(connection)
+        return connection
+
+    def _connect(self, connection: http.client.HTTPConnection) -> None:
+        """``connect`` with bounded retry on connection-refused only.
 
         Refused connections are the startup race (server thread not yet
-        bound); anything else — timeouts, resets mid-request, DNS — is
-        not safely retryable for non-idempotent verbs and surfaces
+        bound); anything else — timeouts, resets, DNS — surfaces
         immediately.
         """
         attempts = 0
         delay = self.connect_backoff
         while True:
             try:
-                with urllib.request.urlopen(
-                    request, timeout=self.timeout
-                ) as resp:
-                    return resp.read()
-            except urllib.error.URLError as exc:
-                refused = isinstance(exc.reason, ConnectionRefusedError)
-                if not refused or attempts >= self.connect_retries:
+                connection.connect()
+                return
+            except ConnectionRefusedError:
+                if attempts >= self.connect_retries:
                     raise
                 attempts += 1
                 time.sleep(min(delay, 1.0))
                 delay = min(delay * 2.0, 1.0)
+
+    def _exchange(
+        self, method: str, path: str, body: bytes | None, headers: dict
+    ) -> tuple[int, bytes]:
+        """One request on this thread's connection: ``(status, body)``.
+
+        A failure after the request was sent closes the connection and
+        propagates; the request is never sent a second time.
+        """
+        connection = self._connection()
+        try:
+            connection.request(method, self._prefix + path, body, headers)
+            response = connection.getresponse()
+            return response.status, response.read()
+        except BaseException:
+            connection.close()
+            raise
 
     def _request(
         self,
@@ -128,28 +225,19 @@ class ServiceClient:
         if payload is not None:
             body = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            f"{self.base_url}{path}", data=body, headers=headers,
-            method=method,
-        )
         try:
-            raw = self._open(request)
-        except urllib.error.HTTPError as exc:
-            raw = exc.read()
+            status, raw = self._exchange(method, path, body, headers)
+        except (OSError, http.client.HTTPException) as exc:
+            raise ServiceError(f"{method} {path} failed: {exc}") from exc
+        if not 200 <= status < 300:
             try:
                 document = json.loads(raw)
             except (ValueError, UnicodeDecodeError):
                 document = None
             message = (
                 document.get("error") if isinstance(document, dict) else None
-            ) or f"{method} {path} failed with HTTP {exc.code}"
-            raise ServiceError(
-                message, status=exc.code, payload=document
-            ) from exc
-        except urllib.error.URLError as exc:
-            raise ServiceError(
-                f"{method} {path} failed: {exc.reason}"
-            ) from exc
+            ) or f"{method} {path} failed with HTTP {status}"
+            raise ServiceError(message, status=status, payload=document)
         if not raw:
             return None
         try:

@@ -5,12 +5,11 @@ HTTP; and the client's bounded connect-retry."""
 
 from __future__ import annotations
 
+import http.client
 import json
 import logging
 import re
 import time
-import urllib.error
-import urllib.request
 
 import pytest
 
@@ -247,16 +246,16 @@ def test_violating_tenant_fires_fast_burn_within_five_cycles(service, client):
 # Client connect-retry
 # ----------------------------------------------------------------------
 def test_client_retries_refused_connections(service, monkeypatch):
-    real_urlopen = urllib.request.urlopen
+    real_connect = http.client.HTTPConnection.connect
     calls = {"n": 0}
 
-    def flaky(request, timeout=None):
+    def flaky(connection):
         calls["n"] += 1
         if calls["n"] <= 2:
-            raise urllib.error.URLError(ConnectionRefusedError("refused"))
-        return real_urlopen(request, timeout=timeout)
+            raise ConnectionRefusedError("refused")
+        return real_connect(connection)
 
-    monkeypatch.setattr(urllib.request, "urlopen", flaky)
+    monkeypatch.setattr(http.client.HTTPConnection, "connect", flaky)
     patient = ServiceClient(
         service.url, timeout=600.0, connect_retries=5, connect_backoff=0.001
     )
@@ -272,13 +271,13 @@ def test_client_retries_refused_connections(service, monkeypatch):
 
 def test_client_does_not_retry_http_errors(service, monkeypatch):
     calls = {"n": 0}
-    real_urlopen = urllib.request.urlopen
+    real_request = http.client.HTTPConnection.request
 
-    def counting(request, timeout=None):
+    def counting(connection, *args, **kwargs):
         calls["n"] += 1
-        return real_urlopen(request, timeout=timeout)
+        return real_request(connection, *args, **kwargs)
 
-    monkeypatch.setattr(urllib.request, "urlopen", counting)
+    monkeypatch.setattr(http.client.HTTPConnection, "request", counting)
     client = ServiceClient(service.url, timeout=600.0, connect_retries=5)
     with pytest.raises(ServiceError) as excinfo:
         client.tenant("missing")
